@@ -19,7 +19,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "elementwise",
     "matmul",
     "softmax",
     "exp",
@@ -226,17 +225,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b._accum(_unbroadcast(g * a.data, b.shape))
 
     return _record(out, (a, b), bwd)
-
-
-def elementwise(a: Tensor, b: Tensor, op: str) -> Tensor:
-    """Pointwise add/mul over identically shaped tensors (no broadcasting)."""
-    if a.shape != b.shape:
-        raise DimensionError(f"elementwise shapes differ: {a.shape} vs {b.shape}")
-    if op == "add":
-        return add(a, b)
-    if op == "mul":
-        return mul(a, b)
-    raise ContractError(f"unknown elementwise op {op!r}")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -46,27 +46,39 @@ def save_checkpoint(path, model: VaeModel, vocab: list[str], extra: dict | None 
 
 def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
     with open(path, "rb") as f:
+
+        def read(n: int) -> bytes:
+            b = f.read(n)
+            if len(b) != n:
+                raise InputError(f"{path}: checkpoint is truncated")
+            return b
+
         if f.read(4) != _MAGIC:
             raise InputError(f"{path} is not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", read(4))
         if version != _VERSION:
             raise InputError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<I", read(4))
+        header = json.loads(read(hlen).decode("utf-8"))
         config = ModelConfig(**header["config"])
         model = VaeModel(config, seed=0)
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = struct.unpack("<I", read(4))
+        loaded = set()
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", f.read(4))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+            (nlen,) = struct.unpack("<I", read(4))
+            name = read(nlen).decode("utf-8")
+            (ndim,) = struct.unpack("<I", read(4))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
             n_elem = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(f.read(8 * n_elem), dtype="<f8").reshape(shape).copy()
+            data = np.frombuffer(read(8 * n_elem), dtype="<f8").reshape(shape).copy()
             if name not in model.params:
                 raise InputError(f"checkpoint parameter {name!r} unknown to the model")
             if model.params[name].data.shape != data.shape:
                 raise InputError(f"checkpoint parameter {name!r} has shape {data.shape}, "
                                  f"expected {model.params[name].data.shape}")
             model.params[name].data = data
+            loaded.add(name)
+    missing = sorted(set(model.params) - loaded)
+    if missing:
+        raise InputError(f"{path}: checkpoint lacks parameters {missing}")
     return model, header["vocab"], header.get("extra", {})

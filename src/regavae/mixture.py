@@ -1,4 +1,5 @@
-"""Gaussian-mixture aggregation of query and retrieved latents.
+"""Gaussian-mixture aggregation of query and retrieved latents, and the one
+training objective.
 
 The posterior over latents is a convex combination of the query posterior
 (component 0) and the retrieved documents' key posteriors, weighted by a
@@ -7,7 +8,9 @@ perfect-similarity logit 1.0). The mixture-vs-mixture KL has no closed form;
 training optimizes the matched-component upper bound
 KL(w||w_hat) + sum_i w_i KL(g_i||g_hat_i). With keys and therefore weights
 frozen between index refreshes, only the query component's KL to N(0, I)
-carries gradient, which is exactly the term kept in the loss.
+carries gradient, which is exactly the term kept in the loss. With no
+retrieved neighbours (k=0) the mixture is the query posterior alone and
+`regavae_loss` is the plain-VAE objective, so every training stage uses it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from .model import ElboBreakdown, LatentGaussian, VaeModel, gaussian_kl_standard
 from .retrieval import RetrievalDatabase, similarity, top_k
 
 _WEIGHT_TOL = 1e-12
+# Upper clamp bound used when flooring the KL term (free bits); effectively
+# +inf for any reachable KL while keeping the op on finite values.
+_KL_CEIL = 1e30
 
 
 @dataclass
@@ -161,14 +167,18 @@ def regavae_loss(model: VaeModel, x_tokens: list[int], y_tokens: list[int],
                  db: RetrievalDatabase | None, k: int, beta: float,
                  rng: np.random.Generator, exclude_id: int | None = None,
                  kl_floor: float = 0.0) -> tuple[ElboBreakdown, Tensor]:
-    """Retrieval-augmented objective. Per decoder layer, the latent is sampled
-    from the mixture of that layer's query posterior and the retrieved document
-    keys; the KL term keeps only the query component's KL to N(0, I) (the
-    retrieved components and the weights are constants between refreshes).
-    With k=0 this reduces exactly to the plain-VAE elbo_step. kl_floor applies
-    free bits to the KL term exactly as in elbo_step."""
-    from .model import _KL_CEIL
+    """Training objective: reconstruction NLL plus beta-weighted KL. Per
+    decoder layer, the latent is sampled from the mixture of that layer's query
+    posterior and the retrieved document keys; the KL term keeps only the
+    query component's KL to N(0, I) (the retrieved components and the weights
+    are constants between refreshes). With k=0 (db may be None) the mixture
+    is the query posterior alone and this is the plain-VAE ELBO.
 
+    kl_floor > 0 enables free bits: the KL term is floored at kl_floor nats,
+    so gradients stop pushing the posterior toward the prior once its KL is
+    below the floor. This reserves a latent information budget and is the
+    standard mitigation when annealing alone cannot prevent posterior
+    collapse. The reported breakdown always carries the true KL."""
     posts = model.encode(x_tokens)
     weights, keys, _ = retrieve_mixture(posts, db, k, exclude_id=exclude_id)
     z_layers = []

@@ -21,9 +21,6 @@ from .errors import ConfigError, ContractError, InputError
 
 LOG_VAR_MIN = -10.0
 LOG_VAR_MAX = 10.0
-# Upper clamp bound used when flooring the KL term (free bits); effectively
-# +inf for any reachable KL while keeping the op on finite values.
-_KL_CEIL = 1e30
 
 
 @dataclass
@@ -252,52 +249,42 @@ class VaeModel:
             gate = gz if gate is None else gate + gz
         return hid * gate
 
-    def decode(self, z_layers: list[Tensor], target_tokens: list[int]) -> tuple[Tensor, Tensor]:
-        """Teacher-forced causal decode; returns (logits, mean NLL in nats)."""
+    def _decoder_logits(self, z_layers: list[Tensor], inputs: list[int]) -> Tensor:
+        """Causal decoder forward: embed, fuse each layer's latent, causal
+        block, final layer norm, logits tied to the token embedding."""
         c = self.config
         if len(z_layers) != c.n_layers:
             raise ContractError(f"expected {c.n_layers} latents, got {len(z_layers)}")
-        tokens = self._prepare_ids(list(target_tokens), "decoder target")
-        inputs = [c.bos_id] + tokens
-        targets = tokens + [c.eos_id]
         h = self._embed(inputs)
         for l in range(c.n_layers):
             # Residual fusion keeps the token signal intact when z is noisy.
             h = h + self.inject_latent(h, z_layers[l], l)
             h = self._block(h, f"dec.{l}", causal=True)
         h = ag.layer_norm(h, self.params["dec.lnf.g"], self.params["dec.lnf.b"])
-        logits = h @ ag.transpose(self.params["tok_emb"])
-        nll = ag.cross_entropy_with_logits(logits, targets)
+        return h @ ag.transpose(self.params["tok_emb"])
+
+    def decode(self, z_layers: list[Tensor], target_tokens: list[int]) -> tuple[Tensor, Tensor]:
+        """Teacher-forced causal decode; returns (logits, mean NLL in nats)."""
+        c = self.config
+        tokens = self._prepare_ids(list(target_tokens), "decoder target")
+        logits = self._decoder_logits(z_layers, [c.bos_id] + tokens)
+        nll = ag.cross_entropy_with_logits(logits, tokens + [c.eos_id])
         return logits, nll
 
     def elbo_step(self, x_tokens: list[int], y_tokens: list[int], beta: float,
                   rng: np.random.Generator,
                   kl_floor: float = 0.0) -> tuple[ElboBreakdown, Tensor]:
-        """Plain-VAE objective: reconstruction NLL plus beta-weighted KL to N(0,I).
+        """Plain-VAE objective: `mixture.regavae_loss` with no retrieved
+        neighbours (k=0), i.e. reconstruction NLL plus beta-weighted KL to
+        N(0, I), with free bits when kl_floor > 0."""
+        from .mixture import regavae_loss  # mixture imports this module
 
-        kl_floor > 0 enables free bits: the KL term is floored at kl_floor
-        nats, so gradients stop pushing the posterior toward the prior once
-        its KL is below the floor. This reserves a latent information budget
-        and is the standard mitigation when annealing alone cannot prevent
-        posterior collapse. The reported breakdown always carries the true KL.
-        """
-        posts = self.encode(x_tokens)
-        z_layers = [reparameterize(g, rng) for g in posts]
-        _, nll = self.decode(z_layers, y_tokens)
-        kl = None
-        for g in posts:
-            k = gaussian_kl_standard(g)
-            kl = k if kl is None else kl + k
-        kl_term = ag.clamp(kl, kl_floor, _KL_CEIL) if kl_floor > 0.0 else kl
-        total = nll + beta * kl_term
-        return ElboBreakdown(nll.item(), kl.item(), beta), total
+        return regavae_loss(self, x_tokens, y_tokens, None, 0, beta, rng, kl_floor=kl_floor)
 
     def generate(self, z_layers: list[Tensor], max_len: int, strategy: str = "greedy",
                  rng: np.random.Generator | None = None, top_k: int = 10) -> list[int]:
         """Autoregressive decoding until EOS or max_len tokens."""
         c = self.config
-        if len(z_layers) != c.n_layers:
-            raise ContractError(f"expected {c.n_layers} latents, got {len(z_layers)}")
         if strategy not in ("greedy", "top_k"):
             raise ContractError(f"unknown decoding strategy {strategy!r}")
         out: list[int] = []
@@ -305,12 +292,7 @@ class VaeModel:
             inputs = [c.bos_id] + out
             if len(inputs) > c.max_seq_len:
                 break
-            h = self._embed(inputs)
-            for l in range(c.n_layers):
-                h = h + self.inject_latent(h, z_layers[l], l)
-                h = self._block(h, f"dec.{l}", causal=True)
-            h = ag.layer_norm(h, self.params["dec.lnf.g"], self.params["dec.lnf.b"])
-            logits = (h @ ag.transpose(self.params["tok_emb"])).data[-1]
+            logits = self._decoder_logits(z_layers, inputs).data[-1]
             if strategy == "greedy":
                 nxt = int(np.argmax(logits))
             else:

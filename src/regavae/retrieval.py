@@ -142,21 +142,36 @@ def save_database(db: RetrievalDatabase, path) -> None:
 
 
 def load_database(path) -> RetrievalDatabase:
+    truncated = f"{path}: database dump is truncated"
     with open(path, "rb") as f:
         if f.read(4) != _DB_MAGIC:
             raise InputError(f"{path} is not a retrieval database dump")
-        version, d_z, n, snapshot_step, refresh_interval = struct.unpack("<IIIQI", f.read(24))
+        b = f.read(24)
+        if len(b) != 24:
+            raise InputError(truncated)
+        version, d_z, n, snapshot_step, refresh_interval = struct.unpack("<IIIQI", b)
         if version != _DB_VERSION:
             raise InputError(f"unsupported database dump version {version}")
+        # Per entry: id, key means and log-vars, source length in one read;
+        # source ids plus target length in a second; target ids in a third.
+        head = 8 + 16 * d_z + 4
         entries = []
         for _ in range(n):
-            (eid,) = struct.unpack("<Q", f.read(8))
-            mean = np.frombuffer(f.read(8 * d_z), dtype="<f8").copy()
-            log_var = np.frombuffer(f.read(8 * d_z), dtype="<f8").copy()
-            toks = []
-            for _ in range(2):
-                (ln,) = struct.unpack("<I", f.read(4))
-                toks.append(np.frombuffer(f.read(4 * ln), dtype="<u4").astype(int).tolist())
-            entries.append(RetrievalEntry(int(eid), LatentGaussian.from_arrays(mean, log_var),
-                                          toks[0], toks[1]))
+            b = f.read(head)
+            if len(b) != head:
+                raise InputError(truncated)
+            (eid,) = struct.unpack_from("<Q", b)
+            key = np.frombuffer(b, dtype="<f8", count=2 * d_z, offset=8)
+            (ln,) = struct.unpack_from("<I", b, head - 4)
+            b = f.read(4 * ln + 4)
+            if len(b) != 4 * ln + 4:
+                raise InputError(truncated)
+            source = np.frombuffer(b, dtype="<u4", count=ln).astype(int).tolist()
+            (ln,) = struct.unpack_from("<I", b, 4 * ln)
+            b = f.read(4 * ln)
+            if len(b) != 4 * ln:
+                raise InputError(truncated)
+            target = np.frombuffer(b, dtype="<u4").astype(int).tolist()
+            entries.append(RetrievalEntry(int(eid), LatentGaussian.from_arrays(
+                key[:d_z].copy(), key[d_z:].copy()), source, target))
     return RetrievalDatabase(entries, int(snapshot_step), int(refresh_interval))

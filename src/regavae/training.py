@@ -188,25 +188,57 @@ def beta_schedule(cfg: RunConfig, n_pairs: int) -> tuple[int, int]:
     return int(round(cfg.beta_warmup_frac * total)), 0
 
 
-def run_stage1(cfg: RunConfig, out_dir) -> tuple[str, TrainResult]:
-    """Plain-VAE pretraining; writes <out_dir>/stage1.ckpt."""
+def _train_stage(cfg: RunConfig, out_dir, checkpoint_path, database_path, k: int,
+                 epochs: int, name: str, stage: int) -> tuple[str, TrainResult]:
+    """The one stage driver: echo the config, load the corpus, train with
+    regavae_loss for `epochs` epochs and write <out_dir>/<name>.
+
+    With checkpoint_path None it starts from a fresh model; otherwise it
+    resumes that checkpoint's step/epoch counters and beta schedule. k > 0
+    retrieves from database_path, refreshes it on schedule and writes the
+    final snapshot next to the checkpoint; k=0 trains the plain VAE."""
     cfg.echo(out_dir)
-    pairs, tok = _load_corpus(cfg)
-    model = VaeModel(cfg.model_config(tok.vocab_size), seed=cfg.seed)
+    if checkpoint_path is None:
+        pairs, tok = _load_corpus(cfg)
+        model = VaeModel(cfg.model_config(tok.vocab_size), seed=cfg.seed)
+        vocab, extra = tok.words, {}
+    else:
+        model, vocab, extra = load_checkpoint(checkpoint_path)
+        pairs, _ = _load_corpus(cfg, vocab=vocab)
     warmup, cycle = beta_schedule(cfg, len(pairs))
+    warmup = extra.get("warmup_steps", warmup)
+    cycle = extra.get("cycle_steps", cycle)
+    state = {"db": load_database(database_path) if k > 0 else None}
+
+    def before_batch(step):
+        if state["db"] is not None:
+            state["db"] = maybe_refresh(state["db"], step, model)
 
     def loss_fn(pair, idx, beta, rng):
-        return model.elbo_step(pair.source_tokens, pair.target_tokens, beta, rng,
-                               kl_floor=cfg.kl_floor)
+        exclude = idx if cfg.exclude_self else None
+        return regavae_loss(model, pair.source_tokens, pair.target_tokens,
+                            state["db"], k, beta, rng,
+                            exclude_id=exclude, kl_floor=cfg.kl_floor)
 
-    result = train_loop(model, pairs, cfg, loss_fn, cfg.stage1_epochs, warmup, cycle)
-    path = os.path.join(out_dir, "stage1.ckpt")
-    save_checkpoint(path, model, tok.words, extra={
-        "stage": 1, "global_step": result.global_step,
+    result = train_loop(model, pairs, cfg, loss_fn, epochs, warmup, cycle,
+                        start_step=extra.get("global_step", 0),
+                        start_epoch=extra.get("global_epoch", 0),
+                        before_batch=before_batch)
+    path = os.path.join(out_dir, name)
+    save_checkpoint(path, model, vocab, extra={
+        "stage": stage, "global_step": result.global_step,
         "global_epoch": result.global_epoch,
         "warmup_steps": warmup, "cycle_steps": cycle,
     })
+    if state["db"] is not None:
+        final_db = maybe_refresh(state["db"], result.global_step, model)
+        save_database(final_db, os.path.join(out_dir, os.path.basename(cfg.database_path)))
     return path, result
+
+
+def run_stage1(cfg: RunConfig, out_dir) -> tuple[str, TrainResult]:
+    """Plain-VAE pretraining; writes <out_dir>/stage1.ckpt."""
+    return _train_stage(cfg, out_dir, None, None, 0, cfg.stage1_epochs, "stage1.ckpt", 1)
 
 
 def run_stage2(cfg: RunConfig, checkpoint_path, out_dir) -> str:
@@ -223,65 +255,19 @@ def run_stage2(cfg: RunConfig, checkpoint_path, out_dir) -> str:
 
 def run_stage3(cfg: RunConfig, checkpoint_path, database_path, out_dir) -> tuple[str, TrainResult]:
     """Retrieval-augmented training with periodic index refresh; writes
-    <out_dir>/stage3.ckpt and the refreshed database."""
-    cfg.echo(out_dir)
-    model, vocab, extra = load_checkpoint(checkpoint_path)
-    pairs, _ = _load_corpus(cfg, vocab=vocab)
-    start_step = extra.get("global_step", 0)
-    start_epoch = extra.get("global_epoch", 0)
-    warmup, cycle = beta_schedule(cfg, len(pairs))
-    warmup = extra.get("warmup_steps", warmup)
-    cycle = extra.get("cycle_steps", cycle)
-    state = {"db": load_database(database_path) if cfg.k_neighbors > 0 else None}
-
-    def before_batch(step):
-        if state["db"] is not None:
-            state["db"] = maybe_refresh(state["db"], step, model)
-
-    def loss_fn(pair, idx, beta, rng):
-        exclude = idx if cfg.exclude_self else None
-        return regavae_loss(model, pair.source_tokens, pair.target_tokens,
-                            state["db"], cfg.k_neighbors, beta, rng,
-                            exclude_id=exclude, kl_floor=cfg.kl_floor)
-
-    result = train_loop(model, pairs, cfg, loss_fn, cfg.stage3_epochs, warmup, cycle,
-                        start_step=start_step, start_epoch=start_epoch,
-                        before_batch=before_batch)
-    path = os.path.join(out_dir, "stage3.ckpt")
-    save_checkpoint(path, model, vocab, extra={
-        "stage": 3, "global_step": result.global_step,
-        "global_epoch": result.global_epoch,
-        "warmup_steps": warmup, "cycle_steps": cycle,
-    })
-    if state["db"] is not None:
-        final_db = maybe_refresh(state["db"], result.global_step, model)
-        save_database(final_db, os.path.join(out_dir, os.path.basename(cfg.database_path)))
-    return path, result
+    <out_dir>/stage3.ckpt and the refreshed database. With k_neighbors=0 the
+    database is not read (database_path may be None) and this continues the
+    plain VAE."""
+    return _train_stage(cfg, out_dir, checkpoint_path, database_path, cfg.k_neighbors,
+                        cfg.stage3_epochs, "stage3.ckpt", 3)
 
 
 def continue_stage1(cfg: RunConfig, checkpoint_path, epochs: int, out_dir) -> tuple[str, TrainResult]:
-    """Resume plain-VAE training from a checkpoint (the k=0 reference loop)."""
-    cfg.echo(out_dir)
-    model, vocab, extra = load_checkpoint(checkpoint_path)
-    pairs, _ = _load_corpus(cfg, vocab=vocab)
-    warmup, cycle = beta_schedule(cfg, len(pairs))
-    warmup = extra.get("warmup_steps", warmup)
-    cycle = extra.get("cycle_steps", cycle)
-
-    def loss_fn(pair, idx, beta, rng):
-        return model.elbo_step(pair.source_tokens, pair.target_tokens, beta, rng,
-                               kl_floor=cfg.kl_floor)
-
-    result = train_loop(model, pairs, cfg, loss_fn, epochs, warmup, cycle,
-                        start_step=extra.get("global_step", 0),
-                        start_epoch=extra.get("global_epoch", 0))
-    path = os.path.join(out_dir, "stage1_continued.ckpt")
-    save_checkpoint(path, model, vocab, extra={
-        "stage": 1, "global_step": result.global_step,
-        "global_epoch": result.global_epoch,
-        "warmup_steps": warmup, "cycle_steps": cycle,
-    })
-    return path, result
+    """Resume plain-VAE training from a checkpoint for `epochs` epochs; writes
+    <out_dir>/stage1_continued.ckpt. Same steps as run_stage3 at
+    k_neighbors=0, which is the reference that the k=0 ablation checks."""
+    return _train_stage(cfg, out_dir, checkpoint_path, None, 0, epochs,
+                        "stage1_continued.ckpt", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +316,9 @@ def run_eval(cfg: RunConfig, checkpoint_path, database_path, out_dir) -> MetricR
 def run_pipeline(cfg: RunConfig, out_dir) -> tuple[str, MetricReport]:
     """Full three-stage run plus evaluation; returns (stage3 ckpt, report)."""
     ckpt1, _ = run_stage1(cfg, out_dir)
-    if cfg.k_neighbors > 0:
-        db_path = run_stage2(cfg, ckpt1, out_dir)
-        ckpt3, _ = run_stage3(cfg, ckpt1, db_path, out_dir)
-        db_path = os.path.join(out_dir, os.path.basename(cfg.database_path))
-    else:
-        ckpt3, _ = continue_stage1(cfg, ckpt1, cfg.stage3_epochs, out_dir)
-        db_path = None
+    # Stage 3 rewrites the database it read at the same path, refreshed.
+    db_path = run_stage2(cfg, ckpt1, out_dir) if cfg.k_neighbors > 0 else None
+    ckpt3, _ = run_stage3(cfg, ckpt1, db_path, out_dir)
     report = run_eval(cfg, ckpt3, db_path, out_dir)
     return ckpt3, report
 

@@ -210,6 +210,18 @@ class TestDumpFormat:
         with pytest.raises(InputError):
             load_database(p)
 
+    def test_every_truncated_prefix_raises(self, tmp_path):
+        db = make_db(np.random.default_rng(4).standard_normal((4, 3)))
+        db.entries[2].target_tokens = [10, 11, 8]
+        path = tmp_path / "db.bin"
+        save_database(db, path)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(InputError):
+                load_database(cut)
+
     def test_refuses_empty_dump(self, tmp_path):
         with pytest.raises(RetrievalError):
             save_database(RetrievalDatabase([], 0, 500), tmp_path / "e.bin")
