@@ -3,13 +3,16 @@
 Layout: magic "RGVC", format version u32, u32 length + UTF-8 JSON header
 (model config echo, vocabulary, training counters), u32 parameter count, then
 per parameter: u32 name length + name, u32 ndim, u32 dims, raw float64
-little-endian data. Round-trips are bit-exact.
+little-endian data, and nothing after the last parameter. Round-trips are
+bit-exact, and saves replace the file atomically.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -20,6 +23,23 @@ _MAGIC = b"RGVC"
 _VERSION = 1
 
 
+@contextmanager
+def atomic_write(path):
+    """Binary file handle for `path` that replaces it only once the block
+    completes: the bytes go to `<path>.tmp` in the same directory, which is
+    moved over `path` on success and removed on any error, so a save that
+    fails or is killed leaves the previous file whole. No fsync: this guards
+    against a killed process, not against power loss."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_checkpoint(path, model: VaeModel, vocab: list[str], extra: dict | None = None) -> None:
     header = {
         "format_version": _VERSION,
@@ -28,7 +48,7 @@ def save_checkpoint(path, model: VaeModel, vocab: list[str], extra: dict | None 
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", _VERSION))
         f.write(struct.pack("<I", len(blob)))
@@ -59,14 +79,24 @@ def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
         if version != _VERSION:
             raise InputError(f"unsupported checkpoint version {version}")
         (hlen,) = struct.unpack("<I", read(4))
-        header = json.loads(read(hlen).decode("utf-8"))
-        config = ModelConfig(**header["config"])
-        model = VaeModel(config, seed=0)
+        try:
+            header = json.loads(read(hlen).decode("utf-8"))
+            config = ModelConfig(**header["config"])
+            model = VaeModel(config, seed=0)
+        except (ValueError, KeyError, TypeError) as e:
+            raise InputError(f"{path}: checkpoint header is corrupt ({e!r})") from e
+        vocab = header.get("vocab")
+        if (not isinstance(vocab, list) or len(vocab) != config.vocab_size
+                or not all(isinstance(w, str) for w in vocab)):
+            raise InputError(f"{path}: checkpoint vocabulary is not a list of "
+                             f"vocab_size={config.vocab_size} words")
+        if not isinstance(header.get("extra", {}), dict):
+            raise InputError(f"{path}: checkpoint header field 'extra' is not an object")
         (count,) = struct.unpack("<I", read(4))
         loaded = set()
         for _ in range(count):
             (nlen,) = struct.unpack("<I", read(4))
-            name = read(nlen).decode("utf-8")
+            name = read(nlen).decode("utf-8", errors="replace")
             (ndim,) = struct.unpack("<I", read(4))
             shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
             n_elem = int(np.prod(shape)) if ndim else 1
@@ -78,7 +108,9 @@ def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
                                  f"expected {model.params[name].data.shape}")
             model.params[name].data = data
             loaded.add(name)
+        if f.read(1):
+            raise InputError(f"{path}: checkpoint has bytes after its last parameter")
     missing = sorted(set(model.params) - loaded)
     if missing:
         raise InputError(f"{path}: checkpoint lacks parameters {missing}")
-    return model, header["vocab"], header.get("extra", {})
+    return model, vocab, header.get("extra", {})

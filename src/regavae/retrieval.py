@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import ConfigError, DegenerateInputError, InputError, RetrievalError
 from .model import LatentGaussian, VaeModel
 
@@ -33,9 +34,13 @@ class RetrievalEntry:
 
 @dataclass
 class RetrievalDatabase:
+    """One immutable snapshot of the keys: its entries are not changed after
+    the first `top_k`, which caches their ids, key means and mean norms."""
+
     entries: list[RetrievalEntry]
     snapshot_step: int
     refresh_interval: int
+    _keys: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.refresh_interval < 1:
@@ -43,6 +48,15 @@ class RetrievalDatabase:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def _key_matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ids (N,), key means (N, d_z), mean norms (N,)), built on first use
+        rather than on construction, so loading a dump does not pay for it."""
+        if self._keys is None:
+            means = np.stack([e.key.mean_array for e in self.entries])
+            self._keys = (np.array([e.id for e in self.entries]), means,
+                          np.sqrt(np.einsum("ij,ij->i", means, means)))
+        return self._keys
 
 
 def document_posterior(model: VaeModel, source_tokens: list[int],
@@ -84,18 +98,29 @@ def top_k(query: np.ndarray, db: RetrievalDatabase, k: int,
     """Exact top-k by cosine similarity, descending; ties break toward lower id."""
     if not db.entries:
         raise RetrievalError("retrieval database is empty")
-    scored = [
-        (e, similarity(query, e.key))
-        for e in db.entries
-        if exclude_id is None or e.id != exclude_id
-    ]
+    ids, means, norms = db._key_matrix()
+    keep = ids != exclude_id if exclude_id is not None else np.ones(len(ids), dtype=bool)
+    n = int(keep.sum())
+    q = np.asarray(query, dtype=np.float64)
+    qn = np.linalg.norm(q)
+    if n and (qn == 0.0 or np.any(norms[keep] == 0.0)):
+        raise DegenerateInputError("cosine similarity undefined for zero-norm vectors")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if k > len(scored):
-        warnings.warn(f"k={k} exceeds database size {len(scored)}; clamping")
-        k = len(scored)
-    scored.sort(key=lambda es: (-es[1], es[0].id))
-    return scored[:k]
+    if k > n:
+        warnings.warn(f"k={k} exceeds database size {n}; clamping")
+        k = n
+    if k == 0:
+        return []
+    # einsum, not BLAS gemv: gemv may round equal rows differently by their
+    # position, and equal keys must score equal for the id tie-break.
+    # Excluded entries score -inf.
+    scores = np.divide(np.einsum("ij,j->i", means, q), qn * norms,
+                       out=np.full(len(ids), -np.inf), where=keep)
+    kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+    cand = np.flatnonzero(scores >= kth)
+    best = cand[np.lexsort((ids[cand], -scores[cand]))[:k]]
+    return [(db.entries[i], float(scores[i])) for i in best]
 
 
 def maybe_refresh(db: RetrievalDatabase, current_step: int, model: VaeModel) -> RetrievalDatabase:
@@ -121,14 +146,15 @@ def maybe_refresh(db: RetrievalDatabase, current_step: int, model: VaeModel) -> 
 # ---------------------------------------------------------------------------
 # Dump format: magic, version u32, then header {d_z, n_entries, snapshot_step,
 # refresh_interval} as u32/u64, then per entry: id u64, d_z key means f64le,
-# d_z key log-vars f64le, source length u32 + ids u32le, target ditto.
+# d_z key log-vars f64le, source length u32 + ids u32le, target ditto; nothing
+# after the last entry. Saves replace the file atomically.
 # ---------------------------------------------------------------------------
 
 def save_database(db: RetrievalDatabase, path) -> None:
     if not db.entries:
         raise RetrievalError("refusing to dump an empty database")
     d_z = db.entries[0].key.dim
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_DB_MAGIC)
         f.write(struct.pack("<IIIQI", _DB_VERSION, d_z, len(db.entries),
                             db.snapshot_step, db.refresh_interval))
@@ -174,4 +200,6 @@ def load_database(path) -> RetrievalDatabase:
             target = np.frombuffer(b, dtype="<u4").astype(int).tolist()
             entries.append(RetrievalEntry(int(eid), LatentGaussian.from_arrays(
                 key[:d_z].copy(), key[d_z:].copy()), source, target))
+        if f.read(1):
+            raise InputError(f"{path}: database dump has bytes after its last entry")
     return RetrievalDatabase(entries, int(snapshot_step), int(refresh_interval))

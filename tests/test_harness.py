@@ -5,6 +5,7 @@ exit codes."""
 import importlib.util
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -213,18 +214,91 @@ class TestCheckpoint:
         with pytest.raises(InputError):
             load_checkpoint(p)
 
-    def test_every_truncated_prefix_raises(self, tmp_path):
+    def _small(self, path, vocab=None):
         cfg = ModelConfig(vocab_size=5, n_layers=1, d_h=2, n_heads=1, d_z=1,
                           r_rank=1, max_seq_len=4)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, VaeModel(cfg, seed=0), SPECIALS + ["w"],
-                        extra={"stage": 1})
-        data = path.read_bytes()
+        save_checkpoint(path, VaeModel(cfg, seed=0),
+                        SPECIALS + ["w"] if vocab is None else vocab, extra={"stage": 1})
+        return path.read_bytes()
+
+    def test_every_truncated_prefix_raises(self, tmp_path):
+        data = self._small(tmp_path / "m.ckpt")
         cut = tmp_path / "cut.ckpt"
         for n in range(len(data)):
             cut.write_bytes(data[:n])
             with pytest.raises(InputError):
                 load_checkpoint(cut)
+
+    @staticmethod
+    def _with_header(data, edit):
+        """`data` with its JSON header replaced by edit(header bytes)."""
+        (hlen,) = struct.unpack_from("<I", data, 8)
+        blob = edit(data[12:12 + hlen])
+        return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + hlen:]
+
+    def test_corrupt_header_rejected(self, tmp_path):
+        data = self._small(tmp_path / "m.ckpt")
+        flipped = bytearray(data)
+        flipped[20] ^= 0xFF
+
+        def rewrite(fn):
+            return lambda blob: json.dumps(fn(json.loads(blob))).encode("utf-8")
+
+        def drop_config(h):
+            del h["config"]
+            return h
+
+        def unknown_key(h):
+            h["config"]["bogus"] = 1
+            return h
+
+        def string_layers(h):
+            h["config"]["n_layers"] = "1"
+            return h
+
+        bad = [bytes(flipped),
+               self._with_header(data, lambda blob: blob[:-1]),
+               self._with_header(data, rewrite(drop_config)),
+               self._with_header(data, rewrite(unknown_key)),
+               self._with_header(data, rewrite(string_layers)),
+               self._with_header(data, rewrite(lambda h: [h])),
+               self._with_header(data, rewrite(lambda h: {**h, "extra": []}))]
+        path = tmp_path / "bad.ckpt"
+        for b in bad:
+            path.write_bytes(b)
+            with pytest.raises(InputError):
+                load_checkpoint(path)
+
+    def test_corrupt_parameter_name_rejected(self, tmp_path):
+        data = bytearray(self._small(tmp_path / "m.ckpt"))
+        (hlen,) = struct.unpack_from("<I", data, 8)
+        data[12 + hlen + 8] ^= 0xFF  # first byte of the first parameter name
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bytes(data))
+        with pytest.raises(InputError):
+            load_checkpoint(path)
+
+    def test_bad_vocabulary_rejected(self, tmp_path):
+        for vocab in (SPECIALS, SPECIALS + [5]):
+            self._small(tmp_path / "m.ckpt", vocab=vocab)
+            with pytest.raises(InputError):
+                load_checkpoint(tmp_path / "m.ckpt")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(self._small(path) + b"\x00" * 4)
+        with pytest.raises(InputError):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        before = self._small(path)
+        m = self._model()
+        m.params["dec.lnf.b"].data = np.array(["x"], dtype=object)  # fails mid-write
+        with pytest.raises(ValueError):
+            save_checkpoint(path, m, SPECIALS + [f"w{i}" for i in range(16)])
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
     def test_missing_parameter_rejected(self, tmp_path):
         m = self._model()
@@ -370,6 +444,22 @@ class TestCli:
         assert rc == 1
         assert "truncated" in capsys.readouterr().err
 
+    def test_eval_corrupt_header_exit_one(self, tmp_path, capsys):
+        cfgp = self._write_cfg(tmp_path)
+        out = str(tmp_path / "o")
+        assert cli_main(["--config", str(cfgp), "--out", out, "train-vae"]) == 0
+        ckpt = os.path.join(out, "stage1.ckpt")
+        with open(ckpt, "rb") as f:
+            data = bytearray(f.read())
+        data[20] ^= 0xFF
+        with open(ckpt, "wb") as f:
+            f.write(data)
+        capsys.readouterr()
+        rc = cli_main(["--config", str(cfgp), "--out", out, "eval",
+                       "--checkpoint", ckpt])
+        assert rc == 1
+        assert "header is corrupt" in capsys.readouterr().err
+
     def test_generate_prints_samples(self, tmp_path, capsys):
         cfgp = self._write_cfg(tmp_path)
         out = str(tmp_path / "o")
@@ -425,3 +515,23 @@ class TestTracerHooks:
         docs = 12 * result.global_epoch
         assert calls["mixture.regavae_loss"] == docs
         assert calls["autograd.backward"] == result.global_step
+
+    def test_top_k_calls_similarity_only_for_weights(self):
+        from regavae import mixture
+        from regavae.model import LatentGaussian
+        from regavae.retrieval import RetrievalDatabase, RetrievalEntry
+
+        rng = np.random.default_rng(0)
+        db = RetrievalDatabase(
+            [RetrievalEntry(i, LatentGaussian.from_arrays(rng.standard_normal(4), np.zeros(4)),
+                            [4], [5]) for i in range(200)], 0, 500)
+        queries = [[LatentGaussian.from_arrays(rng.standard_normal(4), np.zeros(4))]
+                   for _ in range(5)]
+        tracer = self._spans_module().Tracer()
+        tracer.install()
+        try:
+            for i, posts in enumerate(queries):
+                mixture.retrieve_mixture(posts, db, 3, exclude_id=i)
+        finally:
+            tracer.remove()
+        assert tracer.counts["retrieval.similarity"] == 3 * len(queries)

@@ -125,6 +125,45 @@ class TestTopK:
             got = top_k([1.0, 1.0], db, 10)
         assert len(got) == 2
 
+    def test_zero_norm_query_raises(self):
+        db = make_db([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DegenerateInputError):
+            top_k([0.0, 0.0], db, 1)
+
+    def test_zero_norm_key_raises_unless_excluded(self):
+        db = make_db([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DegenerateInputError):
+            top_k([1.0, 1.0], db, 1)
+        got = top_k([1.0, 1.0], db, 2, exclude_id=1)
+        assert [e.id for e, _ in got] == [0, 2]
+
+    def test_tie_breaks_by_id_not_position(self):
+        db = RetrievalDatabase([make_entry(5, [1.0, 0.0]), make_entry(2, [1.0, 0.0]),
+                                make_entry(0, [0.0, 1.0])], 0, 500)
+        got = top_k([1.0, 0.1], db, 2)
+        assert [e.id for e, _ in got] == [2, 5]
+
+    def test_excluding_only_entry_warns_and_returns_empty(self):
+        db = make_db([[1.0, 0.0]])
+        with pytest.warns(UserWarning):
+            assert top_k([1.0, 0.0], db, 1, exclude_id=0) == []
+
+    def test_large_db_with_duplicates_matches_brute_force(self):
+        rng = np.random.default_rng(5)
+        means = rng.standard_normal((2000, 8))
+        for i in range(50, 2000, 50):
+            means[i] = means[int(rng.integers(0, i))]
+        db = make_db(means)
+        queries = [(rng.standard_normal(8), None), (means[100].copy(), None),
+                   (means[100] + 0.1 * rng.standard_normal(8), 100)]
+        for query, exclude in queries:
+            for k in (1, 5, len(db) - (exclude is not None)):
+                got = top_k(query, db, k, exclude_id=exclude)
+                want = self.brute_force(query, db, k, exclude_id=exclude)
+                assert [e.id for e, _ in got] == [e.id for e, _ in want]
+                np.testing.assert_allclose([s for _, s in got],
+                                           [s for _, s in want], atol=1e-12)
+
     def test_bad_k_and_empty_db(self):
         db = make_db([[1.0, 0.0]])
         with pytest.raises(ConfigError):
@@ -164,6 +203,21 @@ class TestBuildAndRefresh:
         assert db2.snapshot_step == 100
         # entries rebuilt with identical ids/tokens
         assert [e.id for e in db2.entries] == [e.id for e in db.entries]
+
+    def test_refreshed_snapshot_ranks_by_new_keys(self, tiny_model):
+        db = build_database(self.corpus(), tiny_model, refresh_interval=10)
+        query = db.entries[0].key.mean_array.copy()
+        top_k(query, db, 3)  # the old snapshot builds its key matrix
+        name = "post.0.w_mu"
+        tiny_model.params[name].data += 0.05
+        try:
+            db2 = maybe_refresh(db, 10, tiny_model)
+        finally:
+            tiny_model.params[name].data -= 0.05
+        got = top_k(query, db2, 3)
+        np.testing.assert_allclose([s for _, s in got],
+                                   [similarity(query, e.key) for e, _ in got], atol=1e-12)
+        assert [s for _, s in got] != [s for _, s in top_k(query, db, 3)]
 
     def test_refresh_rejects_time_travel(self, tiny_model):
         db = build_database(self.corpus(), tiny_model, snapshot_step=100)
@@ -221,6 +275,24 @@ class TestDumpFormat:
             cut.write_bytes(data[:n])
             with pytest.raises(InputError):
                 load_database(cut)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "db.bin"
+        save_database(make_db([[1.0, 0.0], [0.0, 1.0]]), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(InputError):
+            load_database(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "db.bin"
+        save_database(make_db([[1.0, 0.0], [0.0, 1.0]]), path)
+        before = path.read_bytes()
+        bad = make_db([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        bad.entries[2].target_tokens = [-1]  # not a u32: raises mid-write
+        with pytest.raises(OverflowError):
+            save_database(bad, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db.bin"]
 
     def test_refuses_empty_dump(self, tmp_path):
         with pytest.raises(RetrievalError):
