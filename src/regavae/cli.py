@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: train-vae, build-db, train-regavae, generate, eval, ablate.
+Subcommands: train-vae, build-db, train-regavae, generate, eval, pipeline, ablate.
 Exit codes: 0 success, 1 input error, 2 numeric divergence.
 """
 
@@ -18,8 +18,8 @@ from .data import SPECIALS, Tokenizer
 from .errors import DivergenceError, NumericOverflowError, RegaVaeError
 from .mixture import mixture_mean_latents
 from .retrieval import load_database
-from .training import (RunConfig, run_ablation, run_eval, run_stage1, run_stage2,
-                       run_stage3)
+from .training import (RunConfig, run_ablation, run_eval, run_pipeline, run_stage1,
+                       run_stage2, run_stage3)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,6 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on the held-out corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--database")
+    sub.add_parser("pipeline", help="all three stages, then eval")
     p = sub.add_parser("ablate", help="full vs k=0 vs neighbor sweep")
     p.add_argument("--sweep", type=int, nargs="*", default=[])
     return parser
@@ -84,6 +85,10 @@ def main(argv=None) -> int:
             _generate(cfg, args)
         elif args.command == "eval":
             report = run_eval(cfg, args.checkpoint, args.database, args.out)
+            print(report.to_text(), end="")
+        elif args.command == "pipeline":
+            path, report = run_pipeline(cfg, args.out)
+            print(path)
             print(report.to_text(), end="")
         elif args.command == "ablate":
             reports = run_ablation(cfg, args.out, sweep=args.sweep)

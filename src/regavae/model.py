@@ -105,6 +105,16 @@ def gaussian_kl_standard(g: LatentGaussian) -> Tensor:
     return ag.tensor_sum(terms) * 0.5
 
 
+@dataclass
+class _LayerCache:
+    """One decoder layer's state during incremental decoding: its latent
+    gate and the attention keys/values of every position decoded so far."""
+
+    gate: Tensor
+    keys: Tensor | None = None
+    values: Tensor | None = None
+
+
 class VaeModel:
     """Encoder/decoder VAE over token sequences. Parameters live in a flat dict."""
 
@@ -163,13 +173,17 @@ class VaeModel:
 
     # -- transformer pieces --------------------------------------------------
 
-    def _embed(self, ids: list[int]) -> Tensor:
-        pos = np.arange(len(ids))
+    def _embed(self, ids: list[int], start: int = 0) -> Tensor:
+        pos = np.arange(start, start + len(ids))
         return ag.embedding_lookup(self.params["tok_emb"], ids) + ag.embedding_lookup(
             self.params["pos_emb"], pos
         )
 
-    def _attention(self, h: Tensor, prefix: str, causal: bool) -> Tensor:
+    def _attention(self, h: Tensor, prefix: str, causal: bool,
+                   cache: _LayerCache | None = None, start: int = 0) -> Tensor:
+        """Multi-head self-attention over the rows of `h`, which sit at
+        positions start..start+n. With a cache, the keys and values of the
+        positions before `start` come from it, and this call's are appended."""
         c = self.config
         p = self.params
         n = h.shape[0]
@@ -177,9 +191,15 @@ class VaeModel:
         q = h @ ag.transpose(p[f"{prefix}.attn.wq"]) + p[f"{prefix}.attn.wq_b"]
         k = h @ ag.transpose(p[f"{prefix}.attn.wk"]) + p[f"{prefix}.attn.wk_b"]
         v = h @ ag.transpose(p[f"{prefix}.attn.wv"]) + p[f"{prefix}.attn.wv_b"]
+        if cache is not None:
+            if cache.keys is not None:
+                k = ag.concat([cache.keys, k])
+                v = ag.concat([cache.values, v])
+            cache.keys, cache.values = k, v
         mask = None
-        if causal:
-            mask = Tensor(np.triu(np.full((n, n), -1e9), k=1))
+        if causal and n > 1:
+            # Row i (position start+i) sees columns 0..start+i.
+            mask = Tensor(np.triu(np.full((n, start + n), -1e9), k=start + 1))
         heads = []
         for i in range(c.n_heads):
             qh = ag.slice_cols(q, i * dk, (i + 1) * dk)
@@ -197,10 +217,12 @@ class VaeModel:
         u = ag.gelu(h @ ag.transpose(p[f"{prefix}.ff.w1"]) + p[f"{prefix}.ff.b1"])
         return u @ ag.transpose(p[f"{prefix}.ff.w2"]) + p[f"{prefix}.ff.b2"]
 
-    def _block(self, h: Tensor, prefix: str, causal: bool) -> Tensor:
+    def _block(self, h: Tensor, prefix: str, causal: bool,
+               cache: _LayerCache | None = None, start: int = 0) -> Tensor:
         p = self.params
         h = h + self._attention(
-            ag.layer_norm(h, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"]), prefix, causal
+            ag.layer_norm(h, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"]), prefix, causal,
+            cache, start
         )
         h = h + self._ff(ag.layer_norm(h, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"]), prefix)
         return h
@@ -239,27 +261,49 @@ class VaeModel:
         c = self.config
         if not 0 <= layer < c.n_layers:
             raise ContractError(f"layer {layer} out of range for {c.n_layers} layers")
-        p = self.params
-        hid = None
+        return self._fuse(v, self._latent_gate(z, layer), layer)
+
+    def _latent_gate(self, z: Tensor, layer: int) -> Tensor:
         gate = None
-        for j in range(c.r_rank):
-            hv = v @ ag.transpose(p[f"inj.{layer}.{j}.w_v"])
-            gz = p[f"inj.{layer}.{j}.w_z"] @ z
-            hid = hv if hid is None else hid + hv
+        for j in range(self.config.r_rank):
+            gz = self.params[f"inj.{layer}.{j}.w_z"] @ z
             gate = gz if gate is None else gate + gz
+        return gate
+
+    def _fuse(self, v: Tensor, gate: Tensor, layer: int) -> Tensor:
+        hid = None
+        for j in range(self.config.r_rank):
+            hv = v @ ag.transpose(self.params[f"inj.{layer}.{j}.w_v"])
+            hid = hv if hid is None else hid + hv
         return hid * gate
 
-    def _decoder_logits(self, z_layers: list[Tensor], inputs: list[int]) -> Tensor:
-        """Causal decoder forward: embed, fuse each layer's latent, causal
-        block, final layer norm, logits tied to the token embedding."""
+    def _check_latents(self, z_layers: list[Tensor]) -> None:
         c = self.config
         if len(z_layers) != c.n_layers:
             raise ContractError(f"expected {c.n_layers} latents, got {len(z_layers)}")
-        h = self._embed(inputs)
+        for l, z in enumerate(z_layers):
+            if z.shape != (c.d_z,):
+                raise ContractError(f"latent {l} has shape {z.shape}, expected ({c.d_z},)")
+
+    def _decoder_logits(self, z_layers: list[Tensor], inputs: list[int],
+                        cache: list[_LayerCache] | None = None, start: int = 0) -> Tensor:
+        """Causal decoder forward: embed, fuse each layer's latent, causal
+        block, final layer norm, logits tied to the token embedding.
+
+        `inputs` sit at positions start..start+len(inputs). Without a cache
+        they must start at 0. With one (one `_LayerCache` per layer), the
+        earlier positions' keys and values and each layer's latent gate come
+        from it, and only the new rows are computed."""
+        c = self.config
+        h = self._embed(inputs, start)
         for l in range(c.n_layers):
+            layer_cache = None if cache is None else cache[l]
             # Residual fusion keeps the token signal intact when z is noisy.
-            h = h + self.inject_latent(h, z_layers[l], l)
-            h = self._block(h, f"dec.{l}", causal=True)
+            if layer_cache is None:
+                h = h + self.inject_latent(h, z_layers[l], l)
+            else:
+                h = h + self._fuse(h, layer_cache.gate, l)
+            h = self._block(h, f"dec.{l}", causal=True, cache=layer_cache, start=start)
         h = ag.layer_norm(h, self.params["dec.lnf.g"], self.params["dec.lnf.b"])
         return h @ ag.transpose(self.params["tok_emb"])
 
@@ -267,6 +311,7 @@ class VaeModel:
         """Teacher-forced causal decode; returns (logits, mean NLL in nats)."""
         c = self.config
         tokens = self._prepare_ids(list(target_tokens), "decoder target")
+        self._check_latents(z_layers)
         logits = self._decoder_logits(z_layers, [c.bos_id] + tokens)
         nll = ag.cross_entropy_with_logits(logits, tokens + [c.eos_id])
         return logits, nll
@@ -283,21 +328,26 @@ class VaeModel:
 
     def generate(self, z_layers: list[Tensor], max_len: int, strategy: str = "greedy",
                  rng: np.random.Generator | None = None, top_k: int = 10) -> list[int]:
-        """Autoregressive decoding until EOS or max_len tokens."""
+        """Autoregressive decoding until EOS or max_len tokens. Each step
+        decodes only the newest token, attending over cached keys/values."""
         c = self.config
         if strategy not in ("greedy", "top_k"):
             raise ContractError(f"unknown decoding strategy {strategy!r}")
+        if strategy == "top_k" and rng is None:
+            raise ContractError("top_k sampling requires an rng")
+        self._check_latents(z_layers)
+        # z is fixed for the whole call, so each layer's gate is computed once.
+        cache = [_LayerCache(self._latent_gate(z, l)) for l, z in enumerate(z_layers)]
         out: list[int] = []
         for _ in range(max_len):
-            inputs = [c.bos_id] + out
-            if len(inputs) > c.max_seq_len:
+            pos = len(out)  # position of the newest input, bos at 0
+            if pos >= c.max_seq_len:
                 break
-            logits = self._decoder_logits(z_layers, inputs).data[-1]
+            last = out[-1] if out else c.bos_id
+            logits = self._decoder_logits(z_layers, [last], cache, pos).data[-1]
             if strategy == "greedy":
                 nxt = int(np.argmax(logits))
             else:
-                if rng is None:
-                    raise ContractError("top_k sampling requires an rng")
                 k = min(top_k, logits.size)
                 cand = np.argsort(-logits, kind="stable")[:k]
                 probs = np.exp(logits[cand] - logits[cand].max())
@@ -307,3 +357,4 @@ class VaeModel:
                 break
             out.append(nxt)
         return out
+

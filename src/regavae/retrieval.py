@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import atomic_write
-from .errors import ConfigError, DegenerateInputError, InputError, RetrievalError
+from .errors import (ConfigError, DegenerateInputError, DimensionError, InputError,
+                     RetrievalError)
 from .model import LatentGaussian, VaeModel
 
 _DB_MAGIC = b"RGDB"
@@ -99,9 +100,12 @@ def top_k(query: np.ndarray, db: RetrievalDatabase, k: int,
     if not db.entries:
         raise RetrievalError("retrieval database is empty")
     ids, means, norms = db._key_matrix()
+    q = np.asarray(query, dtype=np.float64)
+    if q.shape != means.shape[1:]:
+        raise DimensionError(f"query of shape {q.shape} against keys of dimension "
+                             f"{means.shape[1]}")
     keep = ids != exclude_id if exclude_id is not None else np.ones(len(ids), dtype=bool)
     n = int(keep.sum())
-    q = np.asarray(query, dtype=np.float64)
     qn = np.linalg.norm(q)
     if n and (qn == 0.0 or np.any(norms[keep] == 0.0)):
         raise DegenerateInputError("cosine similarity undefined for zero-norm vectors")

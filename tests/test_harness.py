@@ -460,6 +460,34 @@ class TestCli:
         assert rc == 1
         assert "header is corrupt" in capsys.readouterr().err
 
+    def test_eval_database_of_other_d_z_exit_one(self, tmp_path, capsys):
+        from regavae.model import LatentGaussian
+        from regavae.retrieval import RetrievalDatabase, RetrievalEntry, save_database
+
+        cfgp = self._write_cfg(tmp_path)  # d_z=4
+        out = str(tmp_path / "o")
+        assert cli_main(["--config", str(cfgp), "--out", out, "train-vae"]) == 0
+        db = os.path.join(out, "other.db")
+        save_database(RetrievalDatabase(
+            [RetrievalEntry(i, LatentGaussian.from_arrays(np.ones(3) + i, np.zeros(3)),
+                            [4], [5]) for i in range(3)], 0, 500), db)
+        capsys.readouterr()
+        rc = cli_main(["--config", str(cfgp), "--out", out, "eval",
+                       "--checkpoint", os.path.join(out, "stage1.ckpt"), "--database", db])
+        assert rc == 1
+        assert "dimension" in capsys.readouterr().err
+
+    def test_pipeline_writes_checkpoint_and_metrics(self, tmp_path, capsys):
+        cfgp = self._write_cfg(tmp_path, stage1_epochs=1, stage3_epochs=1)
+        out = str(tmp_path / "o")
+        rc = cli_main(["--config", str(cfgp), "--out", out, "pipeline"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == os.path.join(out, "stage3.ckpt")
+        assert "ppl" in "\n".join(lines[1:])
+        for name in ("stage1.ckpt", "retrieval.db", "stage3.ckpt", "metrics.json"):
+            assert os.path.exists(os.path.join(out, name))
+
     def test_generate_prints_samples(self, tmp_path, capsys):
         cfgp = self._write_cfg(tmp_path)
         out = str(tmp_path / "o")

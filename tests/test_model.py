@@ -1,6 +1,7 @@
 """Model tests: posterior shapes and init behavior, reparameterization
 statistics, latent-injection loop oracle, decode NLL oracles, ELBO gradient
-check, overfit smoke test, and generation contracts."""
+check, overfit smoke test, generation contracts, and cached generation
+against a full re-decode of every prefix."""
 
 import numpy as np
 import pytest
@@ -259,8 +260,9 @@ class TestGenerate:
         assert model.config.eos_id not in out
 
     def test_top_k_requires_rng(self, model):
-        with pytest.raises(ContractError):
-            model.generate(self._latents(model), 5, strategy="top_k")
+        for max_len in (5, 0):
+            with pytest.raises(ContractError):
+                model.generate(self._latents(model), max_len, strategy="top_k")
 
     def test_top_k_reproducible(self, model):
         z = self._latents(model)
@@ -271,3 +273,96 @@ class TestGenerate:
     def test_unknown_strategy(self, model):
         with pytest.raises(ContractError):
             model.generate(self._latents(model), 5, strategy="beam")
+
+    def test_wrong_latents_raise_before_decoding(self, model):
+        z = self._latents(model)
+        with pytest.raises(ContractError):
+            model.generate(z[:-1], 0)
+        with pytest.raises(ContractError):
+            model.generate(z[:-1] + [Tensor(np.ones(model.config.d_z + 1))], 0)
+
+
+def _reference_generate(model, z_layers, max_len, strategy="greedy", rng=None, top_k=10):
+    """Generation without a cache: every step re-decodes [bos] + prefix and
+    keeps the last row of the logits."""
+    c = model.config
+    out = []
+    for _ in range(max_len):
+        inputs = [c.bos_id] + out
+        if len(inputs) > c.max_seq_len:
+            break
+        logits = model._decoder_logits(z_layers, inputs).data[-1]
+        if strategy == "greedy":
+            nxt = int(np.argmax(logits))
+        else:
+            cand = np.argsort(-logits, kind="stable")[:min(top_k, logits.size)]
+            probs = np.exp(logits[cand] - logits[cand].max())
+            probs /= probs.sum()
+            nxt = int(rng.choice(cand, p=probs))
+        if nxt == c.eos_id:
+            break
+        out.append(nxt)
+    return out
+
+
+class TestCachedGenerate:
+    """Incremental decoding against the full re-decode of every prefix."""
+
+    ATOL = 1e-12
+
+    @pytest.fixture(scope="class", params=["tiny", "default"])
+    def any_model(self, request):
+        if request.param == "tiny":
+            return VaeModel(tiny_config(), seed=0)
+        return VaeModel(ModelConfig(vocab_size=60), seed=1)
+
+    def _latent_sets(self, model, n=4):
+        rng = np.random.default_rng(11)
+        return [[Tensor(rng.standard_normal(model.config.d_z))
+                 for _ in range(model.config.n_layers)] for _ in range(n)]
+
+    def test_step_logits_match_full_redecode(self, any_model, monkeypatch):
+        c = any_model.config
+        real = any_model._decoder_logits
+        rows, widths = [], []
+
+        def spy(z_layers, inputs, *args):
+            logits = real(z_layers, inputs, *args)
+            widths.append(len(inputs))
+            rows.append(logits.data[-1].copy())
+            return logits
+
+        monkeypatch.setattr(any_model, "_decoder_logits", spy)
+        runs = []
+        for z in self._latent_sets(any_model):
+            first = len(rows)
+            out = any_model.generate(z, 12)
+            runs.append((z, out, rows[first:]))
+        monkeypatch.undo()
+        assert set(widths) == {1}  # one new token per step
+        for z, out, steps in runs:
+            assert len(steps) in (len(out), len(out) + 1)  # +1: the step that drew EOS
+            for t, got in enumerate(steps):
+                ref = any_model._decoder_logits(z, [c.bos_id] + out[:t]).data[-1]
+                np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
+
+    def test_greedy_matches_reference(self, any_model):
+        for z in self._latent_sets(any_model):
+            assert any_model.generate(z, 16) == _reference_generate(any_model, z, 16)
+
+    def test_top_k_matches_reference(self, any_model):
+        for i, z in enumerate(self._latent_sets(any_model)):
+            got = any_model.generate(z, 16, strategy="top_k",
+                                     rng=np.random.default_rng(i), top_k=5)
+            ref = _reference_generate(any_model, z, 16, strategy="top_k",
+                                      rng=np.random.default_rng(i), top_k=5)
+            assert got == ref
+
+    def test_stops_at_max_seq_len(self):
+        m = VaeModel(tiny_config(max_seq_len=6), seed=0)
+        lengths = []
+        for z in self._latent_sets(m, n=6):
+            out = m.generate(z, 50)
+            assert out == _reference_generate(m, z, 50)
+            lengths.append(len(out))
+        assert max(lengths) == m.config.max_seq_len

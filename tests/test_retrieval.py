@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regavae.data import CorpusPair
-from regavae.errors import (ConfigError, DegenerateInputError, InputError,
-                            RetrievalError)
+from regavae.errors import (ConfigError, DegenerateInputError, DimensionError,
+                            InputError, RetrievalError)
 from regavae.model import LatentGaussian, ModelConfig, VaeModel
 from regavae.retrieval import (RetrievalDatabase, RetrievalEntry,
                                build_database, document_posterior,
@@ -163,6 +163,12 @@ class TestTopK:
                 assert [e.id for e, _ in got] == [e.id for e, _ in want]
                 np.testing.assert_allclose([s for _, s in got],
                                            [s for _, s in want], atol=1e-12)
+
+    def test_query_dimension_must_match_keys(self):
+        db = make_db([[1.0, 0.0], [0.0, 1.0]])
+        for query in ([1.0, 0.0, 0.0], [1.0], [[1.0, 0.0]]):
+            with pytest.raises(DimensionError):
+                top_k(query, db, 1)
 
     def test_bad_k_and_empty_db(self):
         db = make_db([[1.0, 0.0]])
