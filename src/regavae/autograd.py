@@ -29,7 +29,6 @@ __all__ = [
     "reshape",
     "transpose",
     "concat",
-    "slice_cols",
     "tensor_sum",
     "tensor_mean",
     "layer_norm",
@@ -156,22 +155,18 @@ def _record(out: Tensor, inputs: tuple, bwd) -> Tensor:
 def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate d(loss)/d(t) into t.grad for every tensor on the tape.
 
-    Tensors on the tape that do not influence the loss end up with a zero
-    gradient. The tape is consumed: a second call raises ContractError.
+    Gradients are allocated on first use, so a tensor that does not
+    influence the loss keeps `grad is None`. The tape is consumed: a second
+    call raises ContractError.
     """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if tape.consumed:
         raise ContractError("tape already consumed by a previous backward call")
-    for node in tape.nodes:
-        node.out._ensure_grad()
-        for t in node.inputs:
-            if t.requires_grad:
-                t._ensure_grad()
-    loss._ensure_grad()
-    loss.grad += np.ones_like(loss.data)
+    loss._accum(np.ones_like(loss.data))
     for node in reversed(tape.nodes):
-        node.bwd(node.out.grad)
+        if node.out.grad is not None:
+            node.bwd(node.out.grad)
     tape.consumed = True
 
 
@@ -228,14 +223,19 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. 1-D operands are treated as a row (a) / column (b)."""
+    """Matrix product. 1-D operands are treated as a row (a) / column (b);
+    two 3-D operands are a stack of products over their shared leading axis."""
     a2 = a.data.reshape(1, -1) if a.data.ndim == 1 else a.data
     b2 = b.data.reshape(-1, 1) if b.data.ndim == 1 else b.data
-    if a2.ndim != 2 or b2.ndim != 2:
-        raise DimensionError(f"matmul needs 1-D/2-D operands, got {a.shape} and {b.shape}")
-    if a2.shape[1] != b2.shape[0]:
+    if not (a2.ndim == b2.ndim == 2 or a.ndim == b.ndim == 3):
+        raise DimensionError(
+            f"matmul needs 1-D/2-D or two 3-D operands, got {a.shape} and {b.shape}")
+    if a2.shape[:-2] != b2.shape[:-2]:
+        raise DimensionError(f"matmul batch sizes differ: {a.shape} x {b.shape}")
+    if a2.shape[-1] != b2.shape[-2]:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
     out_data = a2 @ b2
+    g_shape = out_data.shape
     if a.data.ndim == 1:
         out_data = out_data.reshape(-1)
     if b.data.ndim == 1:
@@ -244,12 +244,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_finite(out.data, "matmul")
 
     def bwd(g):
-        g2 = g.reshape(a2.shape[0], b2.shape[1])
+        g2 = g.reshape(g_shape)
         if a.requires_grad:
-            ga = g2 @ b2.T
+            ga = g2 @ np.swapaxes(b2, -1, -2)
             a._accum(ga.reshape(a.shape))
         if b.requires_grad:
-            gb = a2.T @ g2
+            gb = np.swapaxes(a2, -1, -2) @ g2
             b._accum(gb.reshape(b.shape))
 
     return _record(out, (a, b), bwd)
@@ -380,19 +380,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 t._accum(g[tuple(idx)])
 
     return _record(out, tuple(tensors), bwd)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """View of columns [start:stop) along the last axis."""
-    out = Tensor(x.data[..., start:stop])
-
-    def bwd(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[..., start:stop] = g
-            x._accum(full)
-
-    return _record(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

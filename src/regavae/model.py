@@ -37,14 +37,16 @@ class ModelConfig:
     eos_id: int = 3
 
     def __post_init__(self):
+        for name in ("n_layers", "d_h", "n_heads", "d_z", "r_rank"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_seq_len < 3:
+            raise ConfigError(
+                f"max_seq_len must be >= 3 (bos, a token, eos), got {self.max_seq_len}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_h
         if self.d_h % self.n_heads != 0:
             raise ConfigError(f"d_h={self.d_h} not divisible by n_heads={self.n_heads}")
-        if self.r_rank < 1:
-            raise ConfigError(f"r_rank must be >= 1, got {self.r_rank}")
-        if self.d_z < 1:
-            raise ConfigError(f"d_z must be >= 1, got {self.d_z}")
 
 
 @dataclass
@@ -196,20 +198,17 @@ class VaeModel:
                 k = ag.concat([cache.keys, k])
                 v = ag.concat([cache.values, v])
             cache.keys, cache.values = k, v
-        mask = None
+        m = k.shape[0]
+        # Head i is columns i*dk:(i+1)*dk; split them onto a leading head axis.
+        qh = ag.transpose(ag.reshape(q, (n, c.n_heads, dk)), (1, 0, 2))
+        kh = ag.transpose(ag.reshape(k, (m, c.n_heads, dk)), (1, 2, 0))
+        vh = ag.transpose(ag.reshape(v, (m, c.n_heads, dk)), (1, 0, 2))
+        scores = (qh @ kh) * (1.0 / np.sqrt(dk))
         if causal and n > 1:
-            # Row i (position start+i) sees columns 0..start+i.
-            mask = Tensor(np.triu(np.full((n, start + n), -1e9), k=start + 1))
-        heads = []
-        for i in range(c.n_heads):
-            qh = ag.slice_cols(q, i * dk, (i + 1) * dk)
-            kh = ag.slice_cols(k, i * dk, (i + 1) * dk)
-            vh = ag.slice_cols(v, i * dk, (i + 1) * dk)
-            scores = (qh @ ag.transpose(kh)) * (1.0 / np.sqrt(dk))
-            if mask is not None:
-                scores = scores + mask
-            heads.append(ag.softmax(scores, axis=-1) @ vh)
-        o = ag.concat(heads, axis=-1)
+            # Row i (position start+i) sees columns 0..start+i, in every head.
+            scores = scores + Tensor(np.triu(np.full((n, m), -1e9), k=start + 1))
+        o = ag.softmax(scores, axis=-1) @ vh
+        o = ag.reshape(ag.transpose(o, (1, 0, 2)), (n, c.d_h))
         return o @ ag.transpose(p[f"{prefix}.attn.wo"]) + p[f"{prefix}.attn.wo_b"]
 
     def _ff(self, h: Tensor, prefix: str) -> Tensor:
@@ -335,6 +334,8 @@ class VaeModel:
             raise ContractError(f"unknown decoding strategy {strategy!r}")
         if strategy == "top_k" and rng is None:
             raise ContractError("top_k sampling requires an rng")
+        if strategy == "top_k" and top_k < 1:
+            raise ContractError(f"top_k must be >= 1, got {top_k}")
         self._check_latents(z_layers)
         # z is fixed for the whole call, so each layer's gate is computed once.
         cache = [_LayerCache(self._latent_gate(z, l)) for l, z in enumerate(z_layers)]

@@ -68,8 +68,11 @@ class RunConfig:
             raise ConfigError(f"k_neighbors must be >= 0, got {self.k_neighbors}")
         if self.kl_floor < 0:
             raise ConfigError(f"kl_floor must be >= 0, got {self.kl_floor}")
-        if self.d_z < 1:
-            raise ConfigError(f"d_z must be >= 1, got {self.d_z}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.top_k_sample < 1:
+            raise ConfigError(f"top_k_sample must be >= 1, got {self.top_k_sample}")
+        self.model_config(len(SPECIALS))  # model sizes fail here, not mid-run
 
     @staticmethod
     def from_file(path) -> "RunConfig":

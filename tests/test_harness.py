@@ -126,6 +126,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(kl_floor=-0.5)
 
+    @pytest.mark.parametrize("bad", [
+        {"L": 0}, {"d_h": 0}, {"heads": 0}, {"d_z": 0}, {"r_rank": 0},
+        {"max_seq_len": 2}, {"batch_size": 0}, {"top_k_sample": 0},
+        {"d_h": 10, "heads": 3},
+    ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_rejects_bad_sizes_when_read(self, bad):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad)
+
     def test_from_file_rejects_unknown_keys(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"learning_rate": 0.001, "bogus": 1}))
@@ -386,6 +395,15 @@ class TestCli:
         rc = cli_main(["--config", str(p), "--out", str(tmp_path / "o"),
                        "train-vae"])
         assert rc == 1
+
+    def test_zero_batch_size_exit_one(self, tmp_path, capsys):
+        p = self._write_cfg(tmp_path)
+        raw = json.loads(p.read_text())
+        raw["batch_size"] = 0
+        p.write_text(json.dumps(raw))
+        rc = cli_main(["--config", str(p), "--out", str(tmp_path / "o"), "train-vae"])
+        assert rc == 1
+        assert "batch_size" in capsys.readouterr().err
 
     def test_divergence_exit_two(self, tmp_path, capsys, monkeypatch):
         import regavae.cli as cli_mod

@@ -1,7 +1,8 @@
 """Model tests: posterior shapes and init behavior, reparameterization
 statistics, latent-injection loop oracle, decode NLL oracles, ELBO gradient
-check, overfit smoke test, generation contracts, and cached generation
-against a full re-decode of every prefix."""
+check, overfit smoke test, attention head layout against a per-head
+reference, generation contracts, and cached generation against a full
+re-decode of every prefix."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import regavae.autograd as ag
 from regavae.autograd import Adam, Tape, Tensor, backward, zero_grads
 from regavae.errors import ConfigError, ContractError, InputError
-from regavae.model import (LatentGaussian, ModelConfig, VaeModel,
+from regavae.model import (LatentGaussian, ModelConfig, VaeModel, _LayerCache,
                            gaussian_kl_standard, reparameterize)
 
 
@@ -241,6 +242,66 @@ class TestElbo:
         assert last < first * 0.25, (first, last)
 
 
+def _reference_attention(model, h, prefix, causal, past=None):
+    """Per-head numpy attention: head i reads and writes columns
+    i*dk:(i+1)*dk. `past` holds the (keys, values) of earlier positions."""
+    c = model.config
+    p = {name: t.data for name, t in model.params.items()}
+    q, k, v = (h @ p[f"{prefix}.attn.{w}"].T + p[f"{prefix}.attn.{w}_b"]
+               for w in ("wq", "wk", "wv"))
+    if past is not None:
+        k, v = np.vstack([past[0], k]), np.vstack([past[1], v])
+    n, m = q.shape[0], k.shape[0]
+    dk = c.d_h // c.n_heads
+    out = np.empty((n, c.d_h))
+    for i in range(c.n_heads):
+        cols = slice(i * dk, (i + 1) * dk)
+        s = q[:, cols] @ k[:, cols].T / np.sqrt(dk)
+        if causal:
+            s = s + np.triu(np.full((n, m), -1e9), k=m - n + 1)
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        out[:, cols] = (e / e.sum(axis=1, keepdims=True)) @ v[:, cols]
+    return out @ p[f"{prefix}.attn.wo"].T + p[f"{prefix}.attn.wo_b"]
+
+
+class TestAttentionHeadLayout:
+    """Batched heads against a per-head column-slice reference."""
+
+    ATOL = 1e-12
+
+    @pytest.fixture(scope="class")
+    def model4(self):
+        m = VaeModel(tiny_config(n_heads=4), seed=0)
+        rng = np.random.default_rng(5)
+        for name, t in m.params.items():  # unit-scale weights: heads differ
+            if ".attn." in name:
+                t.data = rng.standard_normal(t.shape) * 0.5
+        return m
+
+    def test_non_causal(self, model4):
+        h = np.random.default_rng(6).standard_normal((5, 16))
+        got = model4._attention(Tensor(h), "enc.0", causal=False).data
+        ref = _reference_attention(model4, h, "enc.0", causal=False)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
+
+    def test_causal_rows(self, model4):
+        h = np.random.default_rng(7).standard_normal((6, 16))
+        got = model4._attention(Tensor(h), "dec.1", causal=True).data
+        ref = _reference_attention(model4, h, "dec.1", causal=True)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
+
+    def test_cached_one_row(self, model4):
+        rng = np.random.default_rng(8)
+        prefix, new = rng.standard_normal((4, 16)), rng.standard_normal((1, 16))
+        cache = _LayerCache(gate=None)
+        model4._attention(Tensor(prefix), "dec.0", True, cache, 0)
+        past = (cache.keys.data.copy(), cache.values.data.copy())
+        got = model4._attention(Tensor(new), "dec.0", True, cache, 4).data
+        ref = _reference_attention(model4, new, "dec.0", causal=True, past=past)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
+        assert cache.keys.shape == cache.values.shape == (5, 16)
+
+
 class TestGenerate:
     def _latents(self, model):
         rng = np.random.default_rng(4)
@@ -263,6 +324,10 @@ class TestGenerate:
         for max_len in (5, 0):
             with pytest.raises(ContractError):
                 model.generate(self._latents(model), max_len, strategy="top_k")
+
+    def test_top_k_below_one_raises(self, model):
+        with pytest.raises(ContractError):
+            model.generate(self._latents(model), 5, "top_k", np.random.default_rng(0), top_k=0)
 
     def test_top_k_reproducible(self, model):
         z = self._latents(model)
