@@ -10,6 +10,7 @@ bit-exact, and saves replace the file atomically.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -40,6 +41,28 @@ def atomic_write(path):
             os.remove(tmp)
 
 
+class ByteReader:
+    """The bytes of the file at `path`, read once and taken front to back. A
+    take that asks for more bytes than are left raises InputError
+    ("<path>: <what> is truncated"), so a corrupt size field costs one
+    comparison instead of an allocation of the size it claims."""
+
+    def __init__(self, path, what: str):
+        with open(path, "rb") as f:
+            self._view = memoryview(f.read())
+        self._pos = 0
+        self._truncated = f"{path}: {what} is truncated"
+
+    def take(self, n: int) -> memoryview:
+        start, self._pos = self._pos, self._pos + n
+        if self._pos > len(self._view):
+            raise InputError(self._truncated)
+        return self._view[start:self._pos]
+
+    def at_end(self) -> bool:
+        return self._pos == len(self._view)
+
+
 def save_checkpoint(path, model: VaeModel, vocab: list[str], extra: dict | None = None) -> None:
     header = {
         "format_version": _VERSION,
@@ -65,51 +88,44 @@ def save_checkpoint(path, model: VaeModel, vocab: list[str], extra: dict | None 
 
 
 def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
-    with open(path, "rb") as f:
-
-        def read(n: int) -> bytes:
-            b = f.read(n)
-            if len(b) != n:
-                raise InputError(f"{path}: checkpoint is truncated")
-            return b
-
-        if f.read(4) != _MAGIC:
-            raise InputError(f"{path} is not a checkpoint file")
-        (version,) = struct.unpack("<I", read(4))
-        if version != _VERSION:
-            raise InputError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", read(4))
-        try:
-            header = json.loads(read(hlen).decode("utf-8"))
-            config = ModelConfig(**header["config"])
-            model = VaeModel(config, seed=0)
-        except (ValueError, KeyError, TypeError) as e:
-            raise InputError(f"{path}: checkpoint header is corrupt ({e!r})") from e
-        vocab = header.get("vocab")
-        if (not isinstance(vocab, list) or len(vocab) != config.vocab_size
-                or not all(isinstance(w, str) for w in vocab)):
-            raise InputError(f"{path}: checkpoint vocabulary is not a list of "
-                             f"vocab_size={config.vocab_size} words")
-        if not isinstance(header.get("extra", {}), dict):
-            raise InputError(f"{path}: checkpoint header field 'extra' is not an object")
-        (count,) = struct.unpack("<I", read(4))
-        loaded = set()
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", read(4))
-            name = read(nlen).decode("utf-8", errors="replace")
-            (ndim,) = struct.unpack("<I", read(4))
-            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
-            n_elem = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(read(8 * n_elem), dtype="<f8").reshape(shape).copy()
-            if name not in model.params:
-                raise InputError(f"checkpoint parameter {name!r} unknown to the model")
-            if model.params[name].data.shape != data.shape:
-                raise InputError(f"checkpoint parameter {name!r} has shape {data.shape}, "
-                                 f"expected {model.params[name].data.shape}")
-            model.params[name].data = data
-            loaded.add(name)
-        if f.read(1):
-            raise InputError(f"{path}: checkpoint has bytes after its last parameter")
+    r = ByteReader(path, "checkpoint")
+    if r.take(4) != _MAGIC:
+        raise InputError(f"{path} is not a checkpoint file")
+    (version,) = struct.unpack("<I", r.take(4))
+    if version != _VERSION:
+        raise InputError(f"unsupported checkpoint version {version}")
+    (hlen,) = struct.unpack("<I", r.take(4))
+    try:
+        header = json.loads(str(r.take(hlen), "utf-8"))
+        config = ModelConfig(**header["config"])
+        model = VaeModel(config, seed=0)
+    except (ValueError, KeyError, TypeError) as e:
+        raise InputError(f"{path}: checkpoint header is corrupt ({e!r})") from e
+    vocab = header.get("vocab")
+    if (not isinstance(vocab, list) or len(vocab) != config.vocab_size
+            or not all(isinstance(w, str) for w in vocab)):
+        raise InputError(f"{path}: checkpoint vocabulary is not a list of "
+                         f"vocab_size={config.vocab_size} words")
+    if not isinstance(header.get("extra", {}), dict):
+        raise InputError(f"{path}: checkpoint header field 'extra' is not an object")
+    (count,) = struct.unpack("<I", r.take(4))
+    loaded = set()
+    for _ in range(count):
+        (nlen,) = struct.unpack("<I", r.take(4))
+        name = str(r.take(nlen), "utf-8", errors="replace")
+        (ndim,) = struct.unpack("<I", r.take(4))
+        shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
+        # math.prod: an int64 product of corrupt dims could wrap to a small size.
+        data = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+        if name not in model.params:
+            raise InputError(f"checkpoint parameter {name!r} unknown to the model")
+        if model.params[name].data.shape != data.shape:
+            raise InputError(f"checkpoint parameter {name!r} has shape {data.shape}, "
+                             f"expected {model.params[name].data.shape}")
+        model.params[name].data = data
+        loaded.add(name)
+    if not r.at_end():
+        raise InputError(f"{path}: checkpoint has bytes after its last parameter")
     missing = sorted(set(model.params) - loaded)
     if missing:
         raise InputError(f"{path}: checkpoint lacks parameters {missing}")

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import SPECIALS, Tokenizer
+from .data import Tokenizer
 from .errors import DivergenceError, NumericOverflowError, RegaVaeError
 from .mixture import mixture_mean_latents
 from .retrieval import load_database
@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _generate(cfg: RunConfig, args) -> None:
     model, vocab, _ = load_checkpoint(args.checkpoint)
-    tok = Tokenizer([w for w in vocab if w not in SPECIALS])
+    tok = Tokenizer(vocab)
     source = tok.encode(args.source)
     db = load_database(args.database) if args.database else None
     k = cfg.k_neighbors if db is not None else 0

@@ -137,29 +137,22 @@ def kl_mixture_upper_bound(p: MixturePosterior, q: MixturePrior) -> float:
     return total
 
 
-def _detached_key(g: LatentGaussian) -> LatentGaussian:
-    # Keys are frozen between refreshes: constant tensors, no grad flow.
-    return LatentGaussian.from_arrays(g.mean_array.copy(), g.log_var_array.copy())
-
-
-def _query_vector(posts: list[LatentGaussian]) -> np.ndarray:
-    return np.mean([g.mean_array for g in posts], axis=0)
-
-
 def retrieve_mixture(posts: list[LatentGaussian], db: RetrievalDatabase, k: int,
                      exclude_id: int | None = None):
     """Top-k lookup plus softmax weights for the current query posteriors.
 
     Returns (weights, retrieved keys, hit entries); with k=0 the mixture
-    collapses to the query alone.
+    collapses to the query alone. The keys are the snapshot's own
+    LatentGaussians: constant tensors between refreshes, so no grad flows
+    into them.
     """
     if k == 0:
         return np.array([1.0]), [], []
     if db is None or not db.entries:
         raise RetrievalError("retrieval requested but the database is empty")
-    qvec = _query_vector(posts)
+    qvec = np.mean([g.mean_array for g in posts], axis=0)  # the layer-averaged query
     hits = top_k(qvec, db, k, exclude_id=exclude_id)
-    keys = [_detached_key(e.key) for e, _ in hits]
+    keys = [e.key for e, _ in hits]
     return mixture_weights(qvec, keys), keys, [e for e, _ in hits]
 
 
@@ -198,13 +191,12 @@ def regavae_loss(model: VaeModel, x_tokens: list[int], y_tokens: list[int],
 
 def mixture_mean_latents(model: VaeModel, x_tokens: list[int],
                          db: RetrievalDatabase | None, k: int,
-                         exclude_id: int | None = None,
                          posts: list[LatentGaussian] | None = None) -> list[Tensor]:
     """Deterministic per-layer latents for evaluation: the mixture expectation
     w_0 mu_l + sum_i w_i mu_key_i (posterior means, no sampling)."""
     if posts is None:
         posts = model.encode(x_tokens)
-    weights, keys, _ = retrieve_mixture(posts, db, k, exclude_id=exclude_id)
+    weights, keys, _ = retrieve_mixture(posts, db, k)
     out = []
     for g in posts:
         z = weights[0] * g.mean_array

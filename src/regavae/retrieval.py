@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import atomic_write
+from .checkpoint import ByteReader, atomic_write
 from .errors import (ConfigError, DegenerateInputError, DimensionError, InputError,
                      RetrievalError)
 from .model import LatentGaussian, VaeModel
@@ -69,18 +69,23 @@ def document_posterior(model: VaeModel, source_tokens: list[int],
     return LatentGaussian.from_arrays(mean, log_var)
 
 
+def _encode_entries(model: VaeModel, ids, docs) -> list[RetrievalEntry]:
+    """One entry per (id, (source, target)) pair, keyed by the model's
+    current posterior of that document."""
+    return [RetrievalEntry(i, document_posterior(model, src, tgt), src, tgt)
+            for i, (src, tgt) in zip(ids, docs)]
+
+
 def build_database(corpus, model: VaeModel, refresh_interval: int = 500,
                    snapshot_step: int = 0) -> RetrievalDatabase:
-    """Encode every corpus pair into a RetrievalEntry. Deterministic: keys are
-    posterior means/log-variances, no sampling involved."""
-    corpus = list(corpus)
-    if not corpus:
+    """Encode every corpus pair into a RetrievalEntry whose id is its corpus
+    index. Deterministic: keys are posterior means/log-variances, no sampling
+    involved."""
+    docs = [(list(p.source_tokens), list(p.target_tokens)) for p in corpus]
+    if not docs:
         raise ConfigError("cannot build a retrieval database from an empty corpus")
-    entries = []
-    for i, pair in enumerate(corpus):
-        key = document_posterior(model, pair.source_tokens, pair.target_tokens)
-        entries.append(RetrievalEntry(i, key, list(pair.source_tokens), list(pair.target_tokens)))
-    return RetrievalDatabase(entries, snapshot_step, refresh_interval)
+    return RetrievalDatabase(_encode_entries(model, range(len(docs)), docs),
+                             snapshot_step, refresh_interval)
 
 
 def similarity(query: np.ndarray, key: LatentGaussian) -> float:
@@ -135,15 +140,8 @@ def maybe_refresh(db: RetrievalDatabase, current_step: int, model: VaeModel) -> 
         )
     if current_step - db.snapshot_step < db.refresh_interval:
         return db
-    entries = [
-        RetrievalEntry(
-            e.id,
-            document_posterior(model, e.source_tokens, e.target_tokens),
-            e.source_tokens,
-            e.target_tokens,
-        )
-        for e in db.entries
-    ]
+    entries = _encode_entries(model, [e.id for e in db.entries],
+                              [(e.source_tokens, e.target_tokens) for e in db.entries])
     return RetrievalDatabase(entries, current_step, db.refresh_interval)
 
 
@@ -172,38 +170,27 @@ def save_database(db: RetrievalDatabase, path) -> None:
 
 
 def load_database(path) -> RetrievalDatabase:
-    truncated = f"{path}: database dump is truncated"
-    with open(path, "rb") as f:
-        if f.read(4) != _DB_MAGIC:
-            raise InputError(f"{path} is not a retrieval database dump")
-        b = f.read(24)
-        if len(b) != 24:
-            raise InputError(truncated)
-        version, d_z, n, snapshot_step, refresh_interval = struct.unpack("<IIIQI", b)
-        if version != _DB_VERSION:
-            raise InputError(f"unsupported database dump version {version}")
-        # Per entry: id, key means and log-vars, source length in one read;
-        # source ids plus target length in a second; target ids in a third.
-        head = 8 + 16 * d_z + 4
-        entries = []
-        for _ in range(n):
-            b = f.read(head)
-            if len(b) != head:
-                raise InputError(truncated)
-            (eid,) = struct.unpack_from("<Q", b)
-            key = np.frombuffer(b, dtype="<f8", count=2 * d_z, offset=8)
-            (ln,) = struct.unpack_from("<I", b, head - 4)
-            b = f.read(4 * ln + 4)
-            if len(b) != 4 * ln + 4:
-                raise InputError(truncated)
-            source = np.frombuffer(b, dtype="<u4", count=ln).astype(int).tolist()
-            (ln,) = struct.unpack_from("<I", b, 4 * ln)
-            b = f.read(4 * ln)
-            if len(b) != 4 * ln:
-                raise InputError(truncated)
-            target = np.frombuffer(b, dtype="<u4").astype(int).tolist()
-            entries.append(RetrievalEntry(int(eid), LatentGaussian.from_arrays(
-                key[:d_z].copy(), key[d_z:].copy()), source, target))
-        if f.read(1):
-            raise InputError(f"{path}: database dump has bytes after its last entry")
+    r = ByteReader(path, "database dump")
+    if r.take(4) != _DB_MAGIC:
+        raise InputError(f"{path} is not a retrieval database dump")
+    version, d_z, n, snapshot_step, refresh_interval = struct.unpack("<IIIQI", r.take(24))
+    if version != _DB_VERSION:
+        raise InputError(f"unsupported database dump version {version}")
+    # Per entry: id, key means and log-vars, source length in one take;
+    # source ids plus target length in a second; target ids in a third.
+    head = 8 + 16 * d_z + 4
+    entries = []
+    for _ in range(n):
+        b = r.take(head)
+        (eid,) = struct.unpack_from("<Q", b)
+        key = np.frombuffer(b, dtype="<f8", count=2 * d_z, offset=8)
+        (ln,) = struct.unpack_from("<I", b, head - 4)
+        b = r.take(4 * ln + 4)
+        source = np.frombuffer(b, dtype="<u4", count=ln).astype(int).tolist()
+        (ln,) = struct.unpack_from("<I", b, 4 * ln)
+        target = np.frombuffer(r.take(4 * ln), dtype="<u4").astype(int).tolist()
+        entries.append(RetrievalEntry(int(eid), LatentGaussian.from_arrays(
+            key[:d_z].copy(), key[d_z:].copy()), source, target))
+    if not r.at_end():
+        raise InputError(f"{path}: database dump has bytes after its last entry")
     return RetrievalDatabase(entries, int(snapshot_step), int(refresh_interval))

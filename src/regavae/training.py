@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -24,7 +25,12 @@ from .metrics import (MetricReport, active_units, corpus_bleu, dist_n,
                       perplexity, rouge_l, self_bleu)
 from .mixture import mixture_mean_latents, regavae_loss
 from .model import ElboBreakdown, ModelConfig, VaeModel
-from .retrieval import build_database, load_database, maybe_refresh, save_database
+from .retrieval import (RetrievalDatabase, build_database, load_database, maybe_refresh,
+                        save_database)
+
+
+# RunConfig field type -> the Python types its JSON value may take.
+_JSON_TYPES = {int: int, float: (int, float), str: str}
 
 
 @dataclass
@@ -49,11 +55,9 @@ class RunConfig:
     # retrieval
     k_neighbors: int = 5
     refresh_interval: int = 500
-    exclude_self: bool = True
     # data / paths
     corpus: str = ""
     eval_corpus: str = ""
-    checkpoint_dir: str = "checkpoints"
     database_path: str = "retrieval.db"
     metrics_path: str = "metrics.json"
     min_count: int = 1
@@ -81,10 +85,19 @@ class RunConfig:
                 raw = json.load(f)
             except json.JSONDecodeError as e:
                 raise InputError(f"{path}: invalid JSON config ({e.msg})") from e
-        known = {f.name for f in RunConfig.__dataclass_fields__.values()}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise InputError(f"{path}: config must be a JSON object")
+        types = get_type_hints(RunConfig)
+        unknown = set(raw) - set(types)
         if unknown:
             raise InputError(f"{path}: unknown config keys {sorted(unknown)}")
+        for name, value in raw.items():
+            # bool is an int subclass, an int is a valid float, and Python's
+            # json reads NaN and Infinity, which JSON itself does not have.
+            if (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[name]])
+                    or (isinstance(value, float) and not math.isfinite(value))):
+                raise InputError(f"{path}: config key {name!r} must be "
+                                 f"{types[name].__name__}, got {value!r}")
         return RunConfig(**raw)
 
     def echo(self, out_dir) -> None:
@@ -109,6 +122,7 @@ class TrainResult:
     step_losses: list[ElboBreakdown] = field(default_factory=list)
     global_step: int = 0
     global_epoch: int = 0
+    database: RetrievalDatabase | None = None  # the last snapshot trained against
 
 
 def beta_at(step: int, warmup_steps: int, cycle_steps: int = 0) -> float:
@@ -127,12 +141,13 @@ def steps_per_epoch(n_pairs: int, batch_size: int) -> int:
     return math.ceil(n_pairs / batch_size)
 
 
-def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig, loss_fn,
-               epochs: int, warmup_steps: int, cycle_steps: int = 0,
-               start_step: int = 0, start_epoch: int = 0,
-               before_batch=None) -> TrainResult:
-    """Shared step loop. loss_fn(pair, corpus_index, beta, rng) returns
-    (ElboBreakdown, scalar loss tensor); the batch optimizes the mean."""
+def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig,
+               db: RetrievalDatabase | None, k: int, epochs: int, warmup_steps: int,
+               cycle_steps: int = 0, start_step: int = 0,
+               start_epoch: int = 0) -> TrainResult:
+    """Shared step loop over regavae_loss; each batch optimizes the mean.
+    With a database, the loop refreshes it on schedule before every batch,
+    and a document never retrieves itself (entry id == corpus index)."""
     optimizer = Adam(model.params, lr=cfg.learning_rate)
     result = TrainResult(model, [], start_step, start_epoch)
     step = start_step
@@ -140,16 +155,18 @@ def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig, loss_fn
         order = _rng(cfg.seed, 11, start_epoch + ep).permutation(len(pairs))
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            if before_batch is not None:
-                before_batch(step)
+            if db is not None:
+                db = maybe_refresh(db, step, model)
             beta = beta_at(step, warmup_steps, cycle_steps)
             zero_grads(model.params)
             with Tape() as tape:
                 total = None
                 recon = kl = 0.0
-                for idx in batch:
-                    rng = _rng(cfg.seed, 12, step, int(idx))
-                    bd, loss = loss_fn(pairs[int(idx)], int(idx), beta, rng)
+                for idx in batch.tolist():
+                    bd, loss = regavae_loss(model, pairs[idx].source_tokens,
+                                            pairs[idx].target_tokens, db, k, beta,
+                                            _rng(cfg.seed, 12, step, idx),
+                                            exclude_id=idx, kl_floor=cfg.kl_floor)
                     recon += bd.recon_nll
                     kl += bd.kl
                     total = loss if total is None else total + loss
@@ -165,6 +182,7 @@ def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig, loss_fn
             step += 1
     result.global_step = step
     result.global_epoch = start_epoch + epochs
+    result.database = db
     return result
 
 
@@ -173,9 +191,7 @@ def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig, loss_fn
 # ---------------------------------------------------------------------------
 
 def _load_corpus(cfg: RunConfig, vocab: list[str] | None = None):
-    tok = None
-    if vocab is not None:
-        tok = Tokenizer([w for w in vocab if w not in SPECIALS])
+    tok = Tokenizer(vocab) if vocab is not None else None
     pairs, tok = ingest(cfg.corpus, tokenizer=tok, min_count=cfg.min_count)
     return pairs, tok
 
@@ -211,30 +227,18 @@ def _train_stage(cfg: RunConfig, out_dir, checkpoint_path, database_path, k: int
     warmup, cycle = beta_schedule(cfg, len(pairs))
     warmup = extra.get("warmup_steps", warmup)
     cycle = extra.get("cycle_steps", cycle)
-    state = {"db": load_database(database_path) if k > 0 else None}
-
-    def before_batch(step):
-        if state["db"] is not None:
-            state["db"] = maybe_refresh(state["db"], step, model)
-
-    def loss_fn(pair, idx, beta, rng):
-        exclude = idx if cfg.exclude_self else None
-        return regavae_loss(model, pair.source_tokens, pair.target_tokens,
-                            state["db"], k, beta, rng,
-                            exclude_id=exclude, kl_floor=cfg.kl_floor)
-
-    result = train_loop(model, pairs, cfg, loss_fn, epochs, warmup, cycle,
+    db = load_database(database_path) if k > 0 else None
+    result = train_loop(model, pairs, cfg, db, k, epochs, warmup, cycle,
                         start_step=extra.get("global_step", 0),
-                        start_epoch=extra.get("global_epoch", 0),
-                        before_batch=before_batch)
+                        start_epoch=extra.get("global_epoch", 0))
     path = os.path.join(out_dir, name)
     save_checkpoint(path, model, vocab, extra={
         "stage": stage, "global_step": result.global_step,
         "global_epoch": result.global_epoch,
         "warmup_steps": warmup, "cycle_steps": cycle,
     })
-    if state["db"] is not None:
-        final_db = maybe_refresh(state["db"], result.global_step, model)
+    if result.database is not None:
+        final_db = maybe_refresh(result.database, result.global_step, model)
         save_database(final_db, os.path.join(out_dir, os.path.basename(cfg.database_path)))
     return path, result
 
@@ -283,7 +287,7 @@ def run_eval(cfg: RunConfig, checkpoint_path, database_path, out_dir) -> MetricR
     held-out targets."""
     cfg.echo(out_dir)
     model, vocab, _ = load_checkpoint(checkpoint_path)
-    tok = Tokenizer([w for w in vocab if w not in SPECIALS])
+    tok = Tokenizer(vocab)
     eval_pairs, _ = ingest(cfg.eval_corpus, tokenizer=tok)
     db = None
     k = 0

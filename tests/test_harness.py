@@ -148,6 +148,22 @@ class TestRunConfig:
         with pytest.raises(InputError):
             RunConfig.from_file(p)
 
+    @pytest.mark.parametrize("raw", [
+        "5", "null", '{"L": "2"}', '{"learning_rate": "x"}', '{"k_neighbors": null}',
+        '{"L": true}', '{"batch_size": 2.5}', '{"corpus": 3}',
+        '{"beta_warmup_frac": NaN}', '{"kl_floor": Infinity}',
+    ])
+    def test_from_file_rejects_wrong_types(self, tmp_path, raw):
+        p = tmp_path / "cfg.json"
+        p.write_text(raw)
+        with pytest.raises(InputError):
+            RunConfig.from_file(p)
+
+    def test_from_file_float_field_takes_int(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"learning_rate": 1, "kl_floor": 0}')
+        assert RunConfig.from_file(p) == RunConfig(learning_rate=1.0, kl_floor=0.0)
+
     def test_echo_round_trips(self, tmp_path):
         cfg = RunConfig(learning_rate=0.002, seed=7)
         cfg.echo(tmp_path)
@@ -299,6 +315,32 @@ class TestCheckpoint:
         with pytest.raises(InputError):
             load_checkpoint(path)
 
+    @staticmethod
+    def _oversized(data, ndim, dims):
+        """`data` with its first parameter's ndim and dims overwritten in place."""
+        (hlen,) = struct.unpack_from("<I", data, 8)
+        (nlen,) = struct.unpack_from("<I", data, 12 + hlen + 4)
+        at = 12 + hlen + 8 + nlen
+        patch = struct.pack(f"<I{len(dims)}I", ndim, *dims)
+        return data[:at] + patch + data[at + len(patch):]
+
+    @pytest.mark.parametrize("ndim,dims", [
+        (2, (2**31, 2**31)), (3, (2**31, 2**31, 4)), (2**31, ()),
+    ], ids=["huge_dims", "dims_wrap_int64", "huge_ndim"])
+    def test_oversized_shape_rejected(self, tmp_path, ndim, dims):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(self._oversized(self._small(path), ndim, dims))
+        with pytest.raises(InputError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_generate_oversized_checkpoint_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(self._oversized(self._small(path), 2, (2**31, 2**31)))
+        rc = cli_main(["--out", str(tmp_path / "o"), "generate",
+                       "--checkpoint", str(path), "--source", "w"])
+        assert rc == 1
+        assert "truncated" in capsys.readouterr().err
+
     def test_failed_save_keeps_previous_file(self, tmp_path):
         path = tmp_path / "m.ckpt"
         before = self._small(path)
@@ -361,6 +403,34 @@ class TestPipelinePlumbing:
         p2, _ = run_stage1(cfg, tmp_path / "o2")
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_stage3_excludes_self_from_a_fresh_snapshot(self, tmp_path, monkeypatch):
+        import regavae.training as training
+
+        cfg = tiny_cfg(tmp_path, refresh_interval=1)  # k_neighbors=2
+        out = tmp_path / "out"
+        ckpt, stage1 = run_stage1(cfg, out)
+        db_path = run_stage2(cfg, ckpt, out)
+        pairs, _ = ingest(cfg.corpus, min_count=cfg.min_count)
+        original = training.regavae_loss
+        seen = []
+
+        def spy(model, x, y, db, k, beta, rng, exclude_id=None, kl_floor=0.0):
+            seen.append((db.snapshot_step, exclude_id, x, y))
+            return original(model, x, y, db, k, beta, rng, exclude_id=exclude_id,
+                            kl_floor=kl_floor)
+
+        monkeypatch.setattr(training, "regavae_loss", spy)
+        _, result = training.run_stage3(cfg, ckpt, db_path, out)
+        assert len(seen) == len(pairs) * cfg.stage3_epochs
+        for i, (snapshot, excl, x, y) in enumerate(seen):
+            # 12 pairs in batches of 4: call i belongs to step start + i // 4.
+            assert snapshot == stage1.global_step + i // cfg.batch_size
+            assert (pairs[excl].source_tokens, pairs[excl].target_tokens) == (x, y)
+        for ep in range(cfg.stage3_epochs):
+            epoch = seen[ep * len(pairs):(ep + 1) * len(pairs)]
+            assert sorted(excl for _, excl, _, _ in epoch) == list(range(len(pairs)))
+        assert result.database.snapshot_step == result.global_step - 1
+
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -404,6 +474,15 @@ class TestCli:
         rc = cli_main(["--config", str(p), "--out", str(tmp_path / "o"), "train-vae"])
         assert rc == 1
         assert "batch_size" in capsys.readouterr().err
+
+    def test_wrong_config_type_exit_one(self, tmp_path, capsys):
+        p = self._write_cfg(tmp_path)
+        raw = json.loads(p.read_text())
+        raw["L"] = "2"
+        p.write_text(json.dumps(raw))
+        rc = cli_main(["--config", str(p), "--out", str(tmp_path / "o"), "train-vae"])
+        assert rc == 1
+        assert "'L'" in capsys.readouterr().err
 
     def test_divergence_exit_two(self, tmp_path, capsys, monkeypatch):
         import regavae.cli as cli_mod

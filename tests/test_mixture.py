@@ -293,3 +293,10 @@ class TestRegavaeLoss:
         _, _, hits_all = retrieve_mixture(posts, db, 2)
         _, _, hits_excl = retrieve_mixture(posts, db, 2, exclude_id=hits_all[0].id)
         assert hits_all[0].id not in [e.id for e in hits_excl]
+
+    def test_retrieved_keys_are_the_hits_own_keys(self, trained_bits):
+        model, db, corpus = trained_bits
+        from regavae.mixture import retrieve_mixture
+        _, keys, hits = retrieve_mixture(model.encode(corpus[0].source_tokens), db, 3)
+        assert len(keys) == 3
+        assert all(key is e.key for key, e in zip(keys, hits))

@@ -2,6 +2,8 @@
 exact top-k against a brute-force rescoring, refresh scheduling, and the
 binary dump round trip."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,19 @@ class TestBuildAndRefresh:
                                    [similarity(query, e.key) for e, _ in got], atol=1e-12)
         assert [s for _, s in got] != [s for _, s in top_k(query, db, 3)]
 
+    def test_refresh_keeps_nonsequential_ids_and_tokens(self, tiny_model):
+        docs = [(p.source_tokens, p.target_tokens) for p in self.corpus()]
+        db = RetrievalDatabase(
+            [RetrievalEntry(eid, LatentGaussian.from_arrays(np.ones(4), np.zeros(4)), src, tgt)
+             for eid, (src, tgt) in zip([5, 2, 0], docs)], 0, 10)
+        db2 = maybe_refresh(db, 10, tiny_model)
+        assert [e.id for e in db2.entries] == [5, 2, 0]
+        assert [(e.source_tokens, e.target_tokens) for e in db2.entries] == docs
+        for e, (src, tgt) in zip(db2.entries, docs):
+            want = document_posterior(tiny_model, src, tgt)
+            np.testing.assert_array_equal(e.key.mean_array, want.mean_array)
+            np.testing.assert_array_equal(e.key.log_var_array, want.log_var_array)
+
     def test_refresh_rejects_time_travel(self, tiny_model):
         db = build_database(self.corpus(), tiny_model, snapshot_step=100)
         with pytest.raises(RetrievalError):
@@ -287,6 +302,18 @@ class TestDumpFormat:
         save_database(make_db([[1.0, 0.0], [0.0, 1.0]]), path)
         path.write_bytes(path.read_bytes() + b"\x00" * 4)
         with pytest.raises(InputError):
+            load_database(path)
+
+    # Header: magic, version u32, d_z u32 at byte 8, ...; the first entry starts
+    # at byte 28 with its id u64, then 2 * d_z f64 and its source length u32.
+    @pytest.mark.parametrize("offset", [8, 28 + 8 + 16 * 2], ids=["d_z", "source_length"])
+    def test_oversized_length_field_rejected(self, tmp_path, offset):
+        path = tmp_path / "db.bin"
+        save_database(make_db([[1.0, 0.0], [0.0, 1.0]]), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, offset, 2**31)
+        path.write_bytes(bytes(data))
+        with pytest.raises(InputError, match="truncated"):
             load_database(path)
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
