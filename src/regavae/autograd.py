@@ -20,6 +20,7 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
+    "linear",
     "softmax",
     "exp",
     "log",
@@ -42,7 +43,7 @@ __all__ = [
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericOverflowError(f"{op} produced non-finite values")
 
 
@@ -71,13 +72,14 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def _ensure_grad(self) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-
     def _accum(self, g: np.ndarray) -> None:
-        self._ensure_grad()
-        self.grad += g
+        if self.grad is None:
+            # A C-ordered copy: a transposed view of g would keep F order,
+            # and clip_grad_norm's sum would then add in a different order.
+            # The copy also keeps two tensors from sharing one buffer.
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     # Operator sugar; constants are wrapped as non-grad tensors.
     def __add__(self, other):
@@ -140,15 +142,13 @@ class Tape:
 _TAPES: list[Tape] = []
 
 
-def _active() -> Tape | None:
-    return _TAPES[-1] if _TAPES else None
-
-
 def _record(out: Tensor, inputs: tuple, bwd) -> Tensor:
-    tape = _active()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape.nodes.append(_Node(out, inputs, bwd))
+    if _TAPES:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                _TAPES[-1].nodes.append(_Node(out, inputs, bwd))
+                break
     return out
 
 
@@ -253,6 +253,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accum(gb.reshape(b.shape))
 
     return _record(out, (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Affine map x @ w.T (+ b) of a row (1-D x) or the rows of 2-D x, as one
+    tape node; w is (out, in). Forward and backward are the numpy expressions
+    of `matmul(x, transpose(w))` followed by `add(., b)`, so results match
+    that composition bit for bit."""
+    if x.ndim not in (1, 2) or w.ndim != 2:
+        raise DimensionError(f"linear needs 1-D/2-D x and 2-D w, got {x.shape} and {w.shape}")
+    if x.shape[-1] != w.shape[1]:
+        raise DimensionError(f"linear inner dimensions differ: {x.shape} x {w.shape}.T")
+    if b is not None and b.shape != (w.shape[0],):
+        raise DimensionError(f"linear bias must have shape ({w.shape[0]},), got {b.shape}")
+    x2 = x.data.reshape(1, -1) if x.ndim == 1 else x.data
+    wd = w.data
+    out_data = x2 @ wd.T
+    g_shape = out_data.shape
+    if x.ndim == 1:
+        out_data = out_data.reshape(-1)
+    _check_finite(out_data, "linear product")
+    if b is not None:
+        out_data = out_data + b.data
+        _check_finite(out_data, "linear bias add")
+    out = Tensor(out_data)
+
+    def bwd(g):
+        if b is not None and b.requires_grad:
+            b._accum(_unbroadcast(g, b.shape))
+        g2 = g.reshape(g_shape)
+        if x.requires_grad:
+            x._accum((g2 @ wd).reshape(x.shape))
+        if w.requires_grad:
+            w._accum((x2.T @ g2).T)
+
+    return _record(out, (x, w) if b is None else (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +482,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
     def bwd(g):
         if table.requires_grad:
-            table._ensure_grad()
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, idx, g)
 
     return _record(out, (table,), bwd)

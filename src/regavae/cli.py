@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error, 2 numeric divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = dataclasses.replace(cfg, seed=args.seed)  # re-validates
         os.makedirs(args.out, exist_ok=True)
         if args.command == "train-vae":
             path, _ = run_stage1(cfg, args.out)

@@ -190,9 +190,9 @@ class VaeModel:
         p = self.params
         n = h.shape[0]
         dk = c.d_h // c.n_heads
-        q = h @ ag.transpose(p[f"{prefix}.attn.wq"]) + p[f"{prefix}.attn.wq_b"]
-        k = h @ ag.transpose(p[f"{prefix}.attn.wk"]) + p[f"{prefix}.attn.wk_b"]
-        v = h @ ag.transpose(p[f"{prefix}.attn.wv"]) + p[f"{prefix}.attn.wv_b"]
+        q = ag.linear(h, p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.wq_b"])
+        k = ag.linear(h, p[f"{prefix}.attn.wk"], p[f"{prefix}.attn.wk_b"])
+        v = ag.linear(h, p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wv_b"])
         if cache is not None:
             if cache.keys is not None:
                 k = ag.concat([cache.keys, k])
@@ -209,12 +209,12 @@ class VaeModel:
             scores = scores + Tensor(np.triu(np.full((n, m), -1e9), k=start + 1))
         o = ag.softmax(scores, axis=-1) @ vh
         o = ag.reshape(ag.transpose(o, (1, 0, 2)), (n, c.d_h))
-        return o @ ag.transpose(p[f"{prefix}.attn.wo"]) + p[f"{prefix}.attn.wo_b"]
+        return ag.linear(o, p[f"{prefix}.attn.wo"], p[f"{prefix}.attn.wo_b"])
 
     def _ff(self, h: Tensor, prefix: str) -> Tensor:
         p = self.params
-        u = ag.gelu(h @ ag.transpose(p[f"{prefix}.ff.w1"]) + p[f"{prefix}.ff.b1"])
-        return u @ ag.transpose(p[f"{prefix}.ff.w2"]) + p[f"{prefix}.ff.b2"]
+        u = ag.gelu(ag.linear(h, p[f"{prefix}.ff.w1"], p[f"{prefix}.ff.b1"]))
+        return ag.linear(u, p[f"{prefix}.ff.w2"], p[f"{prefix}.ff.b2"])
 
     def _block(self, h: Tensor, prefix: str, causal: bool,
                cache: _LayerCache | None = None, start: int = 0) -> Tensor:
@@ -250,8 +250,8 @@ class VaeModel:
         pooled = ag.tensor_mean(h, axis=0)
         posts = []
         for l in range(c.n_layers):
-            mu = pooled @ ag.transpose(p[f"post.{l}.w_mu"]) + p[f"post.{l}.b_mu"]
-            lv = pooled @ ag.transpose(p[f"post.{l}.w_lv"]) + p[f"post.{l}.b_lv"]
+            mu = ag.linear(pooled, p[f"post.{l}.w_mu"], p[f"post.{l}.b_mu"])
+            lv = ag.linear(pooled, p[f"post.{l}.w_lv"], p[f"post.{l}.b_lv"])
             posts.append(LatentGaussian(mu, ag.clamp(lv, LOG_VAR_MIN, LOG_VAR_MAX)))
         return posts
 
@@ -272,7 +272,7 @@ class VaeModel:
     def _fuse(self, v: Tensor, gate: Tensor, layer: int) -> Tensor:
         hid = None
         for j in range(self.config.r_rank):
-            hv = v @ ag.transpose(self.params[f"inj.{layer}.{j}.w_v"])
+            hv = ag.linear(v, self.params[f"inj.{layer}.{j}.w_v"])
             hid = hv if hid is None else hid + hv
         return hid * gate
 
@@ -304,7 +304,7 @@ class VaeModel:
                 h = h + self._fuse(h, layer_cache.gate, l)
             h = self._block(h, f"dec.{l}", causal=True, cache=layer_cache, start=start)
         h = ag.layer_norm(h, self.params["dec.lnf.g"], self.params["dec.lnf.b"])
-        return h @ ag.transpose(self.params["tok_emb"])
+        return ag.linear(h, self.params["tok_emb"])
 
     def decode(self, z_layers: list[Tensor], target_tokens: list[int]) -> tuple[Tensor, Tensor]:
         """Teacher-forced causal decode; returns (logits, mean NLL in nats)."""

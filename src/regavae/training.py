@@ -68,14 +68,14 @@ class RunConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.k_neighbors < 0:
-            raise ConfigError(f"k_neighbors must be >= 0, got {self.k_neighbors}")
-        if self.kl_floor < 0:
-            raise ConfigError(f"kl_floor must be >= 0, got {self.kl_floor}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.top_k_sample < 1:
-            raise ConfigError(f"top_k_sample must be >= 1, got {self.top_k_sample}")
+        for low, names in ((0, ("k_neighbors", "kl_floor", "seed", "stage1_epochs",
+                                "stage3_epochs", "beta_cycles", "beta_warmup_frac",
+                                "grad_clip")),
+                           (1, ("batch_size", "top_k_sample", "max_gen_len",
+                                "refresh_interval"))):
+            for name in names:
+                if getattr(self, name) < low:
+                    raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         self.model_config(len(SPECIALS))  # model sizes fail here, not mid-run
 
     @staticmethod

@@ -1,6 +1,8 @@
 """Autodiff engine tests: every op's gradient is checked against central
 finite differences, plus tape-contract and numeric-guard behavior."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,9 @@ from hypothesis import strategies as st
 import regavae.autograd as ag
 from regavae.autograd import Adam, Tape, Tensor, backward, clip_grad_norm, zero_grads
 from regavae.errors import ContractError, DimensionError, NumericOverflowError
+from regavae.mixture import regavae_loss
+from regavae.model import VaeModel
+from regavae.training import RunConfig
 
 RNG = np.random.default_rng(1234)
 
@@ -166,6 +171,109 @@ class TestSoftmaxProperties:
             out = ag.softmax(Tensor(np.array([1e4, -1e4, 0.0]))).data
         assert np.all(np.isfinite(out))
         assert abs(out.sum() - 1.0) < 1e-12
+
+
+def composed_linear(x, w, b=None):
+    """What `linear` replaces: a transpose node, a matmul node and a bias add."""
+    y = ag.matmul(x, ag.transpose(w))
+    return y if b is None else y + b
+
+
+def linear_run(affine, x_shape, bias, twice, seed=5):
+    """Apply `affine` (once, or twice with one weight) on a fresh tape and
+    backpropagate a weighted sum of squares; return output and grads."""
+    rng = np.random.default_rng(seed)
+    d = x_shape[-1]
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+    w = Tensor(rng.standard_normal((d, d)), requires_grad=True)
+    b = Tensor(rng.standard_normal(d), requires_grad=True) if bias else None
+    with Tape() as tape:
+        y = affine(x, w, b)
+        if twice:
+            y = affine(ag.tanh(y), w, b)
+        c = Tensor(rng.standard_normal(y.shape))
+        backward(ag.tensor_sum(y * y * c), tape)
+    return y.data, x.grad, w.grad, None if b is None else b.grad, {"x": x, "w": w}
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLinear:
+    @pytest.mark.parametrize("x_shape", [(5,), (3, 5)])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("twice", [False, True])
+    def test_bitwise_equal_to_composition(self, x_shape, bias, twice):
+        fused = linear_run(ag.linear, x_shape, bias, twice)
+        composed = linear_run(composed_linear, x_shape, bias, twice)
+        for name, a, b in zip(("out", "x.grad", "w.grad", "b.grad"), fused, composed):
+            if name == "b.grad" and not bias:
+                assert a is None and b is None
+            else:
+                assert same_bytes(a, b), name
+
+    def test_matches_finite_differences(self):
+        check_grad(lambda x, w, b: ag.tensor_sum(ag.tanh(ag.linear(x, w, b))), (3, 4),
+                   (2, 4), (2,))
+        check_grad(lambda x, w: ag.tensor_sum(ag.linear(x, w) * ag.linear(x, w)), (4,), (3, 4))
+
+    def test_first_grad_is_a_c_ordered_copy(self):
+        # dW is the transpose of a product, an F-ordered view; the stored grad
+        # must not keep that layout (clip_grad_norm sums it in memory order).
+        *_, t = linear_run(ag.linear, (3, 5), True, False)
+        assert t["w"].grad.flags["C_CONTIGUOUS"]
+        # add passes one g to both inputs; each keeps its own buffer.
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            y = a + b
+            backward(ag.tensor_sum(y * y), tape)
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, y.grad)
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
+
+    @pytest.mark.parametrize("x_shape", [(5,), (4, 5)])
+    def test_clip_grad_norm_bitwise_equal_to_composition(self, x_shape):
+        results = []
+        for affine in (ag.linear, composed_linear):
+            *_, t = linear_run(affine, x_shape, True, True, seed=11)
+            params = {"x": t["x"], "w": t["w"]}
+            norm = clip_grad_norm(params, 1e-3)
+            results.append((norm, t["x"].grad, t["w"].grad))
+        (n1, x1, w1), (n2, x2, w2) = results
+        assert n1 == n2 and n1 > 1e-3
+        assert same_bytes(x1, x2) and same_bytes(w1, w2)
+
+    def test_overflow_raises(self):
+        w = Tensor(np.array([[1e200]]), requires_grad=True)
+        with pytest.raises(NumericOverflowError):
+            with Tape():
+                ag.linear(Tensor(np.array([1e200])), w)
+        # The product is finite; the bias add overflows.
+        with pytest.raises(NumericOverflowError):
+            with Tape():
+                ag.linear(Tensor(np.array([1.5e308])), Tensor(np.array([[1.0]])),
+                          Tensor(np.array([1e308])))
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+        ((2, 3, 4), (5, 4), None), ((4,), (4,), None), ((2, 4), (5, 3), None),
+        ((2, 4), (5, 4), (4,)), ((2, 4), (5, 4), (1, 5)),
+    ])
+    def test_bad_shapes_raise(self, x_shape, w_shape, b_shape):
+        b = None if b_shape is None else Tensor(np.zeros(b_shape))
+        with pytest.raises(DimensionError):
+            ag.linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), b)
+
+    def test_one_document_tape_length_on_bundled_config(self):
+        # Pinned: a change here changes the per-op overhead of every step.
+        cfg = RunConfig.from_file(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                               "synthetic.json"))
+        model = VaeModel(cfg.model_config(50), seed=0)
+        with Tape() as tape:
+            regavae_loss(model, [5, 6, 7], [8, 9, 10, 11], None, 0, 0.5,
+                         np.random.default_rng(0), kl_floor=cfg.kl_floor)
+        assert len(tape.nodes) == 153
 
 
 class TestTapeContract:

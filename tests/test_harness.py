@@ -130,6 +130,9 @@ class TestRunConfig:
         {"L": 0}, {"d_h": 0}, {"heads": 0}, {"d_z": 0}, {"r_rank": 0},
         {"max_seq_len": 2}, {"batch_size": 0}, {"top_k_sample": 0},
         {"d_h": 10, "heads": 3},
+        {"seed": -1}, {"stage1_epochs": -1}, {"stage3_epochs": -1}, {"max_gen_len": 0},
+        {"refresh_interval": 0}, {"beta_warmup_frac": -0.5}, {"beta_cycles": -1},
+        {"grad_clip": -1.0},
     ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_rejects_bad_sizes_when_read(self, bad):
         with pytest.raises(ConfigError):
@@ -474,6 +477,15 @@ class TestCli:
         rc = cli_main(["--config", str(p), "--out", str(tmp_path / "o"), "train-vae"])
         assert rc == 1
         assert "batch_size" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_one(self, tmp_path, capsys):
+        p = self._write_cfg(tmp_path)
+        rc = cli_main(["--config", str(p), "--seed", "-1", "--out", str(tmp_path / "o"),
+                       "train-vae"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "o" / "stage1.ckpt")
 
     def test_wrong_config_type_exit_one(self, tmp_path, capsys):
         p = self._write_cfg(tmp_path)
