@@ -32,7 +32,9 @@ __all__ = [
     "concat",
     "tensor_sum",
     "tensor_mean",
+    "segment_mean",
     "layer_norm",
+    "attention",
     "embedding_lookup",
     "cross_entropy_with_logits",
     "random_normal",
@@ -351,7 +353,8 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU."""
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * xd**3)
+    # xd * xd * xd, not xd**3: numpy's power has no fast path for a cube.
+    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
     t = np.tanh(inner)
     out = Tensor(0.5 * xd * (1.0 + t))
 
@@ -448,6 +451,31 @@ def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, (x,), bwd)
 
 
+def _segments(offsets, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the nonempty segments that `offsets` (B+1
+    increasing boundaries, 0 first and `rows` last) cut the rows into."""
+    off = np.asarray(offsets, dtype=np.int64)
+    lengths = off[1:] - off[:-1]
+    if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != rows or lengths.min() < 1:
+        raise DimensionError(f"offsets {off.tolist()} do not cut {rows} rows into "
+                             "nonempty segments")
+    return off[:-1], lengths
+
+
+def segment_mean(x: Tensor, offsets) -> Tensor:
+    """Mean over the rows of each segment of 2-D x: (rows, d) -> (B, d)."""
+    if x.ndim != 2:
+        raise DimensionError(f"segment_mean needs a 2-D tensor, got {x.shape}")
+    starts, lengths = _segments(offsets, x.shape[0])
+    out = Tensor(np.add.reduceat(x.data, starts, axis=0) / lengths[:, None])
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accum(np.repeat(g / lengths[:, None], lengths, axis=0))
+
+    return _record(out, (x,), bwd)
+
+
 # ---------------------------------------------------------------------------
 # Neural-net primitives
 # ---------------------------------------------------------------------------
@@ -475,6 +503,89 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, (x, gain, bias), bwd)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, offsets, causal: bool = False,
+              start: int = 0, heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention within packed segments, as
+    one tape node.
+
+    Rows offsets[i]:offsets[i+1] of q (B+1 boundaries) are segment i, at
+    positions start, start+1, ... of that segment. Segment i's keys and
+    values are `start` earlier (cached) rows followed by one row per query
+    row, so k and v have offsets[-1] + B * start rows, segment by segment.
+    Head h is columns h*dk:(h+1)*dk. No row sees another segment; with
+    `causal`, a row sees only the keys at or before its own position.
+
+    Segments of one length share one batched product, so a pack costs a
+    loop over its distinct lengths, with no padding. Only the softmax
+    probabilities are kept for the backward, which is written out by hand."""
+    if q.ndim != 2 or k.shape != v.shape or k.ndim != 2 or q.shape[1] != k.shape[1]:
+        raise DimensionError(f"attention needs 2-D q, k, v of one width, got "
+                             f"{q.shape}, {k.shape}, {v.shape}")
+    rows, d = q.shape
+    if heads < 1 or d % heads or start < 0:
+        raise DimensionError(f"attention cannot split width {d} into {heads} heads "
+                             f"after {start} cached rows")
+    starts, lengths = _segments(offsets, rows)
+    if k.shape[0] != rows + start * lengths.size:
+        raise DimensionError(f"attention over {lengths.size} segments of {start} cached "
+                             f"and {rows} new rows got {k.shape[0]} keys")
+    dk = d // heads
+    scale = 1.0 / np.sqrt(dk)
+    # (query rows, key rows, length) per distinct segment length. Segments of
+    # one length are blocks of consecutive rows, so when there is only one
+    # length a reshape splits them (rows None); otherwise each length's
+    # segments are gathered by (segments, rows) index arrays.
+    if lengths.min() == lengths.max():
+        groups = [(None, None, int(lengths[0]))]
+    else:
+        key_starts = starts + start * np.arange(lengths.size)
+        groups = []
+        for n in np.unique(lengths):
+            segs = lengths == n
+            groups.append((starts[segs, None] + np.arange(n),
+                           key_starts[segs, None] + np.arange(n + start), int(n)))
+
+    def split(x, idx, n):  # -> (segments, heads, n, dk)
+        blocks = x.reshape(-1, n, d) if idx is None else x[idx]
+        return blocks.reshape(-1, n, heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(x, idx, out):  # inverse of split, written into out's rows
+        x = x.transpose(0, 2, 1, 3).reshape(-1, d)
+        if idx is None:
+            out[:] = x
+        else:
+            out[idx.reshape(-1)] = x
+
+    out_data = np.empty_like(q.data)
+    probs = []
+    for qi, ki, n in groups:
+        s = (split(q.data, qi, n) @ split(k.data, ki, n + start).transpose(0, 1, 3, 2)) * scale
+        if causal and n > 1:
+            s[..., np.triu(np.ones((n, n + start), dtype=bool), k=start + 1)] = -np.inf
+        s = np.exp(s - s.max(axis=-1, keepdims=True))
+        p = s / s.sum(axis=-1, keepdims=True)
+        probs.append(p)
+        merge(p @ split(v.data, ki, n + start), qi, out_data)
+    out = Tensor(out_data)
+    _check_finite(out.data, "attention")
+
+    def bwd(g):
+        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        for (qi, ki, n), p in zip(groups, probs):
+            m = n + start
+            go = split(g, qi, n)
+            merge(p.transpose(0, 1, 3, 2) @ go, ki, gv)
+            dp = go @ split(v.data, ki, m).transpose(0, 1, 3, 2)
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+            merge(ds @ split(k.data, ki, m), qi, gq)
+            merge(ds.transpose(0, 1, 3, 2) @ split(q.data, qi, n), ki, gk)
+        for t, gt in ((q, gq), (k, gk), (v, gv)):
+            if t.requires_grad:
+                t._accum(gt)
+
+    return _record(out, (q, k, v), bwd)
+
+
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Rows of `table` selected by integer ids; backward scatter-adds."""
     idx = np.asarray(ids, dtype=np.int64)
@@ -489,8 +600,10 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _record(out, (table,), bwd)
 
 
-def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood in nats; targets are class ids."""
+def cross_entropy_with_logits(logits: Tensor, targets, offsets=None) -> Tensor:
+    """Mean negative log-likelihood in nats; targets are class ids. With
+    `offsets` (B+1 segment boundaries over the rows), the mean of each
+    segment's rows, shape (B,)."""
     tgt = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2 or tgt.ndim != 1 or logits.shape[0] != tgt.shape[0]:
         raise DimensionError(
@@ -501,15 +614,23 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
     lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
     logp = z - lse
     n = tgt.shape[0]
-    nll = -logp[np.arange(n), tgt].mean()
-    out = Tensor(np.float64(nll))
+    rows = -logp[np.arange(n), tgt]
+    if offsets is None:
+        nll = np.float64(rows.mean())
+    else:
+        starts, lengths = _segments(offsets, n)
+        nll = np.add.reduceat(rows, starts) / lengths
+    out = Tensor(nll)
     _check_finite(out.data, "cross_entropy_with_logits")
 
     def bwd(g):
         if logits.requires_grad:
             p = np.exp(logp)
             p[np.arange(n), tgt] -= 1.0
-            logits._accum(float(g) * p / n)
+            if offsets is None:
+                logits._accum(float(g) * p / n)
+            else:
+                logits._accum(p * np.repeat(g / lengths, lengths)[:, None])
 
     return _record(out, (logits,), bwd)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .data import Tokenizer
-from .errors import DivergenceError, NumericOverflowError, RegaVaeError
+from .errors import DivergenceError, InputError, NumericOverflowError, RegaVaeError
 from .mixture import mixture_mean_latents
 from .retrieval import load_database
 from .training import (RunConfig, run_ablation, run_eval, run_pipeline, run_stage1,
@@ -53,6 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _generate(cfg: RunConfig, args) -> None:
+    if args.n_samples < 1:
+        raise InputError(f"--n-samples must be >= 1, got {args.n_samples}")
     model, vocab, _ = load_checkpoint(args.checkpoint)
     tok = Tokenizer(vocab)
     source = tok.encode(args.source)

@@ -149,23 +149,23 @@ def rouge_l(candidate, reference) -> float:
 # Model-based metrics
 # ---------------------------------------------------------------------------
 
-def perplexity(model: VaeModel, dataset, db=None, k: int = 0) -> float:
+def perplexity(model: VaeModel, dataset, db=None, k: int = 0, posts=None) -> float:
     """exp of the token-weighted per-token bound (NLL + KL share). Latents are
-    the deterministic mixture means; k=0 uses the query posterior mean alone."""
+    the deterministic mixture means; k=0 uses the query posterior mean alone.
+    The dataset is encoded and decoded as one pack; `posts` may hold the
+    posteriors of its sources from an earlier `model.encode` of that pack."""
     dataset = list(dataset)
     if not dataset:
         raise InputError("perplexity over an empty dataset")
-    nats = 0.0
-    tokens = 0
-    for pair in dataset:
-        posts = model.encode(pair.source_tokens)
-        z_layers = mixture_mean_latents(model, pair.source_tokens, db, k, posts=posts)
-        _, nll = model.decode(z_layers, pair.target_tokens)
-        kl = sum(gaussian_kl_standard(g).item() for g in posts)
-        n_tok = len(pair.target_tokens) + 1  # +1 for the end token
-        nats += nll.item() * n_tok + kl
-        tokens += n_tok
-    return float(np.exp(nats / tokens))
+    sources = [p.source_tokens for p in dataset]
+    targets = [p.target_tokens for p in dataset]
+    if posts is None:
+        posts = model.encode(sources)
+    z_layers = mixture_mean_latents(model, sources, db, k, posts=posts)
+    _, nll = model.decode(z_layers, targets)
+    kl = sum(gaussian_kl_standard(g).data for g in posts)
+    n_tok = np.array([len(t) + 1 for t in targets])  # +1 for the end token
+    return float(np.exp((nll.data * n_tok + kl).sum() / n_tok.sum()))
 
 
 def heldout_kl(model: VaeModel, dataset) -> float:
@@ -173,10 +173,8 @@ def heldout_kl(model: VaeModel, dataset) -> float:
     dataset = list(dataset)
     if not dataset:
         raise InputError("heldout_kl over an empty dataset")
-    return float(np.mean([
-        sum(gaussian_kl_standard(g).item() for g in model.encode(p.source_tokens))
-        for p in dataset
-    ]))
+    posts = model.encode([p.source_tokens for p in dataset])
+    return float(np.mean(sum(gaussian_kl_standard(g).data for g in posts)))
 
 
 def count_active_units(means: np.ndarray, threshold: float) -> int:
@@ -184,17 +182,16 @@ def count_active_units(means: np.ndarray, threshold: float) -> int:
     return int(np.sum(np.var(np.asarray(means, dtype=np.float64), axis=0) > threshold))
 
 
-def active_units(model: VaeModel, dataset, threshold: float = 0.2) -> int:
+def active_units(model: VaeModel, dataset, threshold: float = 0.2, posts=None) -> int:
     """Latent dims whose posterior mean varies across the dataset, summed over
-    layers."""
+    layers. `posts` may hold the posteriors of the dataset's sources, encoded
+    as one pack."""
     dataset = list(dataset)
     if len(dataset) < 2:
         raise InputError("active_units needs at least 2 examples")
-    per_layer: list[list[np.ndarray]] = [[] for _ in range(model.config.n_layers)]
-    for pair in dataset:
-        for l, g in enumerate(model.encode(pair.source_tokens)):
-            per_layer[l].append(g.mean_array)
-    return sum(count_active_units(np.stack(ms), threshold) for ms in per_layer)
+    if posts is None:
+        posts = model.encode([p.source_tokens for p in dataset])
+    return sum(count_active_units(g.mean_array, threshold) for g in posts)
 
 
 # ---------------------------------------------------------------------------

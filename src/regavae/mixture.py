@@ -11,6 +11,8 @@ frozen between index refreshes, only the query component's KL to N(0, I)
 carries gradient, which is exactly the term kept in the loss. With no
 retrieved neighbours (k=0) the mixture is the query posterior alone and
 `regavae_loss` is the plain-VAE objective, so every training stage uses it.
+It takes one document or a pack of them (see `model`); a training step is one
+call over its whole batch.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ContractError, RetrievalError
-from .model import ElboBreakdown, LatentGaussian, VaeModel, gaussian_kl_standard, reparameterize
-from .retrieval import RetrievalDatabase, similarity, top_k
+from .model import (ElboBreakdown, LatentGaussian, VaeModel, gaussian_kl_standard, is_pack,
+                    reparameterize)
+from .retrieval import RetrievalDatabase, similarity, top_k, top_k_batch
 
 _WEIGHT_TOL = 1e-12
 # Upper clamp bound used when flooring the KL term (free bits); effectively
@@ -76,23 +79,28 @@ class MixturePrior:
         return MixturePrior(mp.components[0].dim, w)
 
 
+def _softmax_weights(scores, self_logit: float = 1.0) -> np.ndarray:
+    """Softmax over [self_logit, scores...]; index 0 is the query."""
+    logits = np.array([self_logit] + list(scores))
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
 def mixture_weights(query: np.ndarray, retrieved: list[LatentGaussian],
                     self_logit: float = 1.0) -> np.ndarray:
     """Softmax over [self_logit, cos(query, key_i)...]; index 0 is the query."""
-    if not retrieved:
-        return np.array([1.0])
-    logits = np.array([self_logit] + [similarity(query, g) for g in retrieved])
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    return _softmax_weights([similarity(query, g) for g in retrieved], self_logit)
+
+
+def _component(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """The categorical draw of `sample_mixture`; one component needs none."""
+    return 0 if weights.size == 1 else int(rng.choice(weights.size, p=weights))
 
 
 def sample_mixture(mp: MixturePosterior, rng: np.random.Generator) -> tuple[Tensor, int]:
     """Hard categorical draw over weights, then reparameterized sample from the
     selected component. A single-component mixture skips the categorical draw."""
-    if len(mp.components) == 1:
-        idx = 0
-    else:
-        idx = int(rng.choice(len(mp.components), p=mp.weights))
+    idx = _component(mp.weights, rng)
     return reparameterize(mp.components[idx], rng), idx
 
 
@@ -137,9 +145,25 @@ def kl_mixture_upper_bound(p: MixturePosterior, q: MixturePrior) -> float:
     return total
 
 
+def _queries(posts: list[LatentGaussian]) -> np.ndarray:
+    """The layer-averaged query means, one row per document."""
+    return np.mean([np.atleast_2d(g.mean_array) for g in posts], axis=0)
+
+
+def _mixture(hits) -> tuple[np.ndarray, list[LatentGaussian], list]:
+    """(weights, keys, entries) of a query's top-k hits; the weights reuse
+    the hits' cosine scores."""
+    return _softmax_weights([s for _, s in hits]), [e.key for e, _ in hits], [e for e, _ in hits]
+
+
+def _check_database(db: RetrievalDatabase | None) -> None:
+    if db is None or not db.entries:
+        raise RetrievalError("retrieval requested but the database is empty")
+
+
 def retrieve_mixture(posts: list[LatentGaussian], db: RetrievalDatabase, k: int,
                      exclude_id: int | None = None):
-    """Top-k lookup plus softmax weights for the current query posteriors.
+    """Top-k lookup plus softmax weights for one document's query posteriors.
 
     Returns (weights, retrieved keys, hit entries); with k=0 the mixture
     collapses to the query alone. The keys are the snapshot's own
@@ -148,17 +172,24 @@ def retrieve_mixture(posts: list[LatentGaussian], db: RetrievalDatabase, k: int,
     """
     if k == 0:
         return np.array([1.0]), [], []
-    if db is None or not db.entries:
-        raise RetrievalError("retrieval requested but the database is empty")
-    qvec = np.mean([g.mean_array for g in posts], axis=0)  # the layer-averaged query
-    hits = top_k(qvec, db, k, exclude_id=exclude_id)
-    keys = [e.key for e, _ in hits]
-    return mixture_weights(qvec, keys), keys, [e for e, _ in hits]
+    _check_database(db)
+    return _mixture(top_k(_queries(posts)[0], db, k, exclude_id=exclude_id))
 
 
-def regavae_loss(model: VaeModel, x_tokens: list[int], y_tokens: list[int],
+def retrieve_mixtures(posts: list[LatentGaussian], db: RetrievalDatabase | None, k: int,
+                      exclude_ids=None) -> list[tuple]:
+    """`retrieve_mixture` for every row of a pack's posteriors, with one
+    batched top-k; exclude_ids holds one id (or None) per row."""
+    n = np.atleast_2d(posts[0].mean_array).shape[0]
+    if k == 0:
+        return [(np.array([1.0]), [], [])] * n
+    _check_database(db)
+    return [_mixture(hits) for hits in top_k_batch(_queries(posts), db, k, exclude_ids)]
+
+
+def regavae_loss(model: VaeModel, x_tokens, y_tokens,
                  db: RetrievalDatabase | None, k: int, beta: float,
-                 rng: np.random.Generator, exclude_id: int | None = None,
+                 rng, exclude_id=None,
                  kl_floor: float = 0.0) -> tuple[ElboBreakdown, Tensor]:
     """Training objective: reconstruction NLL plus beta-weighted KL. Per
     decoder layer, the latent is sampled from the mixture of that layer's query
@@ -167,17 +198,43 @@ def regavae_loss(model: VaeModel, x_tokens: list[int], y_tokens: list[int],
     are constants between refreshes). With k=0 (db may be None) the mixture
     is the query posterior alone and this is the plain-VAE ELBO.
 
-    kl_floor > 0 enables free bits: the KL term is floored at kl_floor nats,
-    so gradients stop pushing the posterior toward the prior once its KL is
-    below the floor. This reserves a latent information budget and is the
-    standard mitigation when annealing alone cannot prevent posterior
-    collapse. The reported breakdown always carries the true KL."""
+    x_tokens and y_tokens are one document's sources and targets, or packs
+    of them; for a pack, rng and exclude_id hold one generator and one id
+    (or None) per document, and the loss is the mean of the documents'
+    losses. Each document draws from its own generator in a fixed order: per
+    layer, the mixture component (when there are several), then eps.
+
+    kl_floor > 0 enables free bits: each document's KL term is floored at
+    kl_floor nats, so gradients stop pushing its posterior toward the prior
+    once its KL is below the floor. This reserves a latent information budget
+    and is the standard mitigation when annealing alone cannot prevent
+    posterior collapse. The reported breakdown always carries the true KL."""
+    if not is_pack(x_tokens):
+        x_tokens, y_tokens, rng, exclude_id = [x_tokens], [y_tokens], [rng], [exclude_id]
+    if len(rng) != len(x_tokens):
+        raise ContractError(f"{len(rng)} generators for {len(x_tokens)} documents")
     posts = model.encode(x_tokens)
-    weights, keys, _ = retrieve_mixture(posts, db, k, exclude_id=exclude_id)
+    mixes = retrieve_mixtures(posts, db, k, exclude_id)
+    # Draw per document, then assemble each layer's (B, d_z) latents: query
+    # rows reparameterize the posterior, rows that drew a retrieved key are
+    # constants.
+    n_docs, n_layers, d_z = len(mixes), len(posts), posts[0].dim
+    eps = np.empty((n_layers, n_docs, d_z))
+    fixed = np.zeros((n_layers, n_docs, d_z))
+    keep = np.ones((n_layers, n_docs, 1))
+    for b, ((weights, keys, _), gen) in enumerate(zip(mixes, rng)):
+        for l in range(n_layers):
+            idx = _component(weights, gen)
+            eps[l, b] = gen.standard_normal(d_z)
+            if idx > 0:
+                key = keys[idx - 1]
+                fixed[l, b] = key.mean_array + np.exp(key.log_var_array * 0.5) * eps[l, b]
+                keep[l, b] = 0.0
     z_layers = []
-    for g in posts:
-        mp = MixturePosterior([g] + keys, weights)
-        z, _ = sample_mixture(mp, rng)
+    for l, g in enumerate(posts):
+        z = g.mean + ag.exp(g.log_var * 0.5) * Tensor(eps[l])
+        if not keep[l].all():
+            z = z * Tensor(keep[l]) + Tensor(fixed[l])
         z_layers.append(z)
     _, nll = model.decode(z_layers, y_tokens)
     kl = None
@@ -185,22 +242,24 @@ def regavae_loss(model: VaeModel, x_tokens: list[int], y_tokens: list[int],
         term = gaussian_kl_standard(g)
         kl = term if kl is None else kl + term
     kl_term = ag.clamp(kl, kl_floor, _KL_CEIL) if kl_floor > 0.0 else kl
-    total = nll + beta * kl_term
-    return ElboBreakdown(nll.item(), kl.item(), beta), total
+    total = ag.tensor_mean(nll + kl_term * beta)
+    return ElboBreakdown(float(nll.data.mean()), float(kl.data.mean()), beta,
+                         doc_recon=nll.data, doc_kl=kl.data), total
 
 
-def mixture_mean_latents(model: VaeModel, x_tokens: list[int],
+def mixture_mean_latents(model: VaeModel, x_tokens,
                          db: RetrievalDatabase | None, k: int,
                          posts: list[LatentGaussian] | None = None) -> list[Tensor]:
     """Deterministic per-layer latents for evaluation: the mixture expectation
-    w_0 mu_l + sum_i w_i mu_key_i (posterior means, no sampling)."""
+    w_0 mu_l + sum_i w_i mu_key_i (posterior means, no sampling). For a pack
+    (x_tokens a list of documents, or posts with one row per document), each
+    latent has one row per document."""
     if posts is None:
         posts = model.encode(x_tokens)
-    weights, keys, _ = retrieve_mixture(posts, db, k)
-    out = []
-    for g in posts:
-        z = weights[0] * g.mean_array
-        for w_i, key in zip(weights[1:], keys):
-            z = z + w_i * key.mean_array
-        out.append(Tensor(z))
-    return out
+    mixes = retrieve_mixtures(posts, db, k)
+    w0 = np.array([[w[0]] for w, _, _ in mixes])
+    # The keys are shared by every layer, so their weighted sum is too.
+    retrieved = np.array([sum((w_i * key.mean_array for w_i, key in zip(w[1:], keys)),
+                              np.zeros(posts[0].dim)) for w, keys, _ in mixes])
+    return [Tensor((w0 * np.atleast_2d(g.mean_array) + retrieved).reshape(g.mean.shape))
+            for g in posts]

@@ -6,6 +6,13 @@ layer. The decoder is causal; at every layer the hidden states are fused with
 that layer's latent through a rank-r product of linear maps combined
 elementwise, which keeps the decoder dependent on the latent and counteracts
 posterior collapse.
+
+A document is a list of token ids; a pack is a list of documents. `encode`
+and `decode` take either. A pack runs as one forward over the concatenated
+rows of all its documents, with per-document offsets and no padding:
+attention never crosses a document boundary, pooling is a per-document mean
+and each row's latent gate is its own document's. A single document is a
+pack of one.
 """
 
 from __future__ import annotations
@@ -51,20 +58,22 @@ class ModelConfig:
 
 @dataclass
 class LatentGaussian:
-    """Diagonal Gaussian over the latent space."""
+    """Diagonal Gaussian over the latent space; with 2-D parameters, one
+    Gaussian per row (per document of a pack)."""
 
     mean: Tensor
     log_var: Tensor
 
     def __post_init__(self):
-        if self.mean.shape != self.log_var.shape or self.mean.ndim != 1:
+        if self.mean.shape != self.log_var.shape or self.mean.ndim not in (1, 2):
             raise ContractError(
-                f"mean/log_var must be equal-length vectors, got {self.mean.shape} vs {self.log_var.shape}"
+                f"mean/log_var must be equal-shape vectors or row stacks, got "
+                f"{self.mean.shape} vs {self.log_var.shape}"
             )
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return self.mean.shape[-1]
 
     @property
     def mean_array(self) -> np.ndarray:
@@ -82,12 +91,16 @@ class LatentGaussian:
 
 @dataclass
 class ElboBreakdown:
-    """Per-batch training signal: reconstruction NLL, KL, annealing weight."""
+    """Per-batch training signal: reconstruction NLL, KL, annealing weight.
+    recon_nll and kl are means over the batch's documents; doc_recon and
+    doc_kl hold each document's own values, in batch order."""
 
     recon_nll: float
     kl: float
     beta: float
     total: float = field(init=False)
+    doc_recon: np.ndarray | None = field(default=None, repr=False, compare=False)
+    doc_kl: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.total = self.recon_nll + self.beta * self.kl
@@ -101,10 +114,21 @@ def reparameterize(g: LatentGaussian, rng: np.random.Generator) -> Tensor:
 
 
 def gaussian_kl_standard(g: LatentGaussian) -> Tensor:
-    """Closed-form KL(g || N(0, I)) as a differentiable scalar, in nats."""
+    """Closed-form KL(g || N(0, I)) in nats, differentiable: a scalar, or
+    one value per row for a row stack."""
     var = ag.exp(g.log_var)
     terms = var + g.mean * g.mean - 1.0 - g.log_var
-    return ag.tensor_sum(terms) * 0.5
+    return ag.tensor_sum(terms, axis=-1) * 0.5
+
+
+def is_pack(tokens) -> bool:
+    """True for a list of documents, False for one document's token ids."""
+    return len(tokens) > 0 and isinstance(tokens[0], (list, tuple, np.ndarray))
+
+
+def _offsets(seqs) -> np.ndarray:
+    """Row boundaries (B+1,) of the sequences laid end to end."""
+    return np.concatenate([[0], np.cumsum([len(x) for x in seqs])])
 
 
 @dataclass
@@ -175,21 +199,25 @@ class VaeModel:
 
     # -- transformer pieces --------------------------------------------------
 
-    def _embed(self, ids: list[int], start: int = 0) -> Tensor:
-        pos = np.arange(start, start + len(ids))
+    def _embed(self, ids, offsets: np.ndarray, start: int = 0) -> Tensor:
+        """Token plus position embeddings; the rows of each segment of
+        `offsets` sit at positions start, start+1, ..."""
+        pos = np.arange(len(ids)) - np.repeat(offsets[:-1], np.diff(offsets)) + start
         return ag.embedding_lookup(self.params["tok_emb"], ids) + ag.embedding_lookup(
             self.params["pos_emb"], pos
         )
 
     def _attention(self, h: Tensor, prefix: str, causal: bool,
-                   cache: _LayerCache | None = None, start: int = 0) -> Tensor:
-        """Multi-head self-attention over the rows of `h`, which sit at
-        positions start..start+n. With a cache, the keys and values of the
-        positions before `start` come from it, and this call's are appended."""
-        c = self.config
+                   cache: _LayerCache | None = None, start: int = 0,
+                   offsets: np.ndarray | None = None) -> Tensor:
+        """Multi-head self-attention within each segment of the rows of `h`
+        (`offsets`; one segment when None), whose rows sit at positions
+        start, start+1, ... With a cache (one segment), the keys and values
+        of the positions before `start` come from it, and this call's are
+        appended."""
         p = self.params
-        n = h.shape[0]
-        dk = c.d_h // c.n_heads
+        if offsets is None:
+            offsets = np.array([0, h.shape[0]])
         q = ag.linear(h, p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.wq_b"])
         k = ag.linear(h, p[f"{prefix}.attn.wk"], p[f"{prefix}.attn.wk_b"])
         v = ag.linear(h, p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wv_b"])
@@ -198,17 +226,7 @@ class VaeModel:
                 k = ag.concat([cache.keys, k])
                 v = ag.concat([cache.values, v])
             cache.keys, cache.values = k, v
-        m = k.shape[0]
-        # Head i is columns i*dk:(i+1)*dk; split them onto a leading head axis.
-        qh = ag.transpose(ag.reshape(q, (n, c.n_heads, dk)), (1, 0, 2))
-        kh = ag.transpose(ag.reshape(k, (m, c.n_heads, dk)), (1, 2, 0))
-        vh = ag.transpose(ag.reshape(v, (m, c.n_heads, dk)), (1, 0, 2))
-        scores = (qh @ kh) * (1.0 / np.sqrt(dk))
-        if causal and n > 1:
-            # Row i (position start+i) sees columns 0..start+i, in every head.
-            scores = scores + Tensor(np.triu(np.full((n, m), -1e9), k=start + 1))
-        o = ag.softmax(scores, axis=-1) @ vh
-        o = ag.reshape(ag.transpose(o, (1, 0, 2)), (n, c.d_h))
+        o = ag.attention(q, k, v, offsets, causal, start, self.config.n_heads)
         return ag.linear(o, p[f"{prefix}.attn.wo"], p[f"{prefix}.attn.wo_b"])
 
     def _ff(self, h: Tensor, prefix: str) -> Tensor:
@@ -217,16 +235,18 @@ class VaeModel:
         return ag.linear(u, p[f"{prefix}.ff.w2"], p[f"{prefix}.ff.b2"])
 
     def _block(self, h: Tensor, prefix: str, causal: bool,
-               cache: _LayerCache | None = None, start: int = 0) -> Tensor:
+               cache: _LayerCache | None = None, start: int = 0,
+               offsets: np.ndarray | None = None) -> Tensor:
         p = self.params
         h = h + self._attention(
             ag.layer_norm(h, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"]), prefix, causal,
-            cache, start
+            cache, start, offsets
         )
         h = h + self._ff(ag.layer_norm(h, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"]), prefix)
         return h
 
-    def _prepare_ids(self, tokens: list[int], name: str) -> list[int]:
+    def _prepare_ids(self, tokens, name: str) -> list[int]:
+        tokens = list(tokens)
         if len(tokens) == 0:
             raise InputError(f"empty token sequence for {name}")
         limit = self.config.max_seq_len - 2  # room for bos/eos
@@ -237,35 +257,48 @@ class VaeModel:
 
     # -- VAE operations ------------------------------------------------------
 
-    def encode(self, tokens: list[int]) -> list[LatentGaussian]:
-        """Per-decoder-layer diagonal posteriors from the pooled encoder state."""
+    def encode(self, tokens) -> list[LatentGaussian]:
+        """Per-decoder-layer diagonal posteriors from the pooled encoder state:
+        vectors for one document, one row per document for a pack."""
         c = self.config
         p = self.params
-        tokens = self._prepare_ids(tokens, "encoder input")
-        ids = [c.bos_id] + list(tokens) + [c.eos_id]
-        h = self._embed(ids)
+        pack = is_pack(tokens)
+        seqs = [[c.bos_id] + self._prepare_ids(t, "encoder input") + [c.eos_id]
+                for t in (tokens if pack else [tokens])]
+        offsets = _offsets(seqs)
+        h = self._embed([i for s in seqs for i in s], offsets)
         for l in range(c.n_layers):
-            h = self._block(h, f"enc.{l}", causal=False)
+            h = self._block(h, f"enc.{l}", causal=False, offsets=offsets)
         h = ag.layer_norm(h, p["enc.lnf.g"], p["enc.lnf.b"])
-        pooled = ag.tensor_mean(h, axis=0)
+        pooled = ag.segment_mean(h, offsets)
         posts = []
         for l in range(c.n_layers):
             mu = ag.linear(pooled, p[f"post.{l}.w_mu"], p[f"post.{l}.b_mu"])
-            lv = ag.linear(pooled, p[f"post.{l}.w_lv"], p[f"post.{l}.b_lv"])
-            posts.append(LatentGaussian(mu, ag.clamp(lv, LOG_VAR_MIN, LOG_VAR_MAX)))
+            lv = ag.clamp(ag.linear(pooled, p[f"post.{l}.w_lv"], p[f"post.{l}.b_lv"]),
+                          LOG_VAR_MIN, LOG_VAR_MAX)
+            if not pack:
+                mu, lv = ag.reshape(mu, (c.d_z,)), ag.reshape(lv, (c.d_z,))
+            posts.append(LatentGaussian(mu, lv))
         return posts
 
-    def inject_latent(self, v: Tensor, z: Tensor, layer: int) -> Tensor:
-        """Rank-r fusion: (sum_j W_v v_i) elementwise-times (sum_j W_z z)."""
+    def inject_latent(self, v: Tensor, z: Tensor, layer: int,
+                      offsets: np.ndarray | None = None) -> Tensor:
+        """Rank-r fusion: (sum_j W_v v_i) elementwise-times (sum_j W_z z). A
+        (B, d_z) stack of latents gives row i of v the latent of the segment
+        of `offsets` that row i lies in."""
         c = self.config
         if not 0 <= layer < c.n_layers:
             raise ContractError(f"layer {layer} out of range for {c.n_layers} layers")
-        return self._fuse(v, self._latent_gate(z, layer), layer)
+        gate = self._latent_gate(z, layer)
+        if z.ndim == 2:
+            seg = np.repeat(np.arange(z.shape[0]), np.diff(offsets))
+            gate = ag.embedding_lookup(gate, seg)
+        return self._fuse(v, gate, layer)
 
     def _latent_gate(self, z: Tensor, layer: int) -> Tensor:
         gate = None
         for j in range(self.config.r_rank):
-            gz = self.params[f"inj.{layer}.{j}.w_z"] @ z
+            gz = ag.linear(z, self.params[f"inj.{layer}.{j}.w_z"])
             gate = gz if gate is None else gate + gz
         return gate
 
@@ -276,43 +309,57 @@ class VaeModel:
             hid = hv if hid is None else hid + hv
         return hid * gate
 
-    def _check_latents(self, z_layers: list[Tensor]) -> None:
+    def _check_latents(self, z_layers: list[Tensor], batch: int | None = None) -> None:
         c = self.config
         if len(z_layers) != c.n_layers:
             raise ContractError(f"expected {c.n_layers} latents, got {len(z_layers)}")
+        want = (c.d_z,) if batch is None else (batch, c.d_z)
         for l, z in enumerate(z_layers):
-            if z.shape != (c.d_z,):
-                raise ContractError(f"latent {l} has shape {z.shape}, expected ({c.d_z},)")
+            if z.shape != want:
+                raise ContractError(f"latent {l} has shape {z.shape}, expected {want}")
 
     def _decoder_logits(self, z_layers: list[Tensor], inputs: list[int],
-                        cache: list[_LayerCache] | None = None, start: int = 0) -> Tensor:
+                        cache: list[_LayerCache] | None = None, start: int = 0,
+                        offsets: np.ndarray | None = None) -> Tensor:
         """Causal decoder forward: embed, fuse each layer's latent, causal
         block, final layer norm, logits tied to the token embedding.
 
-        `inputs` sit at positions start..start+len(inputs). Without a cache
-        they must start at 0. With one (one `_LayerCache` per layer), the
-        earlier positions' keys and values and each layer's latent gate come
-        from it, and only the new rows are computed."""
+        `inputs` are the rows of the segments that `offsets` cuts them into
+        (one segment when None), each at positions start, start+1, ...;
+        a (B, d_z) latent per layer gives segment i its row i. Without a
+        cache they start at 0. With one (one `_LayerCache` per layer, one
+        segment), the earlier positions' keys and values and each layer's
+        latent gate come from it, and only the new rows are computed."""
         c = self.config
-        h = self._embed(inputs, start)
+        if offsets is None:
+            offsets = np.array([0, len(inputs)])
+        h = self._embed(inputs, offsets, start)
         for l in range(c.n_layers):
             layer_cache = None if cache is None else cache[l]
             # Residual fusion keeps the token signal intact when z is noisy.
             if layer_cache is None:
-                h = h + self.inject_latent(h, z_layers[l], l)
+                h = h + self.inject_latent(h, z_layers[l], l, offsets)
             else:
                 h = h + self._fuse(h, layer_cache.gate, l)
-            h = self._block(h, f"dec.{l}", causal=True, cache=layer_cache, start=start)
+            h = self._block(h, f"dec.{l}", True, layer_cache, start, offsets)
         h = ag.layer_norm(h, self.params["dec.lnf.g"], self.params["dec.lnf.b"])
         return ag.linear(h, self.params["tok_emb"])
 
-    def decode(self, z_layers: list[Tensor], target_tokens: list[int]) -> tuple[Tensor, Tensor]:
-        """Teacher-forced causal decode; returns (logits, mean NLL in nats)."""
+    def decode(self, z_layers: list[Tensor], target_tokens) -> tuple[Tensor, Tensor]:
+        """Teacher-forced causal decode; returns (logits, mean NLL in nats).
+        For a pack of B targets, each latent is (B, d_z) and the NLL is each
+        target's own mean, shape (B,)."""
         c = self.config
-        tokens = self._prepare_ids(list(target_tokens), "decoder target")
-        self._check_latents(z_layers)
-        logits = self._decoder_logits(z_layers, [c.bos_id] + tokens)
-        nll = ag.cross_entropy_with_logits(logits, tokens + [c.eos_id])
+        pack = is_pack(target_tokens)
+        targets = [self._prepare_ids(t, "decoder target")
+                   for t in (target_tokens if pack else [target_tokens])]
+        self._check_latents(z_layers, len(targets) if pack else None)
+        inputs = [[c.bos_id] + t for t in targets]
+        offsets = _offsets(inputs)
+        logits = self._decoder_logits(z_layers, [i for s in inputs for i in s],
+                                      offsets=offsets)
+        nll = ag.cross_entropy_with_logits(logits, [i for t in targets for i in t + [c.eos_id]],
+                                           offsets if pack else None)
         return logits, nll
 
     def elbo_step(self, x_tokens: list[int], y_tokens: list[int], beta: float,

@@ -71,7 +71,9 @@ def document_posterior(model: VaeModel, source_tokens: list[int],
 
 def _encode_entries(model: VaeModel, ids, docs) -> list[RetrievalEntry]:
     """One entry per (id, (source, target)) pair, keyed by the model's
-    current posterior of that document."""
+    current posterior of that document. Each document is its own pack, so a
+    key is bit-equal to its `document_posterior`: the rows of a BLAS product
+    round differently with the number of rows around them."""
     return [RetrievalEntry(i, document_posterior(model, src, tgt), src, tgt)
             for i, (src, tgt) in zip(ids, docs)]
 
@@ -99,37 +101,58 @@ def similarity(query: np.ndarray, key: LatentGaussian) -> float:
     return float(np.dot(q, m) / (qn * mn))
 
 
-def top_k(query: np.ndarray, db: RetrievalDatabase, k: int,
-          exclude_id: int | None = None) -> list[tuple[RetrievalEntry, float]]:
-    """Exact top-k by cosine similarity, descending; ties break toward lower id."""
+def top_k_batch(queries: np.ndarray, db: RetrievalDatabase, k: int,
+                exclude_ids=None) -> list[list[tuple[RetrievalEntry, float]]]:
+    """Exact top-k by cosine similarity for each row of `queries`, descending;
+    ties break toward lower id. exclude_ids holds one entry id (or None) per
+    row, which that row does not retrieve."""
     if not db.entries:
         raise RetrievalError("retrieval database is empty")
     ids, means, norms = db._key_matrix()
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != means.shape[1:]:
-        raise DimensionError(f"query of shape {q.shape} against keys of dimension "
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1:] != means.shape[1:]:
+        raise DimensionError(f"queries of shape {q.shape} against keys of dimension "
                              f"{means.shape[1]}")
-    keep = ids != exclude_id if exclude_id is not None else np.ones(len(ids), dtype=bool)
-    n = int(keep.sum())
-    qn = np.linalg.norm(q)
-    if n and (qn == 0.0 or np.any(norms[keep] == 0.0)):
+    excl = [None] * len(q) if exclude_ids is None else list(exclude_ids)
+    if len(excl) != len(q):
+        raise DimensionError(f"{len(excl)} exclusions for {len(q)} queries")
+    keep = np.array([ids != e if e is not None else np.ones(len(ids), dtype=bool)
+                     for e in excl]).reshape(len(q), len(ids))
+    avail = keep.sum(axis=1)
+    qn = np.sqrt(np.einsum("bj,bj->b", q, q))
+    zero = (qn == 0.0) | (keep & (norms == 0.0)).any(axis=1)
+    if np.any(zero & (avail > 0)):
         raise DegenerateInputError("cosine similarity undefined for zero-norm vectors")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if k > n:
-        warnings.warn(f"k={k} exceeds database size {n}; clamping")
-        k = n
-    if k == 0:
-        return []
-    # einsum, not BLAS gemv: gemv may round equal rows differently by their
-    # position, and equal keys must score equal for the id tie-break.
-    # Excluded entries score -inf.
-    scores = np.divide(np.einsum("ij,j->i", means, q), qn * norms,
-                       out=np.full(len(ids), -np.inf), where=keep)
-    kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-    cand = np.flatnonzero(scores >= kth)
-    best = cand[np.lexsort((ids[cand], -scores[cand]))[:k]]
-    return [(db.entries[i], float(scores[i])) for i in best]
+    if k > avail.min():
+        warnings.warn(f"k={k} exceeds database size {int(avail.min())}; clamping")
+    # One einsum, not BLAS: a BLAS product may round equal rows differently
+    # by their position, and equal keys must score equal for the id
+    # tie-break. Excluded entries score -inf.
+    scores = np.divide(np.einsum("bj,ij->bi", q, means), qn[:, None] * norms,
+                       out=np.full(keep.shape, -np.inf), where=keep)
+    out = []
+    for row, n in zip(scores, avail):
+        kk = min(k, int(n))
+        if kk == 0:
+            out.append([])
+            continue
+        kth = np.partition(row, len(row) - kk)[len(row) - kk]
+        cand = np.flatnonzero(row >= kth)
+        best = cand[np.lexsort((ids[cand], -row[cand]))[:kk]]
+        out.append([(db.entries[i], float(row[i])) for i in best])
+    return out
+
+
+def top_k(query: np.ndarray, db: RetrievalDatabase, k: int,
+          exclude_id: int | None = None) -> list[tuple[RetrievalEntry, float]]:
+    """Exact top-k by cosine similarity, descending; ties break toward lower
+    id. A batch of one for `top_k_batch`."""
+    q = np.asarray(query, dtype=np.float64)
+    if q.ndim != 1:
+        raise DimensionError(f"query must be a vector, got shape {q.shape}")
+    return top_k_batch(q[None], db, k, [exclude_id])[0]
 
 
 def maybe_refresh(db: RetrievalDatabase, current_step: int, model: VaeModel) -> RetrievalDatabase:

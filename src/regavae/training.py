@@ -17,7 +17,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .autograd import Adam, Tape, backward, clip_grad_norm, zero_grads
+from .autograd import Adam, Tape, Tensor, backward, clip_grad_norm, zero_grads
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SPECIALS, CorpusPair, Tokenizer, ingest
 from .errors import ConfigError, DivergenceError, InputError
@@ -145,40 +145,32 @@ def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig,
                db: RetrievalDatabase | None, k: int, epochs: int, warmup_steps: int,
                cycle_steps: int = 0, start_step: int = 0,
                start_epoch: int = 0) -> TrainResult:
-    """Shared step loop over regavae_loss; each batch optimizes the mean.
-    With a database, the loop refreshes it on schedule before every batch,
-    and a document never retrieves itself (entry id == corpus index)."""
+    """Shared step loop over regavae_loss; each step is one packed forward
+    and backward over its batch and optimizes the batch mean. With a
+    database, the loop refreshes it on schedule before every batch, and a
+    document never retrieves itself (entry id == corpus index)."""
     optimizer = Adam(model.params, lr=cfg.learning_rate)
     result = TrainResult(model, [], start_step, start_epoch)
     step = start_step
     for ep in range(epochs):
         order = _rng(cfg.seed, 11, start_epoch + ep).permutation(len(pairs))
         for lo in range(0, len(order), cfg.batch_size):
-            batch = order[lo:lo + cfg.batch_size]
+            batch = order[lo:lo + cfg.batch_size].tolist()
             if db is not None:
                 db = maybe_refresh(db, step, model)
             beta = beta_at(step, warmup_steps, cycle_steps)
             zero_grads(model.params)
             with Tape() as tape:
-                total = None
-                recon = kl = 0.0
-                for idx in batch.tolist():
-                    bd, loss = regavae_loss(model, pairs[idx].source_tokens,
-                                            pairs[idx].target_tokens, db, k, beta,
-                                            _rng(cfg.seed, 12, step, idx),
-                                            exclude_id=idx, kl_floor=cfg.kl_floor)
-                    recon += bd.recon_nll
-                    kl += bd.kl
-                    total = loss if total is None else total + loss
-                total = total * (1.0 / len(batch))
+                bd, total = regavae_loss(model, [pairs[i].source_tokens for i in batch],
+                                         [pairs[i].target_tokens for i in batch], db, k, beta,
+                                         [_rng(cfg.seed, 12, step, i) for i in batch],
+                                         exclude_id=batch, kl_floor=cfg.kl_floor)
                 if not np.isfinite(total.item()):
                     raise DivergenceError(f"non-finite loss at step {step}")
                 backward(total, tape)
             clip_grad_norm(model.params, cfg.grad_clip)
             optimizer.step()
-            result.step_losses.append(
-                ElboBreakdown(recon / len(batch), kl / len(batch), beta)
-            )
+            result.step_losses.append(bd)
             step += 1
     result.global_step = step
     result.global_epoch = start_epoch + epochs
@@ -294,13 +286,17 @@ def run_eval(cfg: RunConfig, checkpoint_path, database_path, out_dir) -> MetricR
     if database_path is not None and cfg.k_neighbors > 0:
         db = load_database(database_path)
         k = cfg.k_neighbors
-    ppl = perplexity(model, eval_pairs, db=db, k=k)
-    au = active_units(model, eval_pairs)
+    # The eval sources are encoded once, as one pack, for all three uses.
+    sources = [p.source_tokens for p in eval_pairs]
+    posts = model.encode(sources)
+    ppl = perplexity(model, eval_pairs, db=db, k=k, posts=posts)
+    au = active_units(model, eval_pairs, posts=posts)
+    latents = mixture_mean_latents(model, sources, db, k, posts=posts)
     generations = []
-    for i, pair in enumerate(eval_pairs):
-        z_layers = mixture_mean_latents(model, pair.source_tokens, db, k)
-        gen = model.generate(z_layers, cfg.max_gen_len, strategy="top_k",
-                             rng=_rng(cfg.seed, 13, i), top_k=cfg.top_k_sample)
+    for i in range(len(eval_pairs)):
+        gen = model.generate([Tensor(z.data[i]) for z in latents], cfg.max_gen_len,
+                             strategy="top_k", rng=_rng(cfg.seed, 13, i),
+                             top_k=cfg.top_k_sample)
         generations.append(gen if gen else [0])
     report = MetricReport(
         ppl=ppl,

@@ -418,21 +418,46 @@ class TestPipelinePlumbing:
         seen = []
 
         def spy(model, x, y, db, k, beta, rng, exclude_id=None, kl_floor=0.0):
-            seen.append((db.snapshot_step, exclude_id, x, y))
+            seen.append((db.snapshot_step, list(exclude_id), x, y))
             return original(model, x, y, db, k, beta, rng, exclude_id=exclude_id,
                             kl_floor=kl_floor)
 
         monkeypatch.setattr(training, "regavae_loss", spy)
         _, result = training.run_stage3(cfg, ckpt, db_path, out)
-        assert len(seen) == len(pairs) * cfg.stage3_epochs
-        for i, (snapshot, excl, x, y) in enumerate(seen):
-            # 12 pairs in batches of 4: call i belongs to step start + i // 4.
-            assert snapshot == stage1.global_step + i // cfg.batch_size
-            assert (pairs[excl].source_tokens, pairs[excl].target_tokens) == (x, y)
+        # One call per step, over the step's whole batch: 12 pairs in batches of 4.
+        steps_per_epoch = len(pairs) // cfg.batch_size
+        assert len(seen) == steps_per_epoch * cfg.stage3_epochs
+        for i, (snapshot, excl, xs, ys) in enumerate(seen):
+            assert snapshot == stage1.global_step + i
+            assert len(excl) == len(xs) == len(ys) == cfg.batch_size
+            for e, x, y in zip(excl, xs, ys):
+                assert (pairs[e].source_tokens, pairs[e].target_tokens) == (x, y)
         for ep in range(cfg.stage3_epochs):
-            epoch = seen[ep * len(pairs):(ep + 1) * len(pairs)]
-            assert sorted(excl for _, excl, _, _ in epoch) == list(range(len(pairs)))
+            epoch = seen[ep * steps_per_epoch:(ep + 1) * steps_per_epoch]
+            assert sorted(e for _, excl, _, _ in epoch for e in excl) == list(range(len(pairs)))
         assert result.database.snapshot_step == result.global_step - 1
+
+
+    def test_eval_encodes_its_sources_once_as_one_pack(self, tmp_path, monkeypatch):
+        import regavae.training as training
+
+        cfg = tiny_cfg(tmp_path)  # k_neighbors=2
+        out = tmp_path / "out"
+        ckpt, _ = run_stage1(cfg, out)
+        db_path = run_stage2(cfg, ckpt, out)
+        real = VaeModel.encode
+        packs = []
+
+        def spy(self, tokens):
+            packs.append(tokens)
+            return real(self, tokens)
+
+        monkeypatch.setattr(VaeModel, "encode", spy)
+        report = training.run_eval(cfg, ckpt, db_path, out)
+        monkeypatch.undo()
+        eval_pairs, _ = ingest(cfg.eval_corpus, tokenizer=Tokenizer(load_checkpoint(ckpt)[1]))
+        assert packs == [[p.source_tokens for p in eval_pairs]]
+        assert report == training.run_eval(cfg, ckpt, db_path, tmp_path / "again")
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +635,19 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_generate_rejects_fewer_than_one_sample(self, tmp_path, capsys, n):
+        cfgp = self._write_cfg(tmp_path)
+        out = str(tmp_path / "o")
+        cli_main(["--config", str(cfgp), "--out", out, "train-vae"])
+        capsys.readouterr()
+        rc = cli_main(["--config", str(cfgp), "--out", out, "generate",
+                       "--checkpoint", os.path.join(out, "stage1.ckpt"),
+                       "--source", "s00x0 s00x1 s00x2", "--n-samples", n])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--n-samples" in captured.err
+
     def test_seed_override(self, tmp_path):
         cfgp = self._write_cfg(tmp_path)
         o1, o2 = str(tmp_path / "s1"), str(tmp_path / "s2")
@@ -649,11 +687,12 @@ class TestTracerHooks:
             tracer.remove()
         assert training.regavae_loss is original
         calls = {name: s["calls"] for name, s in tracer.summary().items()}
-        docs = 12 * result.global_epoch
-        assert calls["mixture.regavae_loss"] == docs
+        # One loss call and one backward per step; 12 documents in batches of 4.
+        assert result.global_step == 3 * result.global_epoch
+        assert calls["mixture.regavae_loss"] == result.global_step
         assert calls["autograd.backward"] == result.global_step
 
-    def test_top_k_calls_similarity_only_for_weights(self):
+    def test_retrieval_reuses_top_k_scores_for_weights(self):
         from regavae import mixture
         from regavae.model import LatentGaussian
         from regavae.retrieval import RetrievalDatabase, RetrievalEntry
@@ -671,4 +710,5 @@ class TestTracerHooks:
                 mixture.retrieve_mixture(posts, db, 3, exclude_id=i)
         finally:
             tracer.remove()
-        assert tracer.counts["retrieval.similarity"] == 3 * len(queries)
+        # The mixture weights come from the top-k scores: no cosine is recomputed.
+        assert tracer.counts["retrieval.similarity"] == 0

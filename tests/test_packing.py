@@ -1,0 +1,197 @@
+"""Packed batches: one forward over a pack of documents against one pack per
+document (NLL, KL and every parameter grad), batched top-k against
+single-query top-k, the fused attention op's grads by finite differences,
+and the tape length of a training step."""
+
+import numpy as np
+import pytest
+
+import regavae.autograd as ag
+from regavae.autograd import Tape, Tensor, backward, zero_grads
+from regavae.data import CorpusPair
+from regavae.errors import ContractError, DimensionError
+from regavae.mixture import regavae_loss
+from regavae.model import LatentGaussian, ModelConfig, VaeModel
+from regavae.retrieval import (RetrievalDatabase, RetrievalEntry, build_database, top_k,
+                               top_k_batch)
+
+RTOL = 1e-12
+
+
+def _config():
+    # The bundled config's model sizes (configs/synthetic.json).
+    return ModelConfig(vocab_size=40, n_layers=2, d_h=32, n_heads=2, d_z=8, r_rank=2,
+                       max_seq_len=32)
+
+
+def _documents():
+    """8 documents of mixed lengths; two pairs share their lengths."""
+    rng = np.random.default_rng(21)
+    src_lens, tgt_lens = [1, 5, 3, 9, 5, 12, 2, 7], [4, 2, 8, 3, 6, 10, 4, 1]
+    xs = [rng.integers(4, 40, n).tolist() for n in src_lens]
+    ys = [rng.integers(4, 40, n).tolist() for n in tgt_lens]
+    return xs, ys
+
+
+def _loss_and_grads(model, xs, ys, db, k, ids, kl_floor):
+    """Breakdown and parameter grads of one regavae_loss call; xs, ys and ids
+    are a pack, or one document and its id."""
+    pack = isinstance(ids, list)
+    rngs = ([np.random.default_rng([0, 12, 3, i]) for i in ids] if pack
+            else np.random.default_rng([0, 12, 3, ids]))
+    zero_grads(model.params)
+    with Tape() as tape:
+        bd, total = regavae_loss(model, xs, ys, db, k, 0.7, rngs,
+                                 exclude_id=ids if k else None, kl_floor=kl_floor)
+        backward(total, tape)
+    grads = {n: p.grad.copy() for n, p in model.params.items() if p.grad is not None}
+    return bd, total.item(), grads
+
+
+class TestPackMatchesPacksOfOne:
+    @pytest.fixture(scope="class")
+    def model(self):
+        return VaeModel(_config(), seed=2)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_per_document_values_and_grads(self, model, k):
+        xs, ys = _documents()
+        ids = list(range(len(xs)))
+        # The retrieval corpus holds the 8 documents, so each one must skip
+        # its own entry, plus 4 more.
+        extra = [CorpusPair([5 + i, 6], [7, 8 + i]) for i in range(4)]
+        db = build_database([CorpusPair(x, y) for x, y in zip(xs, ys)] + extra, model)
+        # A floor between the documents' KLs clamps some of them and not others.
+        kl = _loss_and_grads(model, xs, ys, db, k, ids, 0.0)[0].doc_kl
+        floor = float(np.median(kl))
+        assert kl.min() < floor < kl.max()
+
+        bd, total, grads = _loss_and_grads(model, xs, ys, db, k, ids, floor)
+        singles = [_loss_and_grads(model, x, y, db, k, i, floor)
+                   for i, (x, y) in enumerate(zip(xs, ys))]
+        np.testing.assert_allclose(bd.doc_recon, [s[0].recon_nll for s in singles],
+                                   rtol=RTOL, atol=0)
+        np.testing.assert_allclose(bd.doc_kl, [s[0].kl for s in singles], rtol=RTOL, atol=0)
+        np.testing.assert_allclose(total, np.mean([s[1] for s in singles]), rtol=RTOL, atol=0)
+        assert set(grads) == set().union(*(s[2] for s in singles))
+        wants = {name: sum(s[2][name] for s in singles if name in s[2]) / len(singles)
+                 for name in grads}
+        top = max(np.abs(w).max() for w in wants.values())
+        for name, g in grads.items():
+            # Relative to the parameter's largest grad: single entries may
+            # cancel to near zero, where an entrywise ratio means nothing. A
+            # key bias shifts all of a row's scores alike, so its exact grad
+            # is zero and both sides hold round-off only: it is held to the
+            # largest grad of all.
+            scale = top if name.endswith(".attn.wk_b") else np.abs(wants[name]).max()
+            np.testing.assert_allclose(g, wants[name], rtol=0, atol=RTOL * scale,
+                                       err_msg=name)
+
+    def test_step_tape_length_does_not_grow_with_the_pack(self, model):
+        xs, ys = _documents()
+        lengths = []
+        for n in (1, 8):
+            rngs = [np.random.default_rng(i) for i in range(n)]
+            with Tape() as tape:
+                regavae_loss(model, xs[:n], ys[:n], None, 0, 0.5, rngs, kl_floor=1.0)
+            lengths.append(len(tape.nodes))
+        assert lengths[0] == lengths[1]
+
+    def test_one_generator_per_document(self, model):
+        xs, ys = _documents()
+        with pytest.raises(ContractError):
+            regavae_loss(model, xs, ys, None, 0, 0.5, [np.random.default_rng(0)] * 7)
+
+
+class TestBatchedTopK:
+    def test_matches_single_queries_with_duplicates(self):
+        rng = np.random.default_rng(8)
+        means = rng.standard_normal((2000, 8))
+        for i in range(50, 2000, 50):
+            means[i] = means[int(rng.integers(0, i))]
+        db = RetrievalDatabase([RetrievalEntry(i, LatentGaussian.from_arrays(m, np.zeros(8)),
+                                               [4], [5]) for i, m in enumerate(means)], 0, 500)
+        queries = np.concatenate([rng.standard_normal((6, 8)), means[[100, 150, 7]],
+                                  means[[300]] + 0.01 * rng.standard_normal((1, 8))])
+        excludes = [None, 3, None, 1999, 0, None, 100, None, 7, 300]
+        for k in (1, 5, 50):
+            rows = top_k_batch(queries, db, k, excludes)
+            assert len(rows) == len(queries)
+            for q, e, row in zip(queries, excludes, rows):
+                want = top_k(q, db, k, exclude_id=e)
+                assert [h.id for h, _ in row] == [h.id for h, _ in want]
+                np.testing.assert_allclose([s for _, s in row], [s for _, s in want],
+                                           rtol=0, atol=1e-12)
+
+    def test_exclusions_must_match_queries(self):
+        db = RetrievalDatabase([RetrievalEntry(0, LatentGaussian.from_arrays(
+            np.ones(2), np.zeros(2)), [4], [5])], 0, 500)
+        with pytest.raises(DimensionError):
+            top_k_batch(np.ones((2, 2)), db, 1, [None])
+
+
+def _reference_attention(q, k, v, offsets, causal, start, heads):
+    """Per-segment, per-head numpy attention."""
+    out = np.empty_like(q)
+    dk = q.shape[1] // heads
+    for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+        ka, kb = a + i * start, b + (i + 1) * start
+        for h in range(heads):
+            cols = slice(h * dk, (h + 1) * dk)
+            s = q[a:b, cols] @ k[ka:kb, cols].T / np.sqrt(dk)
+            if causal:
+                s = s + np.triu(np.full(s.shape, -1e9), k=start + 1)
+            e = np.exp(s - s.max(axis=1, keepdims=True))
+            out[a:b, cols] = (e / e.sum(axis=1, keepdims=True)) @ v[ka:kb, cols]
+    return out
+
+
+class TestFusedAttention:
+    OFFSETS = np.array([0, 3, 7, 10])  # lengths 3, 4, 3
+
+    # Mixed lengths are gathered per length; equal lengths are reshaped.
+    @pytest.mark.parametrize("offsets", [OFFSETS, np.array([0, 3, 6, 9])])
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("start", [0, 2])
+    def test_forward_and_finite_difference_grads(self, offsets, causal, start):
+        rng = np.random.default_rng(17 + start)
+        rows, heads = offsets[-1], 2
+        keys = rows + 3 * start
+        q0, k0, v0 = (rng.standard_normal((n, 6)) for n in (rows, keys, keys))
+        weight = rng.standard_normal((rows, 6))
+
+        def loss(q, k, v):
+            return ag.tensor_sum(ag.attention(q, k, v, offsets, causal, start, heads)
+                                 * Tensor(weight))
+
+        got = ag.attention(Tensor(q0), Tensor(k0), Tensor(v0), offsets, causal, start,
+                           heads).data
+        np.testing.assert_allclose(
+            got, _reference_attention(q0, k0, v0, offsets, causal, start, heads),
+            rtol=0, atol=1e-12)
+        ts = [Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0)]
+        with Tape() as tape:
+            backward(loss(*ts), tape)
+        assert len(tape.nodes) == 3  # attention, the weighting, the sum
+        arrays = [q0, k0, v0]
+        for which, t in enumerate(ts):
+            fd = np.zeros_like(arrays[which])
+            for idx in np.ndindex(fd.shape):
+                vals = []
+                for step in (1e-6, -1e-6):
+                    moved = [a.copy() for a in arrays]
+                    moved[which][idx] += step
+                    vals.append(loss(*map(Tensor, moved)).item())
+                fd[idx] = (vals[0] - vals[1]) / 2e-6
+            np.testing.assert_allclose(t.grad, fd, rtol=1e-6, atol=1e-8)
+
+    def test_rows_must_fit_the_segments(self):
+        q = Tensor(np.zeros((10, 4)))
+        with pytest.raises(DimensionError):
+            ag.attention(q, q, q, [0, 3, 9], heads=2)  # offsets miss a row
+        with pytest.raises(DimensionError):
+            ag.attention(q, q, q, [0, 3, 3, 10], heads=2)  # an empty segment
+        with pytest.raises(DimensionError):
+            ag.attention(q, q, q, self.OFFSETS, start=1, heads=2)  # no cached keys
+        with pytest.raises(DimensionError):
+            ag.attention(q, q, q, self.OFFSETS, heads=3)
