@@ -4,7 +4,8 @@ Layout: magic "RGVC", format version u32, u32 length + UTF-8 JSON header
 (model config echo, vocabulary, training counters), u32 parameter count, then
 per parameter: u32 name length + name, u32 ndim, u32 dims, raw float64
 little-endian data, and nothing after the last parameter. Round-trips are
-bit-exact, and saves replace the file atomically.
+bit-exact, and saves replace the file atomically. This is version 2 (one
+stacked `inj.{l}.w_v`/`w_z` pair per layer, no `attn.wk_b`); others are rejected.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .model import ModelConfig, VaeModel
 
 _MAGIC = b"RGVC"
-_VERSION = 1
+_VERSION = 2
 
 
 @contextmanager
@@ -93,13 +94,13 @@ def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
         raise InputError(f"{path} is not a checkpoint file")
     (version,) = struct.unpack("<I", r.take(4))
     if version != _VERSION:
-        raise InputError(f"unsupported checkpoint version {version}")
+        raise InputError(f"{path}: checkpoint format version {version}, expected {_VERSION}")
     (hlen,) = struct.unpack("<I", r.take(4))
     try:
         header = json.loads(str(r.take(hlen), "utf-8"))
         config = ModelConfig(**header["config"])
         model = VaeModel(config, seed=0)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, ConfigError) as e:
         raise InputError(f"{path}: checkpoint header is corrupt ({e!r})") from e
     vocab = header.get("vocab")
     if (not isinstance(vocab, list) or len(vocab) != config.vocab_size

@@ -2,10 +2,10 @@
 
 The encoder is a bidirectional transformer whose mean-pooled output feeds one
 posterior head per decoder layer, giving a diagonal Gaussian latent for each
-layer. The decoder is causal; at every layer the hidden states are fused with
-that layer's latent through a rank-r product of linear maps combined
-elementwise, which keeps the decoder dependent on the latent and counteracts
-posterior collapse.
+layer. The decoder is causal; at every layer the hidden states h are fused
+with that layer's latent z by a rank-r tensor-product fusion, the sum over j
+of (W_v,j h) * (W_z,j z) elementwise (Liu et al. 2018; DELLA), which keeps
+the decoder dependent on the latent and counteracts posterior collapse.
 
 A document is a list of token ids; a pack is a list of documents. `encode`
 and `decode` take either. A pack runs as one forward over the concatenated
@@ -54,6 +54,9 @@ class ModelConfig:
             self.d_ff = 4 * self.d_h
         if self.d_h % self.n_heads != 0:
             raise ConfigError(f"d_h={self.d_h} not divisible by n_heads={self.n_heads}")
+        if not (0 <= self.bos_id < self.vocab_size and 0 <= self.eos_id < self.vocab_size):
+            raise ConfigError(f"bos_id={self.bos_id} and eos_id={self.eos_id} must lie in "
+                              f"[0, vocab_size={self.vocab_size})")
 
 
 @dataclass
@@ -165,7 +168,8 @@ class VaeModel:
                 p = f"{stack}.{l}"
                 for w in ("wq", "wk", "wv", "wo"):
                     par(f"{p}.attn.{w}", normal((c.d_h, c.d_h)))
-                    par(f"{p}.attn.{w}_b", np.zeros(c.d_h))
+                    if w != "wk":  # a key bias shifts a row's scores alike: softmax ignores it
+                        par(f"{p}.attn.{w}_b", np.zeros(c.d_h))
                 par(f"{p}.ln1.g", np.ones(c.d_h))
                 par(f"{p}.ln1.b", np.zeros(c.d_h))
                 par(f"{p}.ff.w1", normal((c.d_ff, c.d_h)))
@@ -188,14 +192,14 @@ class VaeModel:
             par(f"post.{l}.b_mu", np.zeros(c.d_z))
             par(f"post.{l}.w_lv", np.zeros((c.d_z, c.d_h)))
             par(f"post.{l}.b_lv", np.zeros(c.d_z))
-            for j in range(c.r_rank):
-                # W_v near identity/r so the rank sum starts close to identity;
-                # W_z unit-variance so the elementwise gate has O(1) scale and
-                # the decoder feels the latent from step one (the annealing
-                # warmup lets posterior variances shrink before the KL weight
-                # bites, so the O(1) gate does not stay noisy for long).
-                par(f"inj.{l}.{j}.w_v", np.eye(c.d_h) / c.r_rank + normal((c.d_h, c.d_h)))
-                par(f"inj.{l}.{j}.w_z", rng.standard_normal((c.d_h, c.d_z)) / np.sqrt(c.d_z))
+            # Rank j's maps are rows j*d_h:(j+1)*d_h. W_v,j starts near I/r, so
+            # the rank sum starts near identity; W_z is unit-variance, so each
+            # rank's gate has O(1) scale and the decoder feels the latent from
+            # step one (the annealing warmup lets posterior variances shrink
+            # before the KL weight bites, so the gate does not stay noisy).
+            par(f"inj.{l}.w_v", np.tile(np.eye(c.d_h) / c.r_rank, (c.r_rank, 1))
+                + normal((c.r_rank * c.d_h, c.d_h)))
+            par(f"inj.{l}.w_z", rng.standard_normal((c.r_rank * c.d_h, c.d_z)) / np.sqrt(c.d_z))
 
     # -- transformer pieces --------------------------------------------------
 
@@ -219,7 +223,7 @@ class VaeModel:
         if offsets is None:
             offsets = np.array([0, h.shape[0]])
         q = ag.linear(h, p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.wq_b"])
-        k = ag.linear(h, p[f"{prefix}.attn.wk"], p[f"{prefix}.attn.wk_b"])
+        k = ag.linear(h, p[f"{prefix}.attn.wk"])
         v = ag.linear(h, p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wv_b"])
         if cache is not None:
             if cache.keys is not None:
@@ -283,31 +287,22 @@ class VaeModel:
 
     def inject_latent(self, v: Tensor, z: Tensor, layer: int,
                       offsets: np.ndarray | None = None) -> Tensor:
-        """Rank-r fusion: (sum_j W_v v_i) elementwise-times (sum_j W_z z). A
-        (B, d_z) stack of latents gives row i of v the latent of the segment
-        of `offsets` that row i lies in."""
+        """Rank-r fusion sum_j (W_v,j v_i) * (W_z,j z), rank j being rows
+        j*d_h:(j+1)*d_h of `inj.{layer}.w_v`/`.w_z`. A (B, d_z) stack of latents
+        gives row i of v the latent of the segment of `offsets` it lies in."""
         c = self.config
         if not 0 <= layer < c.n_layers:
             raise ContractError(f"layer {layer} out of range for {c.n_layers} layers")
-        gate = self._latent_gate(z, layer)
+        gate = ag.linear(z, self.params[f"inj.{layer}.w_z"])  # every W_z,j z, side by side
         if z.ndim == 2:
             seg = np.repeat(np.arange(z.shape[0]), np.diff(offsets))
             gate = ag.embedding_lookup(gate, seg)
         return self._fuse(v, gate, layer)
 
-    def _latent_gate(self, z: Tensor, layer: int) -> Tensor:
-        gate = None
-        for j in range(self.config.r_rank):
-            gz = ag.linear(z, self.params[f"inj.{layer}.{j}.w_z"])
-            gate = gz if gate is None else gate + gz
-        return gate
-
     def _fuse(self, v: Tensor, gate: Tensor, layer: int) -> Tensor:
-        hid = None
-        for j in range(self.config.r_rank):
-            hv = ag.linear(v, self.params[f"inj.{layer}.{j}.w_v"])
-            hid = hv if hid is None else hid + hv
-        return hid * gate
+        """The sum over ranks j of columns j*d_h:(j+1)*d_h of (W_v v) * gate."""
+        prod = ag.linear(v, self.params[f"inj.{layer}.w_v"]) * gate
+        return ag.tensor_sum(ag.reshape(prod, (v.shape[0], -1, self.config.d_h)), axis=1)
 
     def _check_latents(self, z_layers: list[Tensor], batch: int | None = None) -> None:
         c = self.config
@@ -385,7 +380,8 @@ class VaeModel:
             raise ContractError(f"top_k must be >= 1, got {top_k}")
         self._check_latents(z_layers)
         # z is fixed for the whole call, so each layer's gate is computed once.
-        cache = [_LayerCache(self._latent_gate(z, l)) for l, z in enumerate(z_layers)]
+        cache = [_LayerCache(ag.linear(z, self.params[f"inj.{l}.w_z"]))
+                 for l, z in enumerate(z_layers)]
         out: list[int] = []
         for _ in range(max_len):
             pos = len(out)  # position of the newest input, bos at 0

@@ -183,9 +183,8 @@ def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig,
 # ---------------------------------------------------------------------------
 
 def _load_corpus(cfg: RunConfig, vocab: list[str] | None = None):
-    tok = Tokenizer(vocab) if vocab is not None else None
-    pairs, tok = ingest(cfg.corpus, tokenizer=tok, min_count=cfg.min_count)
-    return pairs, tok
+    return ingest(cfg.corpus, tokenizer=None if vocab is None else Tokenizer(vocab),
+                  min_count=cfg.min_count)
 
 
 def beta_schedule(cfg: RunConfig, n_pairs: int) -> tuple[int, int]:
@@ -220,6 +219,11 @@ def _train_stage(cfg: RunConfig, out_dir, checkpoint_path, database_path, k: int
     warmup = extra.get("warmup_steps", warmup)
     cycle = extra.get("cycle_steps", cycle)
     db = load_database(database_path) if k > 0 else None
+    # A document excludes its own entry by corpus index, so entry i must be pair i.
+    if db is not None and [(e.id, e.source_tokens, e.target_tokens) for e in db.entries] != [
+            (i, p.source_tokens, p.target_tokens) for i, p in enumerate(pairs)]:
+        raise InputError(f"{database_path}: not a database of the training corpus ({len(db)} "
+                         f"entries for {len(pairs)} pairs; entry i must hold pair i, id i)")
     result = train_loop(model, pairs, cfg, db, k, epochs, warmup, cycle,
                         start_step=extra.get("global_step", 0),
                         start_epoch=extra.get("global_epoch", 0))

@@ -273,7 +273,7 @@ class TestLinear:
         with Tape() as tape:
             regavae_loss(model, [5, 6, 7], [8, 9, 10, 11], None, 0, 0.5,
                          np.random.default_rng(0), kl_floor=cfg.kl_floor)
-        assert len(tape.nodes) == 110
+        assert len(tape.nodes) == 106
 
 
 class TestTapeContract:

@@ -2,6 +2,7 @@
 run configuration, checkpoint round trip, pipeline restart safety, and CLI
 exit codes."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -16,8 +17,9 @@ from regavae.data import (SPECIALS, Tokenizer, ingest, make_synthetic_corpus,
                           read_jsonl, write_jsonl)
 from regavae.errors import ConfigError, InputError
 from regavae.model import ModelConfig, VaeModel
+from regavae.retrieval import RetrievalDatabase, load_database, save_database
 from regavae.training import (RunConfig, beta_at, beta_schedule, run_stage1,
-                              run_stage2, steps_per_epoch)
+                              run_stage2, run_stage3, steps_per_epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +299,34 @@ class TestCheckpoint:
             with pytest.raises(InputError):
                 load_checkpoint(path)
 
+    def test_version_one_rejected(self, tmp_path, capsys):
+        # Version 1 stored per-rank injection maps and attention key biases.
+        data = self._small(tmp_path / "m.ckpt")
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
+        with pytest.raises(InputError, match="version 1, expected 2"):
+            load_checkpoint(path)
+        rc = cli_main(["--out", str(tmp_path / "o"), "generate",
+                       "--checkpoint", str(path), "--source", "w"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("bos_id", 50), ("eos_id", -1)])
+    def test_generate_special_id_outside_vocabulary_exit_one(self, tmp_path, capsys,
+                                                             field, value):
+        def edit(blob):
+            h = json.loads(blob)
+            h["config"][field] = value
+            return json.dumps(h).encode("utf-8")
+
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(self._with_header(self._small(path), edit))
+        rc = cli_main(["--out", str(tmp_path / "o"), "generate",
+                       "--checkpoint", str(path), "--source", "w"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
     def test_corrupt_parameter_name_rejected(self, tmp_path):
         data = bytearray(self._small(tmp_path / "m.ckpt"))
         (hlen,) = struct.unpack_from("<I", data, 8)
@@ -437,6 +467,25 @@ class TestPipelinePlumbing:
             assert sorted(e for _, excl, _, _ in epoch for e in excl) == list(range(len(pairs)))
         assert result.database.snapshot_step == result.global_step - 1
 
+    def test_stage3_rejects_a_database_of_another_corpus(self, tmp_path):
+        cfg = tiny_cfg(tmp_path)  # k_neighbors=2, 12 pairs
+        out = tmp_path / "out"
+        ckpt, _ = run_stage1(cfg, out)
+        db = load_database(run_stage2(cfg, ckpt, out))
+        other = make_synthetic_corpus(seed=1, n_clusters=5, train_per_cluster=4)[0]
+        write_jsonl(other, tmp_path / "other.jsonl")
+        other_cfg = dataclasses.replace(cfg, corpus=str(tmp_path / "other.jsonl"))
+        bad = {"other.db": load_database(run_stage2(other_cfg, ckpt, tmp_path / "other")),
+               "swapped.db": RetrievalDatabase([db.entries[1], db.entries[0]] + db.entries[2:],
+                                               db.snapshot_step, db.refresh_interval),
+               "renumbered.db": RetrievalDatabase(
+                   [dataclasses.replace(e, id=e.id + 1) for e in db.entries],
+                   db.snapshot_step, db.refresh_interval)}
+        for name, bad_db in bad.items():
+            save_database(bad_db, tmp_path / name)
+            with pytest.raises(InputError, match="database"):
+                run_stage3(cfg, ckpt, tmp_path / name, tmp_path / "o3")
+
 
     def test_eval_encodes_its_sources_once_as_one_pack(self, tmp_path, monkeypatch):
         import regavae.training as training
@@ -468,7 +517,6 @@ class TestCli:
     def _write_cfg(self, tmp_path, **kw):
         cfg = tiny_cfg(tmp_path, **kw)
         p = tmp_path / "cli.json"
-        import dataclasses
         p.write_text(json.dumps(dataclasses.asdict(cfg)))
         return p
 

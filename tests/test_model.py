@@ -35,6 +35,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(d_z=0)
 
+    @pytest.mark.parametrize("field,value", [("bos_id", 20), ("eos_id", -1)])
+    def test_rejects_special_ids_outside_vocabulary(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            tiny_config(**{field: value})
+
     def test_d_ff_default(self):
         assert tiny_config().d_ff == 4 * 16
 
@@ -121,24 +126,38 @@ class TestGaussianKl:
 
 
 class TestInjectLatent:
+    @staticmethod
+    def _oracle(model, v, z_of_row, layer):
+        """Explicit per-rank, per-row loop over sum_j (W_v,j v_i) * (W_z,j z):
+        rank j's maps are rows j*d_h:(j+1)*d_h of the stacked parameters."""
+        c = model.config
+        wv = model.params[f"inj.{layer}.w_v"].data
+        wz = model.params[f"inj.{layer}.w_z"].data
+        expect = np.zeros_like(v)
+        for i in range(v.shape[0]):
+            for j in range(c.r_rank):
+                rows = slice(j * c.d_h, (j + 1) * c.d_h)
+                expect[i] += (wv[rows] @ v[i]) * (wz[rows] @ z_of_row[i])
+        return expect
+
     def test_matches_loop_oracle(self, model):
         c = model.config
         rng = np.random.default_rng(2)
         v = rng.standard_normal((3, c.d_h))
         z = rng.standard_normal(c.d_z)
         out = model.inject_latent(Tensor(v), Tensor(z), 0).data
-        # Independent oracle: explicit per-position loop over the rank sum.
-        expect = np.zeros_like(v)
-        hid = np.zeros_like(v)
-        gate = np.zeros(c.d_h)
-        for j in range(c.r_rank):
-            wv = model.params[f"inj.0.{j}.w_v"].data
-            wz = model.params[f"inj.0.{j}.w_z"].data
-            hid += v @ wv.T
-            gate += wz @ z
-        for i in range(v.shape[0]):
-            expect[i] = hid[i] * gate
-        np.testing.assert_allclose(out, expect, atol=1e-12)
+        np.testing.assert_allclose(out, self._oracle(model, v, [z] * 3, 0), atol=1e-12)
+
+    def test_pack_matches_loop_oracle(self, model):
+        # Three segments of 2, 1 and 3 rows, each with its own latent.
+        c = model.config
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((6, c.d_h))
+        z = rng.standard_normal((3, c.d_z))
+        offsets = np.array([0, 2, 3, 6])
+        out = model.inject_latent(Tensor(v), Tensor(z), 1, offsets).data
+        z_of_row = [z[0], z[0], z[1], z[2], z[2], z[2]]
+        np.testing.assert_allclose(out, self._oracle(model, v, z_of_row, 1), atol=1e-12)
 
     def test_layer_out_of_range(self, model):
         v = Tensor(np.zeros((2, model.config.d_h)))
@@ -207,7 +226,7 @@ class TestElbo:
         picker = np.random.default_rng(7)
         eps = 1e-5
         for name in ["tok_emb", "pos_emb", "enc.0.attn.wq", "dec.1.ff.w1",
-                     "post.0.w_mu", "post.1.w_lv", "inj.0.0.w_v", "inj.1.1.w_z",
+                     "post.0.w_mu", "post.1.w_lv", "inj.0.w_v", "inj.1.w_z",
                      "dec.lnf.g"]:
             p = m.params[name]
             flat = p.data.reshape(-1)
@@ -247,8 +266,9 @@ def _reference_attention(model, h, prefix, causal, past=None):
     i*dk:(i+1)*dk. `past` holds the (keys, values) of earlier positions."""
     c = model.config
     p = {name: t.data for name, t in model.params.items()}
-    q, k, v = (h @ p[f"{prefix}.attn.{w}"].T + p[f"{prefix}.attn.{w}_b"]
-               for w in ("wq", "wk", "wv"))
+    q = h @ p[f"{prefix}.attn.wq"].T + p[f"{prefix}.attn.wq_b"]
+    k = h @ p[f"{prefix}.attn.wk"].T  # no key bias
+    v = h @ p[f"{prefix}.attn.wv"].T + p[f"{prefix}.attn.wv_b"]
     if past is not None:
         k, v = np.vstack([past[0], k]), np.vstack([past[1], v])
     n, m = q.shape[0], k.shape[0]
