@@ -10,7 +10,11 @@ drift in machine speed hits both sides alike. Each run's result file (under
 the checkout's `.perfbench_out/`) is read back. The summary gives, per
 end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
 per-seed values and `won k/n`: the number of pairs in which the change was
-better than the parent, ties counting for neither. It also keeps every run's
+better than the parent, ties counting for neither. `worse_by` is the share by
+which the change's median is worse than the parent's (negative when better),
+and `within_bound` is true when that share is at most the metric's bound; the
+last line printed names the metric with the largest `worse_by / bound`, so
+"nothing got worse beyond its bound" is one line. It also keeps every run's
 `correct`/`failed` and the environment perfbench recorded on each side. Run
 length is the `run_seconds` of BENCHMARK.json, the same on both sides.
 
@@ -63,15 +67,18 @@ def summarize(spec: dict, seeds: list[int], runs: dict[str, list[dict]]) -> dict
         vals = {side: [r["end_to_end"][name] for r in runs[side]] for side in SIDES}
         won = sum((c > p) if higher else (c < p) for p, c in zip(vals["parent"], vals["change"]))
         stats = {side: quartiles(vals[side]) for side in SIDES}
+        ratio = stats["change"]["median"] / stats["parent"]["median"]
+        worse_by = 1.0 - ratio if higher else ratio - 1.0
         metrics[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                         **stats, "won": f"{won}/{len(seeds)}",
-                         "median_ratio": stats["change"]["median"] / stats["parent"]["median"],
+                         **stats, "won": f"{won}/{len(seeds)}", "median_ratio": ratio,
+                         "worse_by": worse_by, "within_bound": worse_by <= m["bound"],
                          # The claim rule: the medians differ by more than the
                          # distance between the parent's quartiles.
                          "beyond_parent_iqr": abs(stats["change"]["median"]
                                                   - stats["parent"]["median"])
                          > stats["parent"]["q3"] - stats["parent"]["q1"]}
-    return {"metrics": metrics,
+    worst = max(metrics, key=lambda n: metrics[n]["worse_by"] / metrics[n]["bound"])
+    return {"metrics": metrics, "worst": worst,
             "checks": {side: [{"seed": r["seed"], "correct": r["correct"],
                                "attempted": r["attempted"], "failed": r["failed"]}
                               for r in runs[side]] for side in SIDES},
@@ -108,7 +115,10 @@ def main(argv=None) -> int:
     for name, m in summary["metrics"].items():
         print(f"{name:20s} parent {m['parent']['median']:12.6g} change "
               f"{m['change']['median']:12.6g} {m['unit']:7s} ratio {m['median_ratio']:.3f} "
-              f"won {m['won']}")
+              f"won {m['won']}{'' if m['within_bound'] else '  <-- beyond bound'}")
+    m = summary["metrics"][summary["worst"]]
+    print(f"worst against its bound: {summary['worst']} {100 * m['worse_by']:+.1f}% "
+          f"(bound {100 * m['bound']:.0f}%, {'within' if m['within_bound'] else 'BEYOND'})")
     ok = all(c["correct"] and c["failed"] == 0 for side in SIDES for c in summary["checks"][side])
     return 0 if ok else 1
 

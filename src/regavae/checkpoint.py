@@ -15,6 +15,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,6 +24,25 @@ from .model import ModelConfig, VaeModel
 
 _MAGIC = b"RGVC"
 _VERSION = 2
+# Field type -> the Python types its JSON value may take.
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+
+
+def check_json_fields(raw, types: dict, what: str) -> None:
+    """Raise InputError ("<what> ...") unless `raw` is a JSON object whose
+    keys are all in `types` (name -> int, float or str) and whose values have
+    those types. bool is an int subclass, an int is a valid float, and
+    Python's json reads NaN and Infinity, which JSON itself does not have."""
+    if not isinstance(raw, dict):
+        raise InputError(f"{what} must be a JSON object")
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise InputError(f"{what} has unknown keys {sorted(unknown)}")
+    for name, value in raw.items():
+        if (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[name]])
+                or (isinstance(value, float) and not math.isfinite(value))):
+            raise InputError(f"{what} key {name!r} must be {types[name].__name__}, "
+                             f"got {value!r}")
 
 
 @contextmanager
@@ -98,6 +118,11 @@ def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
     (hlen,) = struct.unpack("<I", r.take(4))
     try:
         header = json.loads(str(r.take(hlen), "utf-8"))
+        check_json_fields(header["config"], get_type_hints(ModelConfig),
+                          f"{path}: checkpoint config")
+        extra = header.get("extra", {})
+        # The extra fields are training counters, all integers.
+        check_json_fields(extra, dict.fromkeys(extra, int), f"{path}: checkpoint 'extra'")
         config = ModelConfig(**header["config"])
         model = VaeModel(config, seed=0)
     except (ValueError, KeyError, TypeError, ConfigError) as e:
@@ -107,8 +132,6 @@ def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
             or not all(isinstance(w, str) for w in vocab)):
         raise InputError(f"{path}: checkpoint vocabulary is not a list of "
                          f"vocab_size={config.vocab_size} words")
-    if not isinstance(header.get("extra", {}), dict):
-        raise InputError(f"{path}: checkpoint header field 'extra' is not an object")
     (count,) = struct.unpack("<I", r.take(4))
     loaded = set()
     for _ in range(count):
@@ -130,4 +153,4 @@ def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
     missing = sorted(set(model.params) - loaded)
     if missing:
         raise InputError(f"{path}: checkpoint lacks parameters {missing}")
-    return model, vocab, header.get("extra", {})
+    return model, vocab, extra

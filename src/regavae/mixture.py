@@ -26,7 +26,7 @@ from .autograd import Tensor
 from .errors import ContractError, RetrievalError
 from .model import (ElboBreakdown, LatentGaussian, VaeModel, gaussian_kl_standard, is_pack,
                     reparameterize)
-from .retrieval import RetrievalDatabase, similarity, top_k, top_k_batch
+from .retrieval import RetrievalDatabase, layer_average, similarity, top_k, top_k_batch
 
 _WEIGHT_TOL = 1e-12
 # Upper clamp bound used when flooring the KL term (free bits); effectively
@@ -145,11 +145,6 @@ def kl_mixture_upper_bound(p: MixturePosterior, q: MixturePrior) -> float:
     return total
 
 
-def _queries(posts: list[LatentGaussian]) -> np.ndarray:
-    """The layer-averaged query means, one row per document."""
-    return np.mean([np.atleast_2d(g.mean_array) for g in posts], axis=0)
-
-
 def _mixture(hits) -> tuple[np.ndarray, list[LatentGaussian], list]:
     """(weights, keys, entries) of a query's top-k hits; the weights reuse
     the hits' cosine scores."""
@@ -173,7 +168,7 @@ def retrieve_mixture(posts: list[LatentGaussian], db: RetrievalDatabase, k: int,
     if k == 0:
         return np.array([1.0]), [], []
     _check_database(db)
-    return _mixture(top_k(_queries(posts)[0], db, k, exclude_id=exclude_id))
+    return _mixture(top_k(layer_average(posts)[0][0], db, k, exclude_id=exclude_id))
 
 
 def retrieve_mixtures(posts: list[LatentGaussian], db: RetrievalDatabase | None, k: int,
@@ -184,7 +179,7 @@ def retrieve_mixtures(posts: list[LatentGaussian], db: RetrievalDatabase | None,
     if k == 0:
         return [(np.array([1.0]), [], [])] * n
     _check_database(db)
-    return [_mixture(hits) for hits in top_k_batch(_queries(posts), db, k, exclude_ids)]
+    return [_mixture(h) for h in top_k_batch(layer_average(posts)[0], db, k, exclude_ids)]
 
 
 def regavae_loss(model: VaeModel, x_tokens, y_tokens,

@@ -18,7 +18,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .autograd import Adam, Tape, Tensor, backward, clip_grad_norm, zero_grads
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, check_json_fields, load_checkpoint, save_checkpoint
 from .data import SPECIALS, CorpusPair, Tokenizer, ingest
 from .errors import ConfigError, DivergenceError, InputError
 from .metrics import (MetricReport, active_units, corpus_bleu, dist_n,
@@ -27,10 +27,6 @@ from .mixture import mixture_mean_latents, regavae_loss
 from .model import ElboBreakdown, ModelConfig, VaeModel
 from .retrieval import (RetrievalDatabase, build_database, load_database, maybe_refresh,
                         save_database)
-
-
-# RunConfig field type -> the Python types its JSON value may take.
-_JSON_TYPES = {int: int, float: (int, float), str: str}
 
 
 @dataclass
@@ -85,31 +81,24 @@ class RunConfig:
                 raw = json.load(f)
             except json.JSONDecodeError as e:
                 raise InputError(f"{path}: invalid JSON config ({e.msg})") from e
-        if not isinstance(raw, dict):
-            raise InputError(f"{path}: config must be a JSON object")
-        types = get_type_hints(RunConfig)
-        unknown = set(raw) - set(types)
-        if unknown:
-            raise InputError(f"{path}: unknown config keys {sorted(unknown)}")
-        for name, value in raw.items():
-            # bool is an int subclass, an int is a valid float, and Python's
-            # json reads NaN and Infinity, which JSON itself does not have.
-            if (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[name]])
-                    or (isinstance(value, float) and not math.isfinite(value))):
-                raise InputError(f"{path}: config key {name!r} must be "
-                                 f"{types[name].__name__}, got {value!r}")
+        check_json_fields(raw, get_type_hints(RunConfig), f"{path}: config")
         return RunConfig(**raw)
 
     def echo(self, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
-            json.dump(asdict(self), f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_text(os.path.join(out_dir, "config.json"),
+                    json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         return ModelConfig(vocab_size=vocab_size, n_layers=self.L, d_h=self.d_h,
                            n_heads=self.heads, d_z=self.d_z, r_rank=self.r_rank,
                            max_seq_len=self.max_seq_len)
+
+
+def _write_text(path, text: str) -> None:
+    """Replace the file at `path` with `text`, atomically."""
+    with atomic_write(path) as f:
+        f.write(text.encode("utf-8"))
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -313,10 +302,8 @@ def run_eval(cfg: RunConfig, checkpoint_path, database_path, out_dir) -> MetricR
         ])),
     )
     base = os.path.join(out_dir, os.path.splitext(os.path.basename(cfg.metrics_path))[0])
-    with open(base + ".json", "w", encoding="utf-8") as f:
-        f.write(report.to_json())
-    with open(base + ".txt", "w", encoding="utf-8") as f:
-        f.write(report.to_text())
+    _write_text(base + ".json", report.to_json())
+    _write_text(base + ".txt", report.to_text())
     return report
 
 
@@ -350,6 +337,5 @@ def run_ablation(cfg: RunConfig, out_dir, sweep: list[int] | None = None) -> dic
         lines.append(name + " " + " ".join(
             f"{v:.4f}" if isinstance(v, float) else str(v) for v in vals))
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "ablation.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_text(os.path.join(out_dir, "ablation.txt"), "\n".join(lines) + "\n")
     return reports

@@ -3,6 +3,7 @@ run configuration, checkpoint round trip, pipeline restart safety, and CLI
 exit codes."""
 
 import dataclasses
+import errno
 import importlib.util
 import json
 import os
@@ -11,6 +12,7 @@ import struct
 import numpy as np
 import pytest
 
+from regavae import checkpoint
 from regavae.checkpoint import load_checkpoint, save_checkpoint
 from regavae.cli import main as cli_main
 from regavae.data import (SPECIALS, Tokenizer, ingest, make_synthetic_corpus,
@@ -18,7 +20,7 @@ from regavae.data import (SPECIALS, Tokenizer, ingest, make_synthetic_corpus,
 from regavae.errors import ConfigError, InputError
 from regavae.model import ModelConfig, VaeModel
 from regavae.retrieval import RetrievalDatabase, load_database, save_database
-from regavae.training import (RunConfig, beta_at, beta_schedule, run_stage1,
+from regavae.training import (RunConfig, beta_at, beta_schedule, run_eval, run_stage1,
                               run_stage2, run_stage3, steps_per_epoch)
 
 
@@ -314,18 +316,43 @@ class TestCheckpoint:
     @pytest.mark.parametrize("field,value", [("bos_id", 50), ("eos_id", -1)])
     def test_generate_special_id_outside_vocabulary_exit_one(self, tmp_path, capsys,
                                                              field, value):
-        def edit(blob):
-            h = json.loads(blob)
-            h["config"][field] = value
-            return json.dumps(h).encode("utf-8")
-
         path = tmp_path / "m.ckpt"
-        path.write_bytes(self._with_header(self._small(path), edit))
+        path.write_bytes(self._with_header(self._small(path),
+                                           self._set("config", **{field: value})))
         rc = cli_main(["--out", str(tmp_path / "o"), "generate",
                        "--checkpoint", str(path), "--source", "w"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+    @staticmethod
+    def _set(section, **fields):
+        """A header edit that sets `fields` in the header's `section` object."""
+        def edit(blob):
+            h = json.loads(blob)
+            h[section].update(fields)
+            return json.dumps(h).encode("utf-8")
+        return edit
+
+    def test_generate_fractional_special_id_exit_one(self, tmp_path, capsys):
+        # A float id used to load and be read as its integer part.
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(self._with_header(self._small(path), self._set("config", bos_id=2.5)))
+        rc = cli_main(["--out", str(tmp_path / "o"), "generate",
+                       "--checkpoint", str(path), "--source", "w"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bos_id" in err
+
+    def test_train_regavae_string_counter_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(self._with_header(self._small(path),
+                                           self._set("extra", global_step="7")))
+        rc = cli_main(["--out", str(tmp_path / "o"), "train-regavae",
+                       "--checkpoint", str(path), "--database", str(tmp_path / "r.db")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "global_step" in err
 
     def test_corrupt_parameter_name_rejected(self, tmp_path):
         data = bytearray(self._small(tmp_path / "m.ckpt"))
@@ -466,6 +493,36 @@ class TestPipelinePlumbing:
             epoch = seen[ep * steps_per_epoch:(ep + 1) * steps_per_epoch]
             assert sorted(e for _, excl, _, _ in epoch for e in excl) == list(range(len(pairs)))
         assert result.database.snapshot_step == result.global_step - 1
+
+    def test_failed_metrics_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(tmp_path, k_neighbors=0, stage1_epochs=1)
+        out = tmp_path / "out"
+        ckpt, _ = run_stage1(cfg, out)
+        (out / "metrics.json").write_text("previous\n")
+
+        class DiskFull:
+            """Takes the first half of a write, then fails as a full disk does."""
+
+            def __init__(self, path):
+                self.f = open(path, "wb")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(checkpoint, "open", lambda path, mode: (
+            DiskFull(path) if str(path).endswith("metrics.json.tmp") else open(path, mode)),
+            raising=False)
+        with pytest.raises(OSError):
+            run_eval(cfg, ckpt, None, out)
+        assert (out / "metrics.json").read_text() == "previous\n"
+        assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
 
     def test_stage3_rejects_a_database_of_another_corpus(self, tmp_path):
         cfg = tiny_cfg(tmp_path)  # k_neighbors=2, 12 pairs
@@ -760,3 +817,41 @@ class TestTracerHooks:
             tracer.remove()
         # The mixture weights come from the top-k scores: no cosine is recomputed.
         assert tracer.counts["retrieval.similarity"] == 0
+
+
+class TestBenchPairs:
+    """scripts/bench_pairs.py's summary of alternating parent/change runs."""
+
+    def _summarize(self, parent, change):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "bench_pairs", os.path.join(root, "scripts", "bench_pairs.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        bench = {"end_to_end": [
+            {"name": "build_db_s", "unit": "s", "better": "lower", "bound": 0.25},
+            {"name": "stage1_docs_per_s", "unit": "docs/s", "better": "higher", "bound": 0.25},
+            {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]}
+
+        def run(seed, values):
+            return {"seed": seed, "correct": True, "attempted": 1, "failed": 0, "env": {},
+                    "end_to_end": dict(zip(["build_db_s", "stage1_docs_per_s",
+                                            "peak_rss_mb"], values))}
+
+        return module.summarize(bench, [1, 2], {
+            "parent": [run(1, parent), run(2, parent)],
+            "change": [run(1, change), run(2, change)]})
+
+    def test_within_bound_and_worst(self):
+        summary = self._summarize([1.0, 100.0, 200.0], [0.5, 80.0, 218.0])
+        m = summary["metrics"]
+        assert m["build_db_s"]["worse_by"] == pytest.approx(-0.5)
+        assert m["stage1_docs_per_s"]["worse_by"] == pytest.approx(0.2)
+        assert m["peak_rss_mb"]["worse_by"] == pytest.approx(0.09)
+        assert all(v["within_bound"] for v in m.values())
+        assert summary["worst"] == "peak_rss_mb"  # 0.09 / 0.1 beats 0.2 / 0.25
+
+    def test_beyond_bound_flagged(self):
+        m = self._summarize([1.0, 100.0, 200.0], [1.3, 100.0, 200.0])["metrics"]
+        assert not m["build_db_s"]["within_bound"]
+        assert m["stage1_docs_per_s"]["within_bound"]

@@ -2,6 +2,7 @@
 exact top-k against a brute-force rescoring, refresh scheduling, and the
 binary dump round trip."""
 
+import math
 import struct
 
 import numpy as np
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 from regavae.data import CorpusPair
 from regavae.errors import (ConfigError, DegenerateInputError, DimensionError,
                             InputError, RetrievalError)
-from regavae.model import LatentGaussian, ModelConfig, VaeModel
+from regavae import retrieval
+from regavae.model import LatentGaussian, ModelConfig, VaeModel, is_pack
 from regavae.retrieval import (RetrievalDatabase, RetrievalEntry,
-                               build_database, document_posterior,
-                               load_database, maybe_refresh, save_database,
-                               similarity, top_k)
+                               build_database, load_database, maybe_refresh,
+                               save_database, similarity, top_k)
 
 
 def make_entry(eid, mean, log_var=None):
@@ -180,6 +181,18 @@ class TestTopK:
             top_k([1.0, 0.0], RetrievalDatabase([], 0, 500), 1)
 
 
+def test_layer_average_is_bit_equal_to_mean_over_layers():
+    rng = np.random.default_rng(0)
+    for shape in ((4,), (3, 4)):  # one document, a pack of three
+        posts = [LatentGaussian.from_arrays(rng.standard_normal(shape),
+                                            rng.standard_normal(shape)) for _ in range(4)]
+        means, log_vars = retrieval.layer_average(posts)
+        for got, arrays in ((means, [g.mean_array for g in posts]),
+                            (log_vars, [g.log_var_array for g in posts])):
+            want = np.mean([np.atleast_2d(a) for a in arrays], axis=0)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestBuildAndRefresh:
     def corpus(self):
         return [CorpusPair([4, 5], [6, 7]), CorpusPair([5, 6], [7, 8]),
@@ -190,13 +203,30 @@ class TestBuildAndRefresh:
         assert [e.id for e in db.entries] == [0, 1, 2]
         assert db.snapshot_step == 0
 
+    @staticmethod
+    def assert_keys_are_layer_averages(model, entries, docs):
+        """Each key equals, bit for bit, the layer average of its row of one
+        encode of all `docs` as a pack, and matches an encode of its document
+        alone to round-off, so no row holds another document's key."""
+        posts = model.encode([src + tgt for src, tgt in docs])
+        np.testing.assert_array_equal([e.key.mean_array for e in entries],
+                                      np.mean([g.mean_array for g in posts], axis=0))
+        np.testing.assert_array_equal([e.key.log_var_array for e in entries],
+                                      np.mean([g.log_var_array for g in posts], axis=0))
+        for e, (src, tgt) in zip(entries, docs):
+            lone = model.encode(src + tgt)
+            np.testing.assert_allclose(e.key.mean_array,
+                                       np.mean([g.mean_array for g in lone], axis=0),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(e.key.log_var_array,
+                                       np.mean([g.log_var_array for g in lone], axis=0),
+                                       rtol=0, atol=1e-12)
+
     def test_key_is_layer_average(self, tiny_model):
-        pair = self.corpus()[0]
-        key = document_posterior(tiny_model, pair.source_tokens, pair.target_tokens)
-        posts = tiny_model.encode(pair.source_tokens + pair.target_tokens)
-        np.testing.assert_allclose(
-            key.mean_array, np.mean([g.mean_array for g in posts], axis=0),
-            atol=1e-12)
+        corpus = self.corpus()
+        db = build_database(corpus, tiny_model)
+        self.assert_keys_are_layer_averages(
+            tiny_model, db.entries, [(p.source_tokens, p.target_tokens) for p in corpus])
 
     def test_build_empty_raises(self, tiny_model):
         with pytest.raises(ConfigError):
@@ -235,10 +265,42 @@ class TestBuildAndRefresh:
         db2 = maybe_refresh(db, 10, tiny_model)
         assert [e.id for e in db2.entries] == [5, 2, 0]
         assert [(e.source_tokens, e.target_tokens) for e in db2.entries] == docs
-        for e, (src, tgt) in zip(db2.entries, docs):
-            want = document_posterior(tiny_model, src, tgt)
-            np.testing.assert_array_equal(e.key.mean_array, want.mean_array)
-            np.testing.assert_array_equal(e.key.log_var_array, want.log_var_array)
+        self.assert_keys_are_layer_averages(tiny_model, db2.entries, docs)
+
+    def long_corpus(self):
+        """More documents than two packs hold, of varied lengths."""
+        n = 2 * retrieval._PACK + 3
+        return [CorpusPair([4 + i % 7] * (1 + i % 3), [5 + i % 11, 6 + i % 5]) for i in range(n)]
+
+    def test_database_encodes_in_packs(self, tiny_model, monkeypatch):
+        calls, encode = [], VaeModel.encode
+
+        def spy(model, tokens):
+            calls.append(tokens)
+            return encode(model, tokens)
+
+        monkeypatch.setattr(VaeModel, "encode", spy)
+        corpus = self.long_corpus()
+        db = build_database(corpus, tiny_model, refresh_interval=10)
+        maybe_refresh(db, 10, tiny_model)
+        docs = [p.source_tokens + p.target_tokens for p in corpus]
+        n_packs = math.ceil(len(docs) / retrieval._PACK)
+        assert len(calls) == 2 * n_packs and all(is_pack(c) for c in calls)
+        assert [d for c in calls[:n_packs] for d in c] == docs  # build
+        assert [d for c in calls[n_packs:] for d in c] == docs  # refresh
+
+    def test_refresh_of_unchanged_model_reproduces_keys(self, tiny_model):
+        db = build_database(self.long_corpus(), tiny_model, refresh_interval=10)
+        db2 = maybe_refresh(db, 10, tiny_model)
+        assert db2 is not db
+        for a, b in zip(db.entries, db2.entries, strict=True):
+            assert a.id == b.id
+            assert a.key.mean_array.tobytes() == b.key.mean_array.tobytes()
+            assert a.key.log_var_array.tobytes() == b.key.log_var_array.tobytes()
+
+    def test_empty_snapshot_refreshes_to_empty(self, tiny_model):
+        db2 = maybe_refresh(RetrievalDatabase([], 0, 10), 10, tiny_model)
+        assert len(db2) == 0 and db2.snapshot_step == 10
 
     def test_refresh_rejects_time_travel(self, tiny_model):
         db = build_database(self.corpus(), tiny_model, snapshot_step=100)
