@@ -4,8 +4,7 @@ posterior over query and retrieved latents."""
 from .autograd import Tape, Tensor, backward
 from .metrics import MetricReport
 from .mixture import (MixturePosterior, MixturePrior, kl_gaussian_diag,
-                      kl_mixture_upper_bound, mixture_weights, regavae_loss,
-                      sample_mixture)
+                      kl_mixture_upper_bound, mixture_weights, regavae_loss)
 from .model import ElboBreakdown, LatentGaussian, ModelConfig, VaeModel
 from .retrieval import (RetrievalDatabase, RetrievalEntry, build_database,
                         maybe_refresh, similarity, top_k)
@@ -16,7 +15,7 @@ __all__ = [
     "Tape", "Tensor", "backward",
     "MetricReport",
     "MixturePosterior", "MixturePrior", "kl_gaussian_diag",
-    "kl_mixture_upper_bound", "mixture_weights", "regavae_loss", "sample_mixture",
+    "kl_mixture_upper_bound", "mixture_weights", "regavae_loss",
     "ElboBreakdown", "LatentGaussian", "ModelConfig", "VaeModel",
     "RetrievalDatabase", "RetrievalEntry", "build_database", "maybe_refresh",
     "similarity", "top_k",

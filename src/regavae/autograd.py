@@ -28,7 +28,6 @@ __all__ = [
     "gelu",
     "clamp",
     "reshape",
-    "transpose",
     "concat",
     "tensor_sum",
     "tensor_mean",
@@ -37,7 +36,6 @@ __all__ = [
     "attention",
     "embedding_lookup",
     "cross_entropy_with_logits",
-    "random_normal",
     "Adam",
     "clip_grad_norm",
     "zero_grads",
@@ -117,11 +115,10 @@ def _wrap(x) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "bwd")
+    __slots__ = ("out", "bwd")
 
-    def __init__(self, out, inputs, bwd):
+    def __init__(self, out, bwd):
         self.out = out
-        self.inputs = inputs
         self.bwd = bwd
 
 
@@ -149,17 +146,19 @@ def _record(out: Tensor, inputs: tuple, bwd) -> Tensor:
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
-                _TAPES[-1].nodes.append(_Node(out, inputs, bwd))
+                _TAPES[-1].nodes.append(_Node(out, bwd))
                 break
     return out
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Accumulate d(loss)/d(t) into t.grad for every tensor on the tape.
+    """Accumulate d(loss)/d(t) into t.grad for the tensors the tape's ops read.
 
     Gradients are allocated on first use, so a tensor that does not
-    influence the loss keeps `grad is None`. The tape is consumed: a second
-    call raises ContractError.
+    influence the loss keeps `grad is None`. An op's output drops its grad
+    once the op has passed it on, so afterwards only leaves (parameters and
+    inputs) hold one. The tape is consumed: a second call raises
+    ContractError.
     """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -169,6 +168,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     for node in reversed(tape.nodes):
         if node.out.grad is not None:
             node.bwd(node.out.grad)
+            node.out.grad = None
     tape.consumed = True
 
 
@@ -225,43 +225,25 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. 1-D operands are treated as a row (a) / column (b);
-    two 3-D operands are a stack of products over their shared leading axis."""
-    a2 = a.data.reshape(1, -1) if a.data.ndim == 1 else a.data
-    b2 = b.data.reshape(-1, 1) if b.data.ndim == 1 else b.data
-    if not (a2.ndim == b2.ndim == 2 or a.ndim == b.ndim == 3):
-        raise DimensionError(
-            f"matmul needs 1-D/2-D or two 3-D operands, got {a.shape} and {b.shape}")
-    if a2.shape[:-2] != b2.shape[:-2]:
-        raise DimensionError(f"matmul batch sizes differ: {a.shape} x {b.shape}")
-    if a2.shape[-1] != b2.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out_data = a2 @ b2
-    g_shape = out_data.shape
-    if a.data.ndim == 1:
-        out_data = out_data.reshape(-1)
-    if b.data.ndim == 1:
-        out_data = out_data[..., 0] if out_data.ndim == 2 else out_data
-    out = Tensor(out_data)
+    """Product of two 2-D tensors."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul needs 2-D operands with equal inner dimensions, "
+                             f"got {a.shape} and {b.shape}")
+    out = Tensor(a.data @ b.data)
     _check_finite(out.data, "matmul")
 
     def bwd(g):
-        g2 = g.reshape(g_shape)
         if a.requires_grad:
-            ga = g2 @ np.swapaxes(b2, -1, -2)
-            a._accum(ga.reshape(a.shape))
+            a._accum(g @ b.data.T)
         if b.requires_grad:
-            gb = np.swapaxes(a2, -1, -2) @ g2
-            b._accum(gb.reshape(b.shape))
+            b._accum(a.data.T @ g)
 
     return _record(out, (a, b), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map x @ w.T (+ b) of a row (1-D x) or the rows of 2-D x, as one
-    tape node; w is (out, in). Forward and backward are the numpy expressions
-    of `matmul(x, transpose(w))` followed by `add(., b)`, so results match
-    that composition bit for bit."""
+    tape node; w is (out, in)."""
     if x.ndim not in (1, 2) or w.ndim != 2:
         raise DimensionError(f"linear needs 1-D/2-D x and 2-D w, got {x.shape} and {w.shape}")
     if x.shape[-1] != w.shape[1]:
@@ -296,19 +278,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # Nonlinearities
 # ---------------------------------------------------------------------------
 
-def softmax(v: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis` (max-subtraction)."""
+def softmax(v: Tensor) -> Tensor:
+    """Numerically stable softmax along the last axis (max-subtraction)."""
     if v.size == 0:
         raise DimensionError("softmax of an empty tensor")
-    shifted = v.data - v.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(v.data - v.data.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(p)
     _check_finite(out.data, "softmax")
 
     def bwd(g):
         if v.requires_grad:
-            dot = (g * p).sum(axis=axis, keepdims=True)
+            dot = (g * p).sum(axis=-1, keepdims=True)
             v._accum(p * (g - dot))
 
     return _record(out, (v,), bwd)
@@ -393,29 +374,16 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def transpose(x: Tensor, axes=None) -> Tensor:
-    out = Tensor(x.data.transpose(axes))
-    inv = None if axes is None else np.argsort(axes)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accum(g.transpose(inv))
-
-    return _record(out, (x,), bwd)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
+def concat(tensors) -> Tensor:
+    """The tensors stacked along their first axis."""
     tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    out = Tensor(np.concatenate([t.data for t in tensors]))
+    offsets = np.cumsum([0] + [t.shape[0] for t in tensors])
 
     def bwd(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accum(g[tuple(idx)])
+                t._accum(g[lo:hi])
 
     return _record(out, tuple(tensors), bwd)
 
@@ -424,29 +392,24 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # Reductions
 # ---------------------------------------------------------------------------
 
-def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+def tensor_sum(x: Tensor, axis=None) -> Tensor:
+    out = Tensor(x.data.sum(axis=axis))
 
     def bwd(g):
         if x.requires_grad:
-            gg = g
-            if not keepdims and axis is not None:
-                gg = np.expand_dims(gg, axis)
+            gg = g if axis is None else np.expand_dims(g, axis)
             x._accum(np.broadcast_to(gg, x.shape).copy() if np.ndim(gg) else np.full(x.shape, gg))
 
     return _record(out, (x,), bwd)
 
 
-def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = x.size if axis is None else x.shape[axis]
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
+def tensor_mean(x: Tensor) -> Tensor:
+    """Mean of all elements, a scalar."""
+    out = Tensor(x.data.mean())
 
     def bwd(g):
         if x.requires_grad:
-            gg = g
-            if not keepdims and axis is not None:
-                gg = np.expand_dims(gg, axis)
-            x._accum(np.broadcast_to(gg, x.shape) / n if np.ndim(gg) else np.full(x.shape, gg / n))
+            x._accum(np.full(x.shape, g / x.size))
 
     return _record(out, (x,), bwd)
 
@@ -633,11 +596,6 @@ def cross_entropy_with_logits(logits: Tensor, targets, offsets=None) -> Tensor:
                 logits._accum(p * np.repeat(g / lengths, lengths)[:, None])
 
     return _record(out, (logits,), bwd)
-
-
-def random_normal(shape, rng: np.random.Generator) -> Tensor:
-    """Constant tensor of standard normal draws from a seedable generator."""
-    return Tensor(rng.standard_normal(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .mixture import mixture_mean_latents
-from .model import VaeModel, gaussian_kl_standard
+from .model import VaeModel, gaussian_kl_standard, kept_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,8 @@ def perplexity(model: VaeModel, dataset, db=None, k: int = 0, posts=None) -> flo
     z_layers = mixture_mean_latents(model, sources, db, k, posts=posts)
     _, nll = model.decode(z_layers, targets)
     kl = sum(gaussian_kl_standard(g).data for g in posts)
-    n_tok = np.array([len(t) + 1 for t in targets])  # +1 for the end token
+    # The tokens decode scored: each target as truncated, plus the end token.
+    n_tok = np.array([kept_tokens(model.config, len(t)) + 1 for t in targets])
     return float(np.exp((nll.data * n_tok + kl).sum() / n_tok.sum()))
 
 

@@ -24,8 +24,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ContractError, RetrievalError
-from .model import (ElboBreakdown, LatentGaussian, VaeModel, gaussian_kl_standard, is_pack,
-                    reparameterize)
+from .model import ElboBreakdown, LatentGaussian, VaeModel, gaussian_kl_standard, is_pack
 from .retrieval import RetrievalDatabase, layer_average, similarity, top_k, top_k_batch
 
 _WEIGHT_TOL = 1e-12
@@ -93,15 +92,8 @@ def mixture_weights(query: np.ndarray, retrieved: list[LatentGaussian],
 
 
 def _component(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """The categorical draw of `sample_mixture`; one component needs none."""
+    """A hard categorical draw of a mixture component; one component needs none."""
     return 0 if weights.size == 1 else int(rng.choice(weights.size, p=weights))
-
-
-def sample_mixture(mp: MixturePosterior, rng: np.random.Generator) -> tuple[Tensor, int]:
-    """Hard categorical draw over weights, then reparameterized sample from the
-    selected component. A single-component mixture skips the categorical draw."""
-    idx = _component(mp.weights, rng)
-    return reparameterize(mp.components[idx], rng), idx
 
 
 def kl_gaussian_diag(a: LatentGaussian, b: LatentGaussian) -> float:

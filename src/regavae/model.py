@@ -109,19 +109,18 @@ class ElboBreakdown:
         self.total = self.recon_nll + self.beta * self.kl
 
 
-def reparameterize(g: LatentGaussian, rng: np.random.Generator) -> Tensor:
-    """z = mean + exp(0.5 * log_var) * eps with eps ~ N(0, I)."""
-    eps = ag.random_normal(g.mean.shape, rng)
-    std = ag.exp(g.log_var * 0.5)
-    return g.mean + std * eps
-
-
 def gaussian_kl_standard(g: LatentGaussian) -> Tensor:
     """Closed-form KL(g || N(0, I)) in nats, differentiable: a scalar, or
     one value per row for a row stack."""
     var = ag.exp(g.log_var)
     terms = var + g.mean * g.mean - 1.0 - g.log_var
     return ag.tensor_sum(terms, axis=-1) * 0.5
+
+
+def kept_tokens(config: ModelConfig, n: int) -> int:
+    """How many of a source's or target's n tokens `encode` and `decode`
+    keep: at most max_seq_len - 2, which leaves room for bos and eos."""
+    return min(n, config.max_seq_len - 2)
 
 
 def is_pack(tokens) -> bool:
@@ -253,10 +252,10 @@ class VaeModel:
         tokens = list(tokens)
         if len(tokens) == 0:
             raise InputError(f"empty token sequence for {name}")
-        limit = self.config.max_seq_len - 2  # room for bos/eos
-        if len(tokens) > limit:
-            warnings.warn(f"{name} truncated from {len(tokens)} to {limit} tokens")
-            tokens = tokens[:limit]
+        keep = kept_tokens(self.config, len(tokens))
+        if keep < len(tokens):
+            warnings.warn(f"{name} truncated from {len(tokens)} to {keep} tokens")
+            tokens = tokens[:keep]
         return tokens
 
     # -- VAE operations ------------------------------------------------------

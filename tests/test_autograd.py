@@ -71,19 +71,10 @@ class TestOpGradients:
     def test_matmul(self):
         check_grad(lambda a, b: ag.tensor_sum(a @ b), (3, 4), (4, 2))
 
-    def test_matmul_vector(self):
-        check_grad(lambda a, b: ag.tensor_sum(a @ b), (3, 4), (4,))
-
-    def test_matmul_batched(self):
-        # Stacked products over the leading axis; b enters as a transposed view.
-        def loss(a, b):
-            y = a @ ag.transpose(b, (0, 2, 1))
-            return ag.tensor_sum(y * y)
-        check_grad(loss, (2, 3, 4), (2, 5, 4))
-
     @pytest.mark.parametrize("sa,sb", [((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)),
-                                       ((2, 3, 4), (3, 4, 5))])
+                                       ((2, 3, 4), (3, 4, 5)), ((3, 4), (4,)), ((4,), (4, 2))])
     def test_matmul_batched_shape_errors(self, sa, sb):
+        # matmul takes two 2-D operands only.
         with pytest.raises(DimensionError):
             Tensor(np.ones(sa)) @ Tensor(np.ones(sb))
 
@@ -111,13 +102,12 @@ class TestOpGradients:
         np.testing.assert_array_equal(t.grad, [0.0, 2.0, 2.0, 0.0])
 
     def test_reshape_transpose(self):
-        check_grad(lambda a: ag.tensor_sum(ag.transpose(ag.reshape(a, (4, 3)))
-                                           * 1.5), (3, 4))
+        check_grad(lambda a: ag.tensor_sum(ag.reshape(a, (4, 3))
+                                           * ag.reshape(a, (4, 3))), (3, 4))
 
     def test_concat(self):
-        check_grad(lambda a, b: ag.tensor_sum(ag.concat([a, b], axis=1)
-                                              * ag.concat([a, b], axis=1)),
-                   (2, 3), (2, 2))
+        check_grad(lambda a, b: ag.tensor_sum(ag.concat([a, b]) * ag.concat([a, b])),
+                   (2, 3), (1, 3))
 
     def test_sum_axis(self):
         check_grad(lambda a: ag.tensor_sum(ag.tensor_sum(a, axis=0)
@@ -173,27 +163,48 @@ class TestSoftmaxProperties:
         assert abs(out.sum() - 1.0) < 1e-12
 
 
-def composed_linear(x, w, b=None):
-    """What `linear` replaces: a transpose node, a matmul node and a bias add."""
-    y = ag.matmul(x, ag.transpose(w))
-    return y if b is None else y + b
-
-
-def linear_run(affine, x_shape, bias, twice, seed=5):
-    """Apply `affine` (once, or twice with one weight) on a fresh tape and
-    backpropagate a weighted sum of squares; return output and grads."""
+def linear_case(x_shape, bias, seed=5):
+    """Seeded x, a square w, b (or None) and c: the inputs of sum(y * c)."""
     rng = np.random.default_rng(seed)
     d = x_shape[-1]
-    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
-    w = Tensor(rng.standard_normal((d, d)), requires_grad=True)
-    b = Tensor(rng.standard_normal(d), requires_grad=True) if bias else None
+    x, w = rng.standard_normal(x_shape), rng.standard_normal((d, d))
+    b = rng.standard_normal(d) if bias else None
+    return x, w, b, rng.standard_normal(x_shape)
+
+
+def fused_run(x, w, b, c, twice):
+    """y = linear(x), or linear(tanh(linear(x))) with one w and b, and the
+    grads of x, w and b for the loss sum(y * c), on a fresh tape."""
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    bt = None if b is None else Tensor(b, requires_grad=True)
     with Tape() as tape:
-        y = affine(x, w, b)
+        y = ag.linear(xt, wt, bt)
         if twice:
-            y = affine(ag.tanh(y), w, b)
-        c = Tensor(rng.standard_normal(y.shape))
-        backward(ag.tensor_sum(y * y * c), tape)
-    return y.data, x.grad, w.grad, None if b is None else b.grad, {"x": x, "w": w}
+            y = ag.linear(ag.tanh(y), wt, bt)
+        backward(ag.tensor_sum(y * Tensor(c)), tape)
+    return y.data, xt.grad, wt.grad, None if bt is None else bt.grad
+
+
+def numpy_run(x, w, b, c, twice):
+    """What `fused_run` computes, in numpy: y = x @ w.T + b, whose grads for
+    an upstream grad g are g @ w, (x.T @ g).T and the column sums of g. A 1-D
+    x is one row. The loss hands y the grad c; backward reaches the second
+    application first, so its w and b grads come first in each sum."""
+    def forward(x):
+        y = (np.atleast_2d(x) @ w.T).reshape(x.shape)
+        return y if b is None else y + b
+
+    def grads(x, g):
+        x2, g2 = np.atleast_2d(x), np.atleast_2d(g)
+        return (g2 @ w).reshape(x.shape), np.ascontiguousarray((x2.T @ g2).T), g2.sum(axis=0)
+
+    if not twice:
+        gx, gw, gb = grads(x, c)
+        return forward(x), gx, gw, None if b is None else gb
+    h = np.tanh(forward(x))
+    gh, gw, gb = grads(h, c)
+    gx, gw_inner, gb_inner = grads(x, gh * (1.0 - h * h))
+    return forward(h), gx, gw + gw_inner, None if b is None else gb + gb_inner
 
 
 def same_bytes(a, b):
@@ -205,9 +216,9 @@ class TestLinear:
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("twice", [False, True])
     def test_bitwise_equal_to_composition(self, x_shape, bias, twice):
-        fused = linear_run(ag.linear, x_shape, bias, twice)
-        composed = linear_run(composed_linear, x_shape, bias, twice)
-        for name, a, b in zip(("out", "x.grad", "w.grad", "b.grad"), fused, composed):
+        case = linear_case(x_shape, bias)
+        fused, reference = fused_run(*case, twice), numpy_run(*case, twice)
+        for name, a, b in zip(("out", "x.grad", "w.grad", "b.grad"), fused, reference):
             if name == "b.grad" and not bias:
                 assert a is None and b is None
             else:
@@ -221,8 +232,8 @@ class TestLinear:
     def test_first_grad_is_a_c_ordered_copy(self):
         # dW is the transpose of a product, an F-ordered view; the stored grad
         # must not keep that layout (clip_grad_norm sums it in memory order).
-        *_, t = linear_run(ag.linear, (3, 5), True, False)
-        assert t["w"].grad.flags["C_CONTIGUOUS"]
+        _, _, w_grad, _ = fused_run(*linear_case((3, 5), True), False)
+        assert w_grad.flags["C_CONTIGUOUS"]
         # add passes one g to both inputs; each keeps its own buffer.
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -230,28 +241,30 @@ class TestLinear:
             y = a + b
             backward(ag.tensor_sum(y * y), tape)
         assert not np.shares_memory(a.grad, b.grad)
-        assert not np.shares_memory(a.grad, y.grad)
+        assert y.grad is None  # spent once passed on
         np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
 
     @pytest.mark.parametrize("x_shape", [(5,), (4, 5)])
     def test_clip_grad_norm_bitwise_equal_to_composition(self, x_shape):
-        results = []
-        for affine in (ag.linear, composed_linear):
-            *_, t = linear_run(affine, x_shape, True, True, seed=11)
-            params = {"x": t["x"], "w": t["w"]}
-            norm = clip_grad_norm(params, 1e-3)
-            results.append((norm, t["x"].grad, t["w"].grad))
-        (n1, x1, w1), (n2, x2, w2) = results
-        assert n1 == n2 and n1 > 1e-3
-        assert same_bytes(x1, x2) and same_bytes(w1, w2)
+        case = linear_case(x_shape, True, seed=11)
+        _, x_grad, w_grad, _ = fused_run(*case, True)
+        params = {"x": Tensor(np.zeros(x_shape)), "w": Tensor(np.zeros((5, 5)))}
+        params["x"].grad, params["w"].grad = x_grad, w_grad
+        norm = clip_grad_norm(params, 1e-3)
+        # The reference sums each C-ordered grad's squares, in dict order.
+        _, x_ref, w_ref, _ = numpy_run(*case, True)
+        ref_norm = np.sqrt(float((x_ref**2).sum()) + float((w_ref**2).sum()))
+        assert norm == ref_norm and norm > 1e-3
+        scale = 1e-3 / ref_norm
+        assert same_bytes(x_grad, x_ref * scale) and same_bytes(w_grad, w_ref * scale)
 
     def test_overflow_raises(self):
         w = Tensor(np.array([[1e200]]), requires_grad=True)
-        with pytest.raises(NumericOverflowError):
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericOverflowError):
             with Tape():
                 ag.linear(Tensor(np.array([1e200])), w)
         # The product is finite; the bias add overflows.
-        with pytest.raises(NumericOverflowError):
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericOverflowError):
             with Tape():
                 ag.linear(Tensor(np.array([1.5e308])), Tensor(np.array([[1.0]])),
                           Tensor(np.array([1e308])))
@@ -318,6 +331,21 @@ class TestTapeContract:
         np.testing.assert_array_equal(a.grad, [2.0, 2.0])
         assert b.grad is None and unused.grad is None
 
+    def test_backward_releases_intermediate_grads(self):
+        # A packed stage-1 step: once backward is done only the parameters
+        # hold grads.
+        cfg = RunConfig.from_file(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                               "synthetic.json"))
+        model = VaeModel(cfg.model_config(50), seed=0)
+        xs, ys = [[5, 6, 7], [8, 9], [10, 11, 12, 13]], [[8, 9, 10, 11], [12], [13, 14]]
+        with Tape() as tape:
+            _, total = regavae_loss(model, xs, ys, None, 0, 0.5,
+                                    [np.random.default_rng([0, b]) for b in range(3)],
+                                    kl_floor=cfg.kl_floor)
+            backward(total, tape)
+        assert all(node.out.grad is None for node in tape.nodes)
+        assert all(p.grad is not None for p in model.params.values())
+
     def test_zero_grads(self):
         a = Tensor(np.ones(2), requires_grad=True)
         with Tape() as tape:
@@ -330,12 +358,13 @@ class TestTapeContract:
 class TestNumericGuards:
     def test_overflow_raises(self):
         a = Tensor(np.array([800.0]))
-        with pytest.raises(NumericOverflowError):
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericOverflowError):
             with Tape():
                 ag.exp(ag.exp(a))
 
     def test_log_of_nonpositive_raises(self):
-        with pytest.raises(NumericOverflowError):
+        with pytest.warns(RuntimeWarning, match="invalid value"), \
+                pytest.raises(NumericOverflowError):
             with Tape():
                 ag.log(Tensor(np.array([-1.0])))
 
@@ -377,11 +406,6 @@ class TestOptimizer:
 
 
 class TestDeterminism:
-    def test_random_normal_reproducible(self):
-        x1 = ag.random_normal((4, 3), np.random.default_rng([7, 1]))
-        x2 = ag.random_normal((4, 3), np.random.default_rng([7, 1]))
-        np.testing.assert_array_equal(x1.data, x2.data)
-
     def test_full_graph_bitwise_deterministic(self):
         def run():
             rng = np.random.default_rng(42)

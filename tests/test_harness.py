@@ -8,6 +8,7 @@ import importlib.util
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,15 +454,15 @@ class TestPipelinePlumbing:
         out = tmp_path / "out"
         ckpt, _ = run_stage1(cfg, out)
         db1 = run_stage2(cfg, ckpt, out)
-        bytes1 = open(db1, "rb").read()
+        bytes1 = Path(db1).read_bytes()
         db2 = run_stage2(cfg, ckpt, out)  # re-run from the same checkpoint
-        assert open(db2, "rb").read() == bytes1
+        assert Path(db2).read_bytes() == bytes1
 
     def test_stage1_rerun_bit_identical(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         p1, _ = run_stage1(cfg, tmp_path / "o1")
         p2, _ = run_stage1(cfg, tmp_path / "o2")
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_stage3_excludes_self_from_a_fresh_snapshot(self, tmp_path, monkeypatch):
         import regavae.training as training
@@ -758,8 +759,8 @@ class TestCli:
         o1, o2 = str(tmp_path / "s1"), str(tmp_path / "s2")
         cli_main(["--config", str(cfgp), "--seed", "1", "--out", o1, "train-vae"])
         cli_main(["--config", str(cfgp), "--seed", "2", "--out", o2, "train-vae"])
-        b1 = open(os.path.join(o1, "stage1.ckpt"), "rb").read()
-        b2 = open(os.path.join(o2, "stage1.ckpt"), "rb").read()
+        b1 = Path(o1, "stage1.ckpt").read_bytes()
+        b2 = Path(o2, "stage1.ckpt").read_bytes()
         assert b1 != b2
 
 

@@ -209,6 +209,18 @@ class TestPerplexity:
         with pytest.raises(InputError):
             perplexity(model, [])
 
+    def test_truncated_target_counts_only_the_tokens_decode_scores(self):
+        # decode keeps max_seq_len - 2 = 6 target tokens and scores them and
+        # the end token, so a target that truncates to the same 6 tokens
+        # spreads the same KL over the same 7 tokens.
+        cfg = ModelConfig(vocab_size=20, n_layers=2, d_h=16, n_heads=2, d_z=4,
+                          r_rank=2, max_seq_len=8)
+        model = VaeModel(cfg, seed=0)
+        src, tgt = [4, 5], [6, 7, 8, 9, 10, 11]
+        ppl = perplexity(model, [CorpusPair(src, tgt)])
+        with pytest.warns(UserWarning, match="truncated from 11 to 6"):
+            assert perplexity(model, [CorpusPair(src, tgt + [12, 13, 14, 15, 16])]) == ppl
+
     def test_heldout_kl_zero_with_zeroed_heads(self, model):
         # Zeroed mean heads give exactly the prior: KL is exactly 0.
         import copy

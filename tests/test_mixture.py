@@ -1,4 +1,5 @@
-"""Mixture posterior tests: weight oracles, categorical sampling frequencies,
+"""Mixture posterior tests: weight oracles, the per-layer mixture draw of
+`regavae_loss` (component frequencies, determinism, the one-component case),
 closed-form KLs against Monte Carlo estimates, the mixture upper bound, the
 k=0 reduction to the plain ELBO, and frozen-key gradient behavior."""
 
@@ -9,9 +10,10 @@ from regavae.autograd import Tape, backward, zero_grads
 from regavae.errors import ContractError, RetrievalError
 from regavae.mixture import (MixturePosterior, MixturePrior, kl_categorical,
                              kl_gaussian_diag, kl_mixture_upper_bound,
-                             mixture_weights, regavae_loss, sample_mixture)
+                             mixture_weights, regavae_loss, retrieve_mixture)
 from regavae.model import LatentGaussian, ModelConfig, VaeModel
-from regavae.retrieval import RetrievalDatabase, RetrievalEntry, build_database
+from regavae.retrieval import (RetrievalDatabase, RetrievalEntry, build_database,
+                               layer_average)
 from regavae.data import CorpusPair
 
 
@@ -117,36 +119,67 @@ class TestMixtureDataclasses:
             MixturePrior.matching(mp, "other")
 
 
+def far_key_database(model, x):
+    """Three near-deterministic keys of norm 100 at cosines 1, 0.5 and -1 to
+    the query of document x, far from any query latent: the top two are
+    retrieved at k=2, and a latent drawn from key i lies within 0.1 of it."""
+    q = layer_average(model.encode(x))[0][0]
+    q = q / np.linalg.norm(q)
+    u = np.eye(q.size)[np.argmin(np.abs(q))]
+    u = u - (u @ q) * q
+    u = u / np.linalg.norm(u)
+    means = 100.0 * np.stack([q, 0.5 * q + np.sqrt(0.75) * u, -q])
+    return RetrievalDatabase([RetrievalEntry(i, gauss(m, np.full(q.size, -10.0)), [4], [5])
+                              for i, m in enumerate(means)], 0, 500)
+
+
 class TestSampleMixture:
-    def test_component_frequencies(self):
-        mp = MixturePosterior(
-            [gauss([-10.0]), gauss([0.0]), gauss([10.0])],
-            np.array([0.2, 0.3, 0.5]))
-        rng = np.random.default_rng(0)
-        counts = np.zeros(3)
-        n = 20000
-        for _ in range(n):
-            _, idx = sample_mixture(mp, rng)
-            counts[idx] += 1
-        np.testing.assert_allclose(counts / n, [0.2, 0.3, 0.5], atol=0.015)
+    """The per-layer mixture draw of `regavae_loss`, seen in the latents it
+    decodes. Each document draws from its own generator: per layer, the
+    component (when there are several), then eps."""
 
-    def test_single_component_skips_categorical(self):
-        # With one component the draw must consume exactly the same rng stream
-        # as a bare reparameterized sample.
-        from regavae.model import reparameterize
-        g = gauss([1.0, 2.0], [0.1, 0.2])
-        z1, idx = sample_mixture(MixturePosterior([g], np.array([1.0])),
-                                 np.random.default_rng(9))
-        z2 = reparameterize(g, np.random.default_rng(9))
-        assert idx == 0
-        np.testing.assert_array_equal(z1.data, z2.data)
+    def test_component_frequencies(self, trained_bits, sampled_latents):
+        model, _, _ = trained_bits
+        x, n = [4, 5, 6], 2000
+        db = far_key_database(model, x)
+        weights, keys, hits = retrieve_mixture(model.encode(x), db, 2)
+        assert [e.id for e in hits] == [0, 1]
+        z = np.concatenate(sampled_latents(model, [x] * n, [[7, 8]] * n, db, 2, 1.0,
+                                           [np.random.default_rng([3, i]) for i in range(n)],
+                                           [None] * n))
+        from_key = [np.linalg.norm(z - k.mean_array, axis=1) < 0.1 for k in keys]
+        counts = [len(z) - sum(f.sum() for f in from_key)] + [f.sum() for f in from_key]
+        # Over 2n draws, the query's share is w0 and key i's is w_i.
+        np.testing.assert_allclose(np.array(counts) / len(z), weights, atol=0.03)
+        assert 0.2 < weights[0] < 0.5
 
-    def test_deterministic_given_rng(self):
-        mp = MixturePosterior([gauss([0.0]), gauss([5.0])], np.array([0.4, 0.6]))
-        z1, i1 = sample_mixture(mp, np.random.default_rng(3))
-        z2, i2 = sample_mixture(mp, np.random.default_rng(3))
-        assert i1 == i2
-        np.testing.assert_array_equal(z1.data, z2.data)
+    def test_single_component_skips_categorical(self, trained_bits, sampled_latents):
+        # With no retrieval each latent is mean + std * eps, eps being the
+        # document's own generator's next d_z normals, bit for bit.
+        model, _, _ = trained_bits
+        xs, ys = [[4, 5, 6], [7], [8, 9]], [[7, 8], [9, 10, 11], [12]]
+        z = sampled_latents(model, xs, ys, None, 0, 0.5,
+                            [np.random.default_rng([9, b]) for b in range(3)])
+        posts = model.encode(xs)
+        for b in range(3):
+            gen = np.random.default_rng([9, b])
+            for l, g in enumerate(posts):
+                eps = gen.standard_normal(g.dim)
+                want = g.mean_array[b] + np.exp(0.5 * g.log_var_array[b]) * eps
+                np.testing.assert_array_equal(z[l][b], want)
+
+    def test_deterministic_given_rng(self, trained_bits, sampled_latents):
+        model, _, _ = trained_bits
+        db = far_key_database(model, [4, 5, 6])
+
+        def draw(seed):
+            return sampled_latents(model, [[4, 5, 6]] * 8, [[7, 8]] * 8, db, 2, 1.0,
+                                   [np.random.default_rng([seed, i]) for i in range(8)],
+                                   [None] * 8)
+
+        for a, b in zip(draw(3), draw(3)):
+            np.testing.assert_array_equal(a, b)
+        assert any(np.any(a != b) for a, b in zip(draw(3), draw(4)))
 
 
 class TestGaussianKl:

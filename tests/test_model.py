@@ -1,17 +1,16 @@
 """Model tests: posterior shapes and init behavior, reparameterization
-statistics, latent-injection loop oracle, decode NLL oracles, ELBO gradient
-check, overfit smoke test, attention head layout against a per-head
-reference, generation contracts, and cached generation against a full
-re-decode of every prefix."""
+statistics of `regavae_loss`'s latents, latent-injection loop oracle, decode
+NLL oracles, ELBO gradient check, overfit smoke test, attention head layout
+against a per-head reference, generation contracts, and cached generation
+against a full re-decode of every prefix."""
 
 import numpy as np
 import pytest
 
-import regavae.autograd as ag
 from regavae.autograd import Adam, Tape, Tensor, backward, zero_grads
 from regavae.errors import ConfigError, ContractError, InputError
-from regavae.model import (LatentGaussian, ModelConfig, VaeModel, _LayerCache,
-                           gaussian_kl_standard, reparameterize)
+from regavae.mixture import regavae_loss
+from regavae.model import LatentGaussian, ModelConfig, VaeModel, _LayerCache, gaussian_kl_standard
 
 
 def tiny_config(**kw):
@@ -88,29 +87,39 @@ class TestEncode:
 
 
 class TestReparameterize:
-    def test_moments(self):
-        mu = np.array([1.0, -2.0])
-        lv = np.array([0.0, np.log(4.0)])
-        g = LatentGaussian.from_arrays(mu, lv)
-        rng = np.random.default_rng(0)
-        draws = np.stack([reparameterize(g, rng).data for _ in range(20000)])
-        np.testing.assert_allclose(draws.mean(axis=0), mu, atol=0.05)
-        np.testing.assert_allclose(draws.std(axis=0), [1.0, 2.0], rtol=0.05)
+    """At k=0 `regavae_loss` decodes z = mean + exp(0.5 * log_var) * eps per
+    layer, eps ~ N(0, I) from the document's own generator."""
+
+    def test_moments(self, sampled_latents):
+        # A pack of n copies of one document: n draws per layer, around its
+        # posterior mean with standard deviations 1 and 2.
+        m = VaeModel(tiny_config(d_z=2), seed=3)
+        for l in range(2):
+            m.params[f"post.{l}.b_lv"].data[:] = [0.0, np.log(4.0)]
+        n = 5000
+        z = sampled_latents(m, [[4, 5]] * n, [[6]] * n, None, 0, 1.0,
+                            [np.random.default_rng([0, i]) for i in range(n)])
+        for g, zl in zip(m.encode([4, 5]), z):
+            np.testing.assert_allclose((zl.mean(axis=0) - g.mean_array) / [1.0, 2.0], 0.0,
+                                       atol=0.06)
+            np.testing.assert_allclose(zl.std(axis=0), [1.0, 2.0], rtol=0.05)
 
     def test_gradient_flows_to_mean_and_logvar(self):
-        mu = Tensor(np.array([0.5, -0.5]), requires_grad=True)
-        lv = Tensor(np.array([0.1, 0.2]), requires_grad=True)
+        # With beta = 0 only the reconstruction reaches the posterior heads,
+        # through the sampled latents.
+        m = VaeModel(tiny_config(), seed=4)
         with Tape() as tape:
-            z = reparameterize(LatentGaussian(mu, lv), np.random.default_rng(1))
-            backward(ag.tensor_sum(z * z), tape)
-        assert np.any(mu.grad != 0)
-        assert np.any(lv.grad != 0)
+            _, total = regavae_loss(m, [4, 5], [6, 7], None, 0, 0.0, np.random.default_rng(1))
+            backward(total, tape)
+        for l in range(2):
+            assert np.any(m.params[f"post.{l}.b_mu"].grad != 0)
+            assert np.any(m.params[f"post.{l}.b_lv"].grad != 0)
 
-    def test_deterministic_given_rng(self):
-        g = LatentGaussian.from_arrays(np.zeros(3), np.zeros(3))
-        z1 = reparameterize(g, np.random.default_rng([5, 6])).data
-        z2 = reparameterize(g, np.random.default_rng([5, 6])).data
-        np.testing.assert_array_equal(z1, z2)
+    def test_deterministic_given_rng(self, model, sampled_latents):
+        z1 = sampled_latents(model, [4, 5], [6, 7], None, 0, 1.0, np.random.default_rng([5, 6]))
+        z2 = sampled_latents(model, [4, 5], [6, 7], None, 0, 1.0, np.random.default_rng([5, 6]))
+        for a, b in zip(z1, z2):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestGaussianKl:
