@@ -14,7 +14,9 @@ better than the parent, ties counting for neither. `worse_by` is the share by
 which the change's median is worse than the parent's (negative when better),
 and `within_bound` is true when that share is at most the metric's bound; the
 last line printed names the metric with the largest `worse_by / bound`, so
-"nothing got worse beyond its bound" is one line. It also keeps every run's
+"nothing got worse beyond its bound" is one line. `raw` gives the same
+quartiles of the values before perfbench's speed adjustment, and `raw_ratio`
+their median ratio, so a shift in the pace probes shows. It also keeps every run's
 `correct`/`failed` and the environment perfbench recorded on each side. Run
 length is the `run_seconds` of BENCHMARK.json, the same on both sides.
 
@@ -67,11 +69,15 @@ def summarize(spec: dict, seeds: list[int], runs: dict[str, list[dict]]) -> dict
         vals = {side: [r["end_to_end"][name] for r in runs[side]] for side in SIDES}
         won = sum((c > p) if higher else (c < p) for p, c in zip(vals["parent"], vals["change"]))
         stats = {side: quartiles(vals[side]) for side in SIDES}
+        raw = {side: quartiles([r["raw"][name] for r in runs[side]]) for side in SIDES}
         ratio = stats["change"]["median"] / stats["parent"]["median"]
         worse_by = 1.0 - ratio if higher else ratio - 1.0
         metrics[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                          **stats, "won": f"{won}/{len(seeds)}", "median_ratio": ratio,
                          "worse_by": worse_by, "within_bound": worse_by <= m["bound"],
+                         # The same timings before the speed adjustment.
+                         "raw": raw,
+                         "raw_ratio": raw["change"]["median"] / raw["parent"]["median"],
                          # The claim rule: the medians differ by more than the
                          # distance between the parent's quartiles.
                          "beyond_parent_iqr": abs(stats["change"]["median"]
@@ -115,7 +121,8 @@ def main(argv=None) -> int:
     for name, m in summary["metrics"].items():
         print(f"{name:20s} parent {m['parent']['median']:12.6g} change "
               f"{m['change']['median']:12.6g} {m['unit']:7s} ratio {m['median_ratio']:.3f} "
-              f"won {m['won']}{'' if m['within_bound'] else '  <-- beyond bound'}")
+              f"(raw {m['raw_ratio']:.3f}) won {m['won']}"
+              f"{'' if m['within_bound'] else '  <-- beyond bound'}")
     m = summary["metrics"][summary["worst"]]
     print(f"worst against its bound: {summary['worst']} {100 * m['worse_by']:+.1f}% "
           f"(bound {100 * m['bound']:.0f}%, {'within' if m['within_bound'] else 'BEYOND'})")

@@ -58,7 +58,7 @@ def _generate(cfg: RunConfig, args) -> None:
     model, vocab, _ = load_checkpoint(args.checkpoint)
     tok = Tokenizer(vocab)
     source = tok.encode(args.source)
-    db = load_database(args.database) if args.database else None
+    db = load_database(args.database, model.config.d_z) if args.database else None
     k = cfg.k_neighbors if db is not None else 0
     z_layers = mixture_mean_latents(model, source, db, k)
     strategy = "greedy" if args.strategy == "greedy" else "top_k"

@@ -137,14 +137,8 @@ def kl_mixture_upper_bound(p: MixturePosterior, q: MixturePrior) -> float:
     return total
 
 
-def _mixture(hits) -> tuple[np.ndarray, list[LatentGaussian], list]:
-    """(weights, keys, entries) of a query's top-k hits; the weights reuse
-    the hits' cosine scores."""
-    return _softmax_weights([s for _, s in hits]), [e.key for e, _ in hits], [e for e, _ in hits]
-
-
 def _check_database(db: RetrievalDatabase | None) -> None:
-    if db is None or not db.entries:
+    if db is None or len(db) == 0:
         raise RetrievalError("retrieval requested but the database is empty")
 
 
@@ -153,25 +147,28 @@ def retrieve_mixture(posts: list[LatentGaussian], db: RetrievalDatabase, k: int,
     """Top-k lookup plus softmax weights for one document's query posteriors.
 
     Returns (weights, retrieved keys, hit entries); with k=0 the mixture
-    collapses to the query alone. The keys are the snapshot's own
-    LatentGaussians: constant tensors between refreshes, so no grad flows
-    into them.
+    collapses to the query alone. The hits are records of `db.entries`, and
+    their keys constant tensors between refreshes, so no grad flows into
+    them.
     """
     if k == 0:
         return np.array([1.0]), [], []
     _check_database(db)
-    return _mixture(top_k(layer_average(posts)[0][0], db, k, exclude_id=exclude_id))
+    hits = top_k(layer_average(posts)[0][0], db, k, exclude_id=exclude_id)
+    return _softmax_weights([s for _, s in hits]), [e.key for e, _ in hits], [e for e, _ in hits]
 
 
 def retrieve_mixtures(posts: list[LatentGaussian], db: RetrievalDatabase | None, k: int,
                       exclude_ids=None) -> list[tuple]:
-    """`retrieve_mixture` for every row of a pack's posteriors, with one
-    batched top-k; exclude_ids holds one id (or None) per row."""
+    """Per row of a pack's posteriors, the mixture weights and the database
+    rows of its top-k hits, from one batched top-k; the weights reuse the
+    hits' cosine scores. exclude_ids holds one id (or None) per row."""
     n = np.atleast_2d(posts[0].mean_array).shape[0]
     if k == 0:
-        return [(np.array([1.0]), [], [])] * n
+        return [(np.array([1.0]), [])] * n
     _check_database(db)
-    return [_mixture(h) for h in top_k_batch(layer_average(posts)[0], db, k, exclude_ids)]
+    return [(_softmax_weights(scores), rows)
+            for rows, scores in top_k_batch(layer_average(posts)[0], db, k, exclude_ids)]
 
 
 def regavae_loss(model: VaeModel, x_tokens, y_tokens,
@@ -209,13 +206,13 @@ def regavae_loss(model: VaeModel, x_tokens, y_tokens,
     eps = np.empty((n_layers, n_docs, d_z))
     fixed = np.zeros((n_layers, n_docs, d_z))
     keep = np.ones((n_layers, n_docs, 1))
-    for b, ((weights, keys, _), gen) in enumerate(zip(mixes, rng)):
+    for b, ((weights, rows), gen) in enumerate(zip(mixes, rng)):
         for l in range(n_layers):
             idx = _component(weights, gen)
             eps[l, b] = gen.standard_normal(d_z)
             if idx > 0:
-                key = keys[idx - 1]
-                fixed[l, b] = key.mean_array + np.exp(key.log_var_array * 0.5) * eps[l, b]
+                row = rows[idx - 1]
+                fixed[l, b] = db.means[row] + np.exp(db.log_vars[row] * 0.5) * eps[l, b]
                 keep[l, b] = 0.0
     z_layers = []
     for l, g in enumerate(posts):
@@ -241,9 +238,9 @@ def mixture_mean_latents(model: VaeModel, x_tokens,
     if posts is None:
         posts = model.encode(x_tokens)
     mixes = retrieve_mixtures(posts, db, k)
-    w0 = np.array([[w[0]] for w, _, _ in mixes])
+    w0 = np.array([[w[0]] for w, _ in mixes])
     # The keys are shared by every layer, so their weighted sum is too.
-    retrieved = np.array([sum((w_i * key.mean_array for w_i, key in zip(w[1:], keys)),
-                              np.zeros(posts[0].dim)) for w, keys, _ in mixes])
+    retrieved = np.array([sum((w_i * db.means[row] for w_i, row in zip(w[1:], rows)),
+                              np.zeros(posts[0].dim)) for w, rows in mixes])
     return [Tensor((w0 * np.atleast_2d(g.mean_array) + retrieved).reshape(g.mean.shape))
             for g in posts]

@@ -3,16 +3,19 @@
 Each corpus pair is encoded in packs (source and target concatenated, so keys
 carry continuation information) into one diagonal Gaussian per decoder layer;
 a key, like a query, is their layer average. Queries score against key means
-by cosine similarity with an exact full scan. A snapshot is immutable;
-`maybe_refresh` re-encodes everything on a fixed training-step schedule and
-returns a new snapshot.
+by cosine similarity with an exact full scan. A snapshot is immutable and
+held as arrays; `maybe_refresh` re-encodes every key on a fixed training-step
+schedule and returns a new snapshot of the same ids and tokens.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import struct
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,43 +24,97 @@ from .errors import (ConfigError, DegenerateInputError, DimensionError, InputErr
                      RetrievalError)
 from .model import LatentGaussian, VaeModel
 
-_DB_MAGIC = b"RGDB"
-_DB_VERSION = 1
-
 
 @dataclass
 class RetrievalEntry:
+    """One key and its document: an input record of `RetrievalDatabase` and
+    the type of `top_k`'s hits."""
+
     id: int
     key: LatentGaussian
     source_tokens: list[int]
     target_tokens: list[int]
 
 
-@dataclass
-class RetrievalDatabase:
-    """One immutable snapshot of the keys: its entries are not changed after
-    the first `top_k`, which caches their ids, key means and mean norms."""
+@dataclass(frozen=True)
+class Ragged:
+    """N token sequences as one flat array cut by (N+1) offsets."""
 
-    entries: list[RetrievalEntry]
-    snapshot_step: int
-    refresh_interval: int
-    _keys: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    offsets: np.ndarray
+    flat: np.ndarray
 
-    def __post_init__(self):
-        if self.refresh_interval < 1:
-            raise ConfigError(f"refresh_interval must be positive, got {self.refresh_interval}")
+    @staticmethod
+    def pack(seqs) -> "Ragged":
+        offsets = np.zeros(len(seqs) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, seqs), np.int64, len(seqs)), out=offsets[1:])
+        return Ragged(offsets, np.fromiter(itertools.chain.from_iterable(seqs), np.uint32,
+                                           int(offsets[-1])))
+
+    def __getitem__(self, i: int) -> list[int]:
+        return self.flat[self.offsets[i]:self.offsets[i + 1]].tolist()
+
+
+class _Records(Sequence):
+    """`RetrievalDatabase.entries`: record i is built from the arrays when it
+    is first read and then kept, so reading a few records costs a few."""
+
+    def __init__(self, db: "RetrievalDatabase"):
+        self._arrays = (db.ids, db.means, db.log_vars, db.sources, db.targets)
+        self._made: list[RetrievalEntry | None] = [None] * len(db)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._made)
 
-    def _key_matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids (N,), key means (N, d_z), mean norms (N,)), built on first use
-        rather than on construction, so loading a dump does not pay for it."""
-        if self._keys is None:
-            means = np.stack([e.key.mean_array for e in self.entries])
-            self._keys = (np.array([e.id for e in self.entries]), means,
-                          np.sqrt(np.einsum("ij,ij->i", means, means)))
-        return self._keys
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        record = self._made[i]
+        if record is None:
+            i = range(len(self))[i]  # a negative i counts from the end
+            ids, means, log_vars, sources, targets = self._arrays
+            record = self._made[i] = RetrievalEntry(int(ids[i]), LatentGaussian.from_arrays(
+                means[i], log_vars[i]), sources[i], targets[i])
+        return record
+
+
+class RetrievalDatabase:
+    """One immutable snapshot of N keys, held as read-only arrays: ids (N,),
+    key means and log-vars (N, d_z), the means' norms (N,), and the
+    documents' source and target tokens (`Ragged`). Packs a list of
+    `RetrievalEntry` records; `from_arrays` takes the arrays themselves and
+    makes them read-only. `entries` gives the snapshot back as a read-only
+    sequence of records (`_Records`); a slice of it is a list."""
+
+    def __init__(self, entries: list[RetrievalEntry], snapshot_step: int, refresh_interval: int):
+        shape = (len(entries), entries[0].key.dim if entries else 0)
+        self._set(np.array([e.id for e in entries], dtype=np.int64),
+                  np.array([e.key.mean_array for e in entries], dtype=np.float64).reshape(shape),
+                  np.array([e.key.log_var_array for e in entries],
+                           dtype=np.float64).reshape(shape),
+                  Ragged.pack([e.source_tokens for e in entries]),
+                  Ragged.pack([e.target_tokens for e in entries]), snapshot_step, refresh_interval)
+
+    @classmethod
+    def from_arrays(cls, ids, means, log_vars, sources: Ragged, targets: Ragged,
+                    snapshot_step: int, refresh_interval: int) -> "RetrievalDatabase":
+        db = cls.__new__(cls)
+        db._set(ids, means, log_vars, sources, targets, snapshot_step, refresh_interval)
+        return db
+
+    def _set(self, ids, means, log_vars, sources, targets, snapshot_step, refresh_interval):
+        if refresh_interval < 1:
+            raise ConfigError(f"refresh_interval must be positive, got {refresh_interval}")
+        self.ids, self.means, self.log_vars = ids, means, log_vars
+        self.norms = np.sqrt(np.einsum("ij,ij->i", means, means))
+        self.sources, self.targets = sources, targets
+        for a in (ids, means, log_vars, self.norms, sources.offsets, sources.flat,
+                  targets.offsets, targets.flat):
+            a.flags.writeable = False
+        self.snapshot_step, self.refresh_interval = snapshot_step, refresh_interval
+        self.entries = _Records(self)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 # Documents per `encode` call when keying a corpus. Bounded, because a pack's
@@ -73,26 +130,45 @@ def layer_average(posts: list[LatentGaussian]) -> tuple[np.ndarray, np.ndarray]:
     return tuple(avg.reshape(2, -1, avg.shape[-1]))
 
 
-def _encode_entries(model: VaeModel, docs) -> list[RetrievalEntry]:
-    """One entry per (id, source, target), keyed by the model's current posteriors."""
-    entries = []
+def _encode_keys(model: VaeModel, sources: Ragged,
+                 targets: Ragged) -> tuple[np.ndarray, np.ndarray]:
+    """(N, d_z) key means and log-vars of N documents, each its source then
+    its target, keyed by the model's current posteriors."""
+    docs = [sources[i] + targets[i] for i in range(sources.offsets.size - 1)]
+    means, log_vars = np.empty((2, len(docs), model.config.d_z))
     for lo in range(0, len(docs), _PACK):
-        pack = docs[lo:lo + _PACK]
-        means, log_vars = layer_average(model.encode([[*s, *t] for _, s, t in pack]))
-        entries += [RetrievalEntry(i, LatentGaussian.from_arrays(m, lv), s, t)
-                    for (i, s, t), m, lv in zip(pack, means, log_vars)]
-    return entries
+        means[lo:lo + _PACK], log_vars[lo:lo + _PACK] = layer_average(
+            model.encode(docs[lo:lo + _PACK]))
+    return means, log_vars
+
+
+def corpus_tokens(corpus) -> tuple[np.ndarray, Ragged, Ragged]:
+    """(ids, sources, targets) of a database of `corpus`: pair i is entry i."""
+    return (np.arange(len(corpus), dtype=np.int64),
+            Ragged.pack([p.source_tokens for p in corpus]),
+            Ragged.pack([p.target_tokens for p in corpus]))
+
+
+def token_digest(ids, sources: Ragged, targets: Ragged) -> bytes:
+    """SHA-256 of entry ids and their tokens, as a dump stores them: the
+    fingerprint of the corpus a database was built from."""
+    h = hashlib.sha256()
+    for a, dtype in zip((ids, sources.offsets, sources.flat, targets.offsets, targets.flat),
+                        ("<i8", "<i8", "<u4", "<i8", "<u4")):
+        h.update(np.ascontiguousarray(a, dtype=dtype))
+    return h.digest()
 
 
 def build_database(corpus, model: VaeModel, refresh_interval: int = 500,
                    snapshot_step: int = 0) -> RetrievalDatabase:
-    """Encode every corpus pair into a RetrievalEntry whose id is its corpus
-    index. Deterministic: keys are posterior means/log-variances, no sampling
+    """Encode every corpus pair into a key whose id is its corpus index.
+    Deterministic: keys are posterior means/log-variances, no sampling
     involved."""
-    docs = [(i, list(p.source_tokens), list(p.target_tokens)) for i, p in enumerate(corpus)]
-    if not docs:
+    if not corpus:
         raise ConfigError("cannot build a retrieval database from an empty corpus")
-    return RetrievalDatabase(_encode_entries(model, docs), snapshot_step, refresh_interval)
+    ids, sources, targets = corpus_tokens(corpus)
+    return RetrievalDatabase.from_arrays(ids, *_encode_keys(model, sources, targets),
+                                         sources, targets, snapshot_step, refresh_interval)
 
 
 def similarity(query: np.ndarray, key: LatentGaussian) -> float:
@@ -107,13 +183,14 @@ def similarity(query: np.ndarray, key: LatentGaussian) -> float:
 
 
 def top_k_batch(queries: np.ndarray, db: RetrievalDatabase, k: int,
-                exclude_ids=None) -> list[list[tuple[RetrievalEntry, float]]]:
-    """Exact top-k by cosine similarity for each row of `queries`, descending;
+                exclude_ids=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact top-k by cosine similarity for each row of `queries`: per row,
+    the hits' row indices into the database and their scores, descending;
     ties break toward lower id. exclude_ids holds one entry id (or None) per
     row, which that row does not retrieve."""
-    if not db.entries:
+    if len(db) == 0:
         raise RetrievalError("retrieval database is empty")
-    ids, means, norms = db._key_matrix()
+    ids, means, norms = db.ids, db.means, db.norms
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1:] != means.shape[1:]:
         raise DimensionError(f"queries of shape {q.shape} against keys of dimension "
@@ -140,24 +217,22 @@ def top_k_batch(queries: np.ndarray, db: RetrievalDatabase, k: int,
     out = []
     for row, n in zip(scores, avail):
         kk = min(k, int(n))
-        if kk == 0:
-            out.append([])
-            continue
-        kth = np.partition(row, len(row) - kk)[len(row) - kk]
+        kth = np.partition(row, len(row) - kk)[len(row) - kk] if kk else np.inf
         cand = np.flatnonzero(row >= kth)
         best = cand[np.lexsort((ids[cand], -row[cand]))[:kk]]
-        out.append([(db.entries[i], float(row[i])) for i in best])
+        out.append((best, row[best]))
     return out
 
 
 def top_k(query: np.ndarray, db: RetrievalDatabase, k: int,
           exclude_id: int | None = None) -> list[tuple[RetrievalEntry, float]]:
     """Exact top-k by cosine similarity, descending; ties break toward lower
-    id. A batch of one for `top_k_batch`."""
+    id. A batch of one for `top_k_batch`, whose hits it returns as `entries`."""
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 1:
         raise DimensionError(f"query must be a vector, got shape {q.shape}")
-    return top_k_batch(q[None], db, k, [exclude_id])[0]
+    best, scores = top_k_batch(q[None], db, k, [exclude_id])[0]
+    return [(db.entries[i], s) for i, s in zip(best, scores.tolist())]
 
 
 def maybe_refresh(db: RetrievalDatabase, current_step: int, model: VaeModel) -> RetrievalDatabase:
@@ -168,56 +243,72 @@ def maybe_refresh(db: RetrievalDatabase, current_step: int, model: VaeModel) -> 
         )
     if current_step - db.snapshot_step < db.refresh_interval:
         return db
-    docs = [(e.id, e.source_tokens, e.target_tokens) for e in db.entries]
-    return RetrievalDatabase(_encode_entries(model, docs), current_step, db.refresh_interval)
+    return RetrievalDatabase.from_arrays(db.ids, *_encode_keys(model, db.sources, db.targets),
+                                         db.sources, db.targets, current_step,
+                                         db.refresh_interval)
 
 
 # ---------------------------------------------------------------------------
-# Dump format: magic, version u32, then header {d_z, n_entries, snapshot_step,
-# refresh_interval} as u32/u64, then per entry: id u64, d_z key means f64le,
-# d_z key log-vars f64le, source length u32 + ids u32le, target ditto; nothing
-# after the last entry. Saves replace the file atomically.
+# Dump format, version 2, little-endian: an 80-byte header, then seven blocks
+# back to back and nothing after them. The header holds magic "RGDB", version
+# u32, d_z u32, N u64, snapshot_step u64, refresh_interval u32, the source
+# and target token counts u64, and `token_digest` (32 bytes). The blocks are
+# ids i64 (N), key means f64 (N, d_z), key log-vars f64 (N, d_z), source
+# offsets i64 (N+1), source tokens u32, target offsets i64 (N+1), target
+# tokens u32. A load checks the file's length against the header before it
+# reads a block, then that each offset block starts at 0, never decreases and
+# ends at its token count, then the digest. Saves replace the file atomically.
 # ---------------------------------------------------------------------------
+
+_DB_MAGIC = b"RGDB"
+_DB_VERSION = 2
+_DB_HEADER = struct.Struct("<IQQIQQ32s")  # after magic and version
+_DB_BLOCKS = tuple(map(np.dtype, ("<i8", "<f8", "<f8", "<i8", "<u4", "<i8", "<u4")))
+
 
 def save_database(db: RetrievalDatabase, path) -> None:
-    if not db.entries:
+    if len(db) == 0:
         raise RetrievalError("refusing to dump an empty database")
-    d_z = db.entries[0].key.dim
+    n, d_z = db.means.shape
+    src, tgt = db.sources, db.targets
     with atomic_write(path) as f:
-        f.write(_DB_MAGIC)
-        f.write(struct.pack("<IIIQI", _DB_VERSION, d_z, len(db.entries),
-                            db.snapshot_step, db.refresh_interval))
-        for e in db.entries:
-            f.write(struct.pack("<Q", e.id))
-            f.write(e.key.mean_array.astype("<f8").tobytes())
-            f.write(e.key.log_var_array.astype("<f8").tobytes())
-            for toks in (e.source_tokens, e.target_tokens):
-                f.write(struct.pack("<I", len(toks)))
-                f.write(np.asarray(toks, dtype="<u4").tobytes())
+        f.write(_DB_MAGIC + struct.pack("<I", _DB_VERSION) + _DB_HEADER.pack(
+            d_z, n, db.snapshot_step, db.refresh_interval, src.flat.size, tgt.flat.size,
+            token_digest(db.ids, src, tgt)))
+        for a, dtype in zip((db.ids, db.means, db.log_vars, src.offsets, src.flat,
+                             tgt.offsets, tgt.flat), _DB_BLOCKS):
+            f.write(np.ascontiguousarray(a, dtype=dtype))
 
 
-def load_database(path) -> RetrievalDatabase:
+def load_database(path, d_z: int | None = None) -> RetrievalDatabase:
+    """The snapshot dumped at `path`. With d_z given, a dump of keys of
+    another dimension raises InputError before its blocks are read."""
     r = ByteReader(path, "database dump")
     if r.take(4) != _DB_MAGIC:
         raise InputError(f"{path} is not a retrieval database dump")
-    version, d_z, n, snapshot_step, refresh_interval = struct.unpack("<IIIQI", r.take(24))
+    (version,) = struct.unpack("<I", r.take(4))
     if version != _DB_VERSION:
-        raise InputError(f"unsupported database dump version {version}")
-    # Per entry: id, key means and log-vars, source length in one take;
-    # source ids plus target length in a second; target ids in a third.
-    head = 8 + 16 * d_z + 4
-    entries = []
-    for _ in range(n):
-        b = r.take(head)
-        (eid,) = struct.unpack_from("<Q", b)
-        key = np.frombuffer(b, dtype="<f8", count=2 * d_z, offset=8)
-        (ln,) = struct.unpack_from("<I", b, head - 4)
-        b = r.take(4 * ln + 4)
-        source = np.frombuffer(b, dtype="<u4", count=ln).astype(int).tolist()
-        (ln,) = struct.unpack_from("<I", b, 4 * ln)
-        target = np.frombuffer(r.take(4 * ln), dtype="<u4").astype(int).tolist()
-        entries.append(RetrievalEntry(int(eid), LatentGaussian.from_arrays(
-            key[:d_z].copy(), key[d_z:].copy()), source, target))
+        raise InputError(f"{path}: database dump format version {version}, expected "
+                         f"{_DB_VERSION}; rerun build-db to rewrite it")
+    dim, n, snapshot_step, refresh_interval, n_src, n_tgt, digest = _DB_HEADER.unpack(
+        r.take(_DB_HEADER.size))
+    if d_z is not None and dim != d_z:
+        raise InputError(f"{path}: database keys have dimension {dim}, but the "
+                         f"checkpoint's latents have dimension {d_z}")
+    counts = (n, n * dim, n * dim, n + 1, n_src, n + 1, n_tgt)
+    cuts = list(itertools.accumulate((c * t.itemsize for c, t in zip(counts, _DB_BLOCKS)),
+                                     initial=0))
+    body = r.take(cuts[-1])
     if not r.at_end():
-        raise InputError(f"{path}: database dump has bytes after its last entry")
-    return RetrievalDatabase(entries, int(snapshot_step), int(refresh_interval))
+        raise InputError(f"{path}: database dump has bytes after its last block")
+    ids, means, log_vars, src_off, src_tok, tgt_off, tgt_tok = (
+        np.frombuffer(body[a:b], t).copy() for a, b, t in zip(cuts, cuts[1:], _DB_BLOCKS))
+    for name, off, tok in (("source", src_off, src_tok), ("target", tgt_off, tgt_tok)):
+        if off[0] != 0 or off[-1] != tok.size or np.any(off[1:] < off[:-1]):
+            raise InputError(f"{path}: database dump {name} offsets do not run from 0 "
+                             f"up to its {tok.size} tokens")
+    sources, targets = Ragged(src_off, src_tok), Ragged(tgt_off, tgt_tok)
+    if token_digest(ids, sources, targets) != digest:
+        raise InputError(f"{path}: database dump ids or tokens do not match its digest")
+    return RetrievalDatabase.from_arrays(ids, means.reshape(n, dim), log_vars.reshape(n, dim),
+                                         sources, targets, snapshot_step, refresh_interval)

@@ -25,8 +25,8 @@ from .metrics import (MetricReport, active_units, corpus_bleu, dist_n,
                       perplexity, rouge_l, self_bleu)
 from .mixture import mixture_mean_latents, regavae_loss
 from .model import ElboBreakdown, ModelConfig, VaeModel
-from .retrieval import (RetrievalDatabase, build_database, load_database, maybe_refresh,
-                        save_database)
+from .retrieval import (RetrievalDatabase, build_database, corpus_tokens, load_database,
+                        maybe_refresh, save_database, token_digest)
 
 
 @dataclass
@@ -207,10 +207,10 @@ def _train_stage(cfg: RunConfig, out_dir, checkpoint_path, database_path, k: int
     warmup, cycle = beta_schedule(cfg, len(pairs))
     warmup = extra.get("warmup_steps", warmup)
     cycle = extra.get("cycle_steps", cycle)
-    db = load_database(database_path) if k > 0 else None
+    db = load_database(database_path, model.config.d_z) if k > 0 else None
     # A document excludes its own entry by corpus index, so entry i must be pair i.
-    if db is not None and [(e.id, e.source_tokens, e.target_tokens) for e in db.entries] != [
-            (i, p.source_tokens, p.target_tokens) for i, p in enumerate(pairs)]:
+    if db is not None and (token_digest(db.ids, db.sources, db.targets)
+                           != token_digest(*corpus_tokens(pairs))):
         raise InputError(f"{database_path}: not a database of the training corpus ({len(db)} "
                          f"entries for {len(pairs)} pairs; entry i must hold pair i, id i)")
     result = train_loop(model, pairs, cfg, db, k, epochs, warmup, cycle,
@@ -277,7 +277,7 @@ def run_eval(cfg: RunConfig, checkpoint_path, database_path, out_dir) -> MetricR
     db = None
     k = 0
     if database_path is not None and cfg.k_neighbors > 0:
-        db = load_database(database_path)
+        db = load_database(database_path, model.config.d_z)
         k = cfg.k_neighbors
     # The eval sources are encoded once, as one pack, for all three uses.
     sources = [p.source_tokens for p in eval_pairs]

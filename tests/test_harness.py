@@ -566,6 +566,26 @@ class TestPipelinePlumbing:
         assert packs == [[p.source_tokens for p in eval_pairs]]
         assert report == training.run_eval(cfg, ckpt, db_path, tmp_path / "again")
 
+    def test_eval_builds_no_entry_records(self, tmp_path, monkeypatch):
+        """Eval reads a dump's arrays; the per-entry records stay unbuilt."""
+        from regavae import retrieval
+
+        cfg = tiny_cfg(tmp_path)  # k_neighbors=2
+        out = tmp_path / "out"
+        ckpt, _ = run_stage1(cfg, out)
+        db_path = run_stage2(cfg, ckpt, out)
+        made = []
+
+        class CountingEntry(retrieval.RetrievalEntry):
+            def __init__(self, *args):
+                made.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(retrieval, "RetrievalEntry", CountingEntry)
+        run_eval(cfg, ckpt, db_path, out)
+        assert made == []
+        assert len(list(load_database(db_path).entries)) == len(made) == 12  # the spy counts
+
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -700,7 +720,9 @@ class TestCli:
         assert rc == 1
         assert "header is corrupt" in capsys.readouterr().err
 
-    def test_eval_database_of_other_d_z_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["eval"], ["generate", "--source", "s00x0 s00x1"]],
+                             ids=["eval", "generate"])
+    def test_eval_database_of_other_d_z_exit_one(self, tmp_path, capsys, command):
         from regavae.model import LatentGaussian
         from regavae.retrieval import RetrievalDatabase, RetrievalEntry, save_database
 
@@ -712,10 +734,11 @@ class TestCli:
             [RetrievalEntry(i, LatentGaussian.from_arrays(np.ones(3) + i, np.zeros(3)),
                             [4], [5]) for i in range(3)], 0, 500), db)
         capsys.readouterr()
-        rc = cli_main(["--config", str(cfgp), "--out", out, "eval",
+        rc = cli_main(["--config", str(cfgp), "--out", out, *command,
                        "--checkpoint", os.path.join(out, "stage1.ckpt"), "--database", db])
         assert rc == 1
-        assert "dimension" in capsys.readouterr().err
+        err = capsys.readouterr().err  # rejected at load, naming both dimensions
+        assert "dimension 3" in err and "dimension 4" in err
 
     def test_pipeline_writes_checkpoint_and_metrics(self, tmp_path, capsys):
         cfgp = self._write_cfg(tmp_path, stage1_epochs=1, stage3_epochs=1)
@@ -835,9 +858,9 @@ class TestBenchPairs:
             {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]}
 
         def run(seed, values):
+            values = dict(zip(["build_db_s", "stage1_docs_per_s", "peak_rss_mb"], values))
             return {"seed": seed, "correct": True, "attempted": 1, "failed": 0, "env": {},
-                    "end_to_end": dict(zip(["build_db_s", "stage1_docs_per_s",
-                                            "peak_rss_mb"], values))}
+                    "end_to_end": values, "raw": {k: 2 * v for k, v in values.items()}}
 
         return module.summarize(bench, [1, 2], {
             "parent": [run(1, parent), run(2, parent)],
@@ -851,6 +874,8 @@ class TestBenchPairs:
         assert m["peak_rss_mb"]["worse_by"] == pytest.approx(0.09)
         assert all(v["within_bound"] for v in m.values())
         assert summary["worst"] == "peak_rss_mb"  # 0.09 / 0.1 beats 0.2 / 0.25
+        assert m["build_db_s"]["raw"]["change"]["median"] == 1.0  # unadjusted: 2 x 0.5
+        assert m["build_db_s"]["raw_ratio"] == pytest.approx(0.5)
 
     def test_beyond_bound_flagged(self):
         m = self._summarize([1.0, 100.0, 200.0], [1.3, 100.0, 200.0])["metrics"]

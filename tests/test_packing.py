@@ -112,11 +112,10 @@ class TestBatchedTopK:
         for k in (1, 5, 50):
             rows = top_k_batch(queries, db, k, excludes)
             assert len(rows) == len(queries)
-            for q, e, row in zip(queries, excludes, rows):
+            for q, e, (hits, scores) in zip(queries, excludes, rows):
                 want = top_k(q, db, k, exclude_id=e)
-                assert [h.id for h, _ in row] == [h.id for h, _ in want]
-                np.testing.assert_allclose([s for _, s in row], [s for _, s in want],
-                                           rtol=0, atol=1e-12)
+                assert db.ids[hits].tolist() == [h.id for h, _ in want]
+                np.testing.assert_allclose(scores, [s for _, s in want], rtol=0, atol=1e-12)
 
     def test_exclusions_must_match_queries(self):
         db = RetrievalDatabase([RetrievalEntry(0, LatentGaussian.from_arrays(

@@ -2,6 +2,7 @@
 exact top-k against a brute-force rescoring, refresh scheduling, and the
 binary dump round trip."""
 
+import errno
 import math
 import struct
 
@@ -321,25 +322,51 @@ class TestBuildAndRefresh:
             tiny_model.params[name].data -= 0.05
 
 
+def test_entries_are_built_one_by_one_and_kept(monkeypatch):
+    db = make_db([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    made = []
+
+    class CountingEntry(RetrievalEntry):
+        def __init__(self, *args):
+            made.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(retrieval, "RetrievalEntry", CountingEntry)
+    last = db.entries[-1]
+    assert made == [2] and db.entries[2] is last
+    assert (last.id, last.source_tokens, last.target_tokens) == (2, [4, 6], [5, 7])
+    np.testing.assert_array_equal(last.key.mean_array, [1.0, 1.0])
+    assert [e.id for e in db.entries[:2]] == [0, 1] and made == [2, 0, 1]
+    with pytest.raises(TypeError):
+        db.entries[0] = last
+
+
+def uneven_db():
+    """Four entries with non-trivial log-vars and token lists of several lengths."""
+    rng = np.random.default_rng(4)
+    keys = rng.standard_normal((4, 2, 3))
+    return RetrievalDatabase(
+        [RetrievalEntry(i, LatentGaussian.from_arrays(*keys[i]), [4 + i] * (1 + i % 2),
+                        [10, 11, 8][:1 + i % 3]) for i in range(4)], 42, 123)
+
+
 class TestDumpFormat:
     def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        db = make_db(rng.standard_normal((7, 5)), refresh_interval=123,
-                     snapshot_step=42)
-        for e in db.entries:  # non-trivial log-vars too
-            e.key.log_var.data[:] = rng.standard_normal(5)
+        db = uneven_db()
         path = tmp_path / "db.bin"
         save_database(db, path)
         back = load_database(path)
-        assert back.snapshot_step == 42
-        assert back.refresh_interval == 123
-        assert len(back) == len(db)
-        for a, b in zip(db.entries, back.entries):
+        assert (back.snapshot_step, back.refresh_interval, len(back)) == (42, 123, 4)
+        for name in ("ids", "means", "log_vars", "norms"):
+            assert getattr(back, name).tobytes() == getattr(db, name).tobytes()
+        for a, b in zip(db.entries, back.entries, strict=True):
             assert a.id == b.id
             np.testing.assert_array_equal(a.key.mean_array, b.key.mean_array)
             np.testing.assert_array_equal(a.key.log_var_array, b.key.log_var_array)
             assert a.source_tokens == b.source_tokens
             assert a.target_tokens == b.target_tokens
+        with pytest.raises(ValueError):  # a snapshot is immutable
+            back.entries[0].key.mean_array[0] = 1.0
 
     def test_rejects_non_database_file(self, tmp_path):
         p = tmp_path / "junk.bin"
@@ -347,11 +374,19 @@ class TestDumpFormat:
         with pytest.raises(InputError):
             load_database(p)
 
+    def test_version_1_dump_rejected(self, tmp_path):
+        # v1: header {version, d_z, n, snapshot_step, refresh_interval}, then
+        # per entry its id, key means and log-vars, and length-prefixed tokens.
+        p = tmp_path / "v1.db"
+        p.write_bytes(b"RGDB" + struct.pack("<IIIQIQ", 1, 2, 1, 0, 500, 0)
+                      + np.array([1.0, 0.0, 0.0, 0.0], "<f8").tobytes()
+                      + struct.pack("<IIII", 1, 4, 1, 5))
+        with pytest.raises(InputError, match="version 1.*rerun build-db"):
+            load_database(p)
+
     def test_every_truncated_prefix_raises(self, tmp_path):
-        db = make_db(np.random.default_rng(4).standard_normal((4, 3)))
-        db.entries[2].target_tokens = [10, 11, 8]
         path = tmp_path / "db.bin"
-        save_database(db, path)
+        save_database(uneven_db(), path)
         data = path.read_bytes()
         cut = tmp_path / "cut.bin"
         for n in range(len(data)):
@@ -366,26 +401,84 @@ class TestDumpFormat:
         with pytest.raises(InputError):
             load_database(path)
 
-    # Header: magic, version u32, d_z u32 at byte 8, ...; the first entry starts
-    # at byte 28 with its id u64, then 2 * d_z f64 and its source length u32.
-    @pytest.mark.parametrize("offset", [8, 28 + 8 + 16 * 2], ids=["d_z", "source_length"])
-    def test_oversized_length_field_rejected(self, tmp_path, offset):
+    # Header: magic, version u32, d_z u32 at byte 8, N u64 at 12, snapshot
+    # step u64, refresh interval u32, source token count u64 at 32, target
+    # token count u64 at 40, digest.
+    @pytest.mark.parametrize("offset, fmt", [(8, "<I"), (12, "<Q"), (32, "<Q"), (40, "<Q")],
+                             ids=["d_z", "n_entries", "source_length", "target_length"])
+    def test_oversized_length_field_rejected(self, tmp_path, offset, fmt):
         path = tmp_path / "db.bin"
         save_database(make_db([[1.0, 0.0], [0.0, 1.0]]), path)
         data = bytearray(path.read_bytes())
-        struct.pack_into("<I", data, offset, 2**31)
+        struct.pack_into(fmt, data, offset, 2**31)
         path.write_bytes(bytes(data))
         with pytest.raises(InputError, match="truncated"):
             load_database(path)
 
-    def test_failed_save_keeps_previous_file(self, tmp_path):
+    def test_flipped_token_byte_rejected(self, tmp_path):
+        db = make_db([[1.0, 0.0], [0.0, 1.0]])
+        path = tmp_path / "db.bin"
+        save_database(db, path)
+        data = bytearray(path.read_bytes())
+        # The source tokens follow the 80-byte header, the ids, both key
+        # blocks and the N+1 source offsets.
+        n, d_z = db.means.shape
+        data[80 + 8 * n + 16 * n * d_z + 8 * (n + 1)] ^= 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(InputError, match="digest"):
+            load_database(path)
+
+    @pytest.mark.parametrize("offsets", [[0, 2, 1, 4], [0, 1, 2, 3], [1, 2, 3, 4]],
+                             ids=["decreasing", "short_of_count", "not_from_zero"])
+    def test_bad_offsets_rejected(self, tmp_path, offsets):
+        # A dump of these offsets, with a digest that matches them: only the
+        # offset check can catch them.
+        db = make_db([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        bad = RetrievalDatabase.from_arrays(
+            db.ids, db.means, db.log_vars,
+            retrieval.Ragged(np.array(offsets), np.array([4, 5, 6, 7], np.uint32)),
+            db.targets, 0, 500)
+        path = tmp_path / "db.bin"
+        save_database(bad, path)
+        with pytest.raises(InputError, match="source offsets"):
+            load_database(path)
+
+    def test_other_key_dimension_rejected(self, tmp_path):
+        path = tmp_path / "db.bin"
+        save_database(make_db([[1.0, 0.0], [0.0, 1.0]]), path)
+        assert len(load_database(path, 2)) == 2
+        with pytest.raises(InputError, match="dimension 2.*dimension 3"):
+            load_database(path, 3)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        from regavae import checkpoint
+
         path = tmp_path / "db.bin"
         save_database(make_db([[1.0, 0.0], [0.0, 1.0]]), path)
         before = path.read_bytes()
-        bad = make_db([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        bad.entries[2].target_tokens = [-1]  # not a u32: raises mid-write
-        with pytest.raises(OverflowError):
-            save_database(bad, path)
+
+        class DiskFull:
+            """Takes the header, then fails at the first block as a full disk does."""
+
+            def __init__(self, path):
+                self.f, self.writes = open(path, "wb"), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.f.write(data)
+
+        monkeypatch.setattr(checkpoint, "open", lambda p, mode: (
+            DiskFull(p) if str(p).endswith(".tmp") else open(p, mode)), raising=False)
+        with pytest.raises(OSError):
+            save_database(make_db([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["db.bin"]
 
