@@ -1,11 +1,15 @@
 """Versioned binary checkpoints.
 
-Layout: magic "RGVC", format version u32, u32 length + UTF-8 JSON header
-(model config echo, vocabulary, training counters), u32 parameter count, then
-per parameter: u32 name length + name, u32 ndim, u32 dims, raw float64
-little-endian data, and nothing after the last parameter. Round-trips are
-bit-exact, and saves replace the file atomically. This is version 2 (one
-stacked `inj.{l}.w_v`/`w_z` pair per layer, no `attn.wk_b`); others are rejected.
+Layout, version 3: magic "RGVC", u32 format version, u32 length + UTF-8 JSON
+header (model config, vocabulary, training counters), then one little-endian
+float64 block of every parameter in `model.parameter_layout` order, and
+nothing after it. The config alone decides each parameter's name and shape,
+so the file stores neither. A load checks the header and a vocabulary that
+begins with `data.SPECIALS`, then counts the config's floats against the
+bytes left, and only then builds the model: a header that claims a huge model
+costs no more than the file's size. Round-trips are bit-exact, and saves
+replace the file atomically. Versions 1 and 2, which stored a name and shape
+per parameter, are rejected with a message to rerun training.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ from typing import get_type_hints
 
 import numpy as np
 
+from .data import SPECIALS
 from .errors import ConfigError, InputError
-from .model import ModelConfig, VaeModel
+from .model import ModelConfig, VaeModel, parameter_layout
 
 _MAGIC = b"RGVC"
-_VERSION = 2
+_VERSION = 3
+_F8 = np.dtype("<f8")
 # Field type -> the Python types its JSON value may take.
 _JSON_TYPES = {int: int, float: (int, float), str: str}
 
@@ -72,40 +78,36 @@ class ByteReader:
         with open(path, "rb") as f:
             self._view = memoryview(f.read())
         self._pos = 0
-        self._truncated = f"{path}: {what} is truncated"
+        self._what = f"{path}: {what}"
 
     def take(self, n: int) -> memoryview:
         start, self._pos = self._pos, self._pos + n
         if self._pos > len(self._view):
-            raise InputError(self._truncated)
+            raise InputError(f"{self._what} is truncated")
         return self._view[start:self._pos]
 
-    def at_end(self) -> bool:
-        return self._pos == len(self._view)
+    def take_blocks(self, blocks) -> list[np.ndarray]:
+        """All the bytes left, as one array per (count, dtype) of `blocks`,
+        in order. The running size is checked against the bytes left after
+        each block, so a lazy `blocks` is read no further than the file goes;
+        bytes left over after the last block raise InputError too."""
+        left, sizes = len(self._view) - self._pos, []
+        for count, dtype in blocks:
+            sizes.append((count * dtype.itemsize, dtype))
+            if (left := left - sizes[-1][0]) < 0:
+                raise InputError(f"{self._what} is truncated")
+        if left:
+            raise InputError(f"{self._what} has bytes after its last block")
+        return [np.frombuffer(self.take(n), dtype).copy() for n, dtype in sizes]
 
 
 def save_checkpoint(path, model: VaeModel, vocab: list[str], extra: dict | None = None) -> None:
-    header = {
-        "format_version": _VERSION,
-        "config": {k: v for k, v in vars(model.config).items()},
-        "vocab": list(vocab),
-        "extra": extra or {},
-    }
+    header = {"config": vars(model.config), "vocab": list(vocab), "extra": extra or {}}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_write(path) as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(model.params)))
-        for name in sorted(model.params):
-            data = model.params[name].data
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            f.write(data.astype("<f8").tobytes())
+        f.write(_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob)
+        for t in model.params.values():
+            f.write(np.ascontiguousarray(t.data, dtype=_F8))
 
 
 def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
@@ -114,7 +116,8 @@ def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
         raise InputError(f"{path} is not a checkpoint file")
     (version,) = struct.unpack("<I", r.take(4))
     if version != _VERSION:
-        raise InputError(f"{path}: checkpoint format version {version}, expected {_VERSION}")
+        raise InputError(f"{path}: checkpoint format version {version}, expected {_VERSION}; "
+                         f"rerun training (train-vae, then train-regavae) to rewrite it")
     (hlen,) = struct.unpack("<I", r.take(4))
     try:
         header = json.loads(str(r.take(hlen), "utf-8"))
@@ -124,33 +127,15 @@ def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
         # The extra fields are training counters, all integers.
         check_json_fields(extra, dict.fromkeys(extra, int), f"{path}: checkpoint 'extra'")
         config = ModelConfig(**header["config"])
-        model = VaeModel(config, seed=0)
     except (ValueError, KeyError, TypeError, ConfigError) as e:
         raise InputError(f"{path}: checkpoint header is corrupt ({e!r})") from e
     vocab = header.get("vocab")
     if (not isinstance(vocab, list) or len(vocab) != config.vocab_size
-            or not all(isinstance(w, str) for w in vocab)):
+            or vocab[:len(SPECIALS)] != SPECIALS or not all(isinstance(w, str) for w in vocab)):
         raise InputError(f"{path}: checkpoint vocabulary is not a list of "
-                         f"vocab_size={config.vocab_size} words")
-    (count,) = struct.unpack("<I", r.take(4))
-    loaded = set()
-    for _ in range(count):
-        (nlen,) = struct.unpack("<I", r.take(4))
-        name = str(r.take(nlen), "utf-8", errors="replace")
-        (ndim,) = struct.unpack("<I", r.take(4))
-        shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        # math.prod: an int64 product of corrupt dims could wrap to a small size.
-        data = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
-        if name not in model.params:
-            raise InputError(f"checkpoint parameter {name!r} unknown to the model")
-        if model.params[name].data.shape != data.shape:
-            raise InputError(f"checkpoint parameter {name!r} has shape {data.shape}, "
-                             f"expected {model.params[name].data.shape}")
-        model.params[name].data = data
-        loaded.add(name)
-    if not r.at_end():
-        raise InputError(f"{path}: checkpoint has bytes after its last parameter")
-    missing = sorted(set(model.params) - loaded)
-    if missing:
-        raise InputError(f"{path}: checkpoint lacks parameters {missing}")
+                         f"vocab_size={config.vocab_size} words that begins with {SPECIALS}")
+    blocks = r.take_blocks((math.prod(shape), _F8) for _, shape, _ in parameter_layout(config))
+    model = VaeModel(config)
+    for t, block in zip(model.params.values(), blocks):
+        t.data = block.reshape(t.shape)
     return model, vocab, extra

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: train-vae, build-db, train-regavae, generate, eval, pipeline, ablate.
-Exit codes: 0 success, 1 input error, 2 numeric divergence.
+Exit codes: 0 success, 1 input error or out of memory, 2 numeric divergence.
 """
 
 from __future__ import annotations
@@ -12,15 +12,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .checkpoint import load_checkpoint
 from .data import Tokenizer
 from .errors import DivergenceError, InputError, NumericOverflowError, RegaVaeError
 from .mixture import mixture_mean_latents
 from .retrieval import load_database
-from .training import (RunConfig, run_ablation, run_eval, run_pipeline, run_stage1,
-                       run_stage2, run_stage3)
+from .training import (RunConfig, generation_rng, run_ablation, run_eval, run_pipeline,
+                       run_stage1, run_stage2, run_stage3)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,9 +61,8 @@ def _generate(cfg: RunConfig, args) -> None:
     z_layers = mixture_mean_latents(model, source, db, k)
     strategy = "greedy" if args.strategy == "greedy" else "top_k"
     for i in range(args.n_samples):
-        rng = np.random.default_rng([cfg.seed, 13, i])
         ids = model.generate(z_layers, cfg.max_gen_len, strategy=strategy,
-                             rng=rng, top_k=cfg.top_k_sample)
+                             rng=generation_rng(cfg.seed, i), top_k=cfg.top_k_sample)
         print(tok.decode(ids))
 
 
@@ -102,6 +99,9 @@ def main(argv=None) -> int:
         return 2
     except (RegaVaeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory ({e})" if str(e) else "error: out of memory", file=sys.stderr)
         return 1
     return 0
 

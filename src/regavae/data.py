@@ -56,19 +56,26 @@ class Tokenizer:
 
 
 def read_jsonl(path) -> list[dict]:
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()  # at \n, \r\n or \r, as text mode splits
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise InputError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            for field_name in ("source", "target"):
-                if field_name not in rec or not isinstance(rec[field_name], str):
-                    raise InputError(f"{path}:{lineno}: missing string field {field_name!r}")
-            records.append(rec)
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise InputError(f"{path}:{lineno}: not UTF-8 text ({e.reason})") from e
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise InputError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+        if not isinstance(rec, dict):
+            raise InputError(f"{path}:{lineno}: not a JSON object")
+        for field_name in ("source", "target"):
+            if not isinstance(rec.get(field_name), str):
+                raise InputError(f"{path}:{lineno}: missing string field {field_name!r}")
+        records.append(rec)
     if not records:
         raise InputError(f"{path}: empty corpus")
     return records

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .data import BOS, EOS, SPECIALS
 from .errors import ConfigError, ContractError, InputError
 
 LOG_VAR_MIN = -10.0
@@ -38,25 +39,77 @@ class ModelConfig:
     n_heads: int = 4
     d_z: int = 32
     r_rank: int = 4
-    d_ff: int = 0  # 0 means 4*d_h
     max_seq_len: int = 128
-    bos_id: int = 2
-    eos_id: int = 3
 
     def __post_init__(self):
-        for name in ("n_layers", "d_h", "n_heads", "d_z", "r_rank"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.max_seq_len < 3:
-            raise ConfigError(
-                f"max_seq_len must be >= 3 (bos, a token, eos), got {self.max_seq_len}")
-        if self.d_ff == 0:
-            self.d_ff = 4 * self.d_h
+        # The vocabulary holds the specials; a sequence holds bos, a token and eos.
+        for name, low in (("vocab_size", len(SPECIALS)), ("n_layers", 1), ("d_h", 1),
+                          ("n_heads", 1), ("d_z", 1), ("r_rank", 1), ("max_seq_len", 3)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.d_h % self.n_heads != 0:
             raise ConfigError(f"d_h={self.d_h} not divisible by n_heads={self.n_heads}")
-        if not (0 <= self.bos_id < self.vocab_size and 0 <= self.eos_id < self.vocab_size):
-            raise ConfigError(f"bos_id={self.bos_id} and eos_id={self.eos_id} must lie in "
-                              f"[0, vocab_size={self.vocab_size})")
+
+    @property
+    def d_ff(self) -> int:
+        return 4 * self.d_h
+
+
+def parameter_layout(config: ModelConfig):
+    """Every parameter as (name, shape, init(rng, shape) -> starting value), in the
+    order a new model draws them; lazy, so a caller sizing them can stop early."""
+    c = config
+
+    def normal(rng, shape, scale=0.02):
+        return rng.standard_normal(shape) * scale
+
+    def const(value):
+        return lambda rng, shape: np.full(shape, value)
+
+    def near_identity(rng, shape):
+        return np.tile(np.eye(c.d_h) / c.r_rank, (c.r_rank, 1)) + normal(rng, shape)
+
+    def unit_gate(rng, shape):
+        return rng.standard_normal(shape) / np.sqrt(c.d_z)
+
+    zeros, ones = const(0.0), const(1.0)
+
+    yield "tok_emb", (c.vocab_size, c.d_h), normal
+    yield "pos_emb", (c.max_seq_len + 1, c.d_h), normal
+    for stack in ("enc", "dec"):
+        for l in range(c.n_layers):
+            p = f"{stack}.{l}"
+            for w in ("wq", "wk", "wv", "wo"):
+                yield f"{p}.attn.{w}", (c.d_h, c.d_h), normal
+                if w != "wk":  # a key bias shifts a row's scores alike: softmax ignores it
+                    yield f"{p}.attn.{w}_b", (c.d_h,), zeros
+            yield f"{p}.ln1.g", (c.d_h,), ones
+            yield f"{p}.ln1.b", (c.d_h,), zeros
+            yield f"{p}.ff.w1", (c.d_ff, c.d_h), normal
+            yield f"{p}.ff.b1", (c.d_ff,), zeros
+            yield f"{p}.ff.w2", (c.d_h, c.d_ff), normal
+            yield f"{p}.ff.b2", (c.d_h,), zeros
+            yield f"{p}.ln2.g", (c.d_h,), ones
+            yield f"{p}.ln2.b", (c.d_h,), zeros
+        yield f"{stack}.lnf.g", (c.d_h,), ones
+        yield f"{stack}.lnf.b", (c.d_h,), zeros
+    for l in range(c.n_layers):
+        # Posterior heads start with unit variance (log-variance exactly 0)
+        # and input-dependent means at O(0.3) scale. A zero mean head leaves
+        # the latent no input signal, and the decoder gate can absorb any
+        # rescaling of the latent, so training largely keeps the scale that
+        # initialization sets: O(0.3) keeps posterior means measurable.
+        yield f"post.{l}.w_mu", (c.d_z, c.d_h), lambda rng, shape: normal(rng, shape, 0.3)
+        yield f"post.{l}.b_mu", (c.d_z,), zeros
+        yield f"post.{l}.w_lv", (c.d_z, c.d_h), zeros
+        yield f"post.{l}.b_lv", (c.d_z,), zeros
+        # Rank j's maps are rows j*d_h:(j+1)*d_h. W_v,j starts near I/r, so
+        # the rank sum starts near identity; W_z is unit-variance, so each
+        # rank's gate has O(1) scale and the decoder feels the latent from
+        # step one (the annealing warmup lets posterior variances shrink
+        # before the KL weight bites, so the gate does not stay noisy).
+        yield f"inj.{l}.w_v", (c.r_rank * c.d_h, c.d_h), near_identity
+        yield f"inj.{l}.w_z", (c.r_rank * c.d_h, c.d_z), unit_gate
 
 
 @dataclass
@@ -148,57 +201,10 @@ class VaeModel:
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(seed)
-        c = config
-
-        def par(name, arr):
-            t = Tensor(arr, requires_grad=True)
-            self.params[name] = t
-            return t
-
-        def normal(shape, scale=0.02):
-            return rng.standard_normal(shape) * scale
-
-        par("tok_emb", normal((c.vocab_size, c.d_h)))
-        par("pos_emb", normal((c.max_seq_len + 1, c.d_h)))
-        for stack in ("enc", "dec"):
-            for l in range(c.n_layers):
-                p = f"{stack}.{l}"
-                for w in ("wq", "wk", "wv", "wo"):
-                    par(f"{p}.attn.{w}", normal((c.d_h, c.d_h)))
-                    if w != "wk":  # a key bias shifts a row's scores alike: softmax ignores it
-                        par(f"{p}.attn.{w}_b", np.zeros(c.d_h))
-                par(f"{p}.ln1.g", np.ones(c.d_h))
-                par(f"{p}.ln1.b", np.zeros(c.d_h))
-                par(f"{p}.ff.w1", normal((c.d_ff, c.d_h)))
-                par(f"{p}.ff.b1", np.zeros(c.d_ff))
-                par(f"{p}.ff.w2", normal((c.d_h, c.d_ff)))
-                par(f"{p}.ff.b2", np.zeros(c.d_h))
-                par(f"{p}.ln2.g", np.ones(c.d_h))
-                par(f"{p}.ln2.b", np.zeros(c.d_h))
-            par(f"{stack}.lnf.g", np.ones(c.d_h))
-            par(f"{stack}.lnf.b", np.zeros(c.d_h))
-        for l in range(c.n_layers):
-            # Posterior heads start with unit variance (log-variance exactly
-            # 0) and input-dependent means at O(0.3) scale. A zero mean head
-            # leaves the latent with no input signal, and the decoder gate can
-            # absorb any rescaling of the latent, so training largely
-            # preserves whatever mean scale initialization sets; a deliberate
-            # O(0.3) seed keeps the posterior means at a measurable magnitude
-            # instead of degenerating to an arbitrarily tiny encoding.
-            par(f"post.{l}.w_mu", 0.3 * rng.standard_normal((c.d_z, c.d_h)))
-            par(f"post.{l}.b_mu", np.zeros(c.d_z))
-            par(f"post.{l}.w_lv", np.zeros((c.d_z, c.d_h)))
-            par(f"post.{l}.b_lv", np.zeros(c.d_z))
-            # Rank j's maps are rows j*d_h:(j+1)*d_h. W_v,j starts near I/r, so
-            # the rank sum starts near identity; W_z is unit-variance, so each
-            # rank's gate has O(1) scale and the decoder feels the latent from
-            # step one (the annealing warmup lets posterior variances shrink
-            # before the KL weight bites, so the gate does not stay noisy).
-            par(f"inj.{l}.w_v", np.tile(np.eye(c.d_h) / c.r_rank, (c.r_rank, 1))
-                + normal((c.r_rank * c.d_h, c.d_h)))
-            par(f"inj.{l}.w_z", rng.standard_normal((c.r_rank * c.d_h, c.d_z)) / np.sqrt(c.d_z))
+        self.params: dict[str, Tensor] = {
+            name: Tensor(init(rng, shape), requires_grad=True)
+            for name, shape, init in parameter_layout(config)}
 
     # -- transformer pieces --------------------------------------------------
 
@@ -266,7 +272,7 @@ class VaeModel:
         c = self.config
         p = self.params
         pack = is_pack(tokens)
-        seqs = [[c.bos_id] + self._prepare_ids(t, "encoder input") + [c.eos_id]
+        seqs = [[BOS] + self._prepare_ids(t, "encoder input") + [EOS]
                 for t in (tokens if pack else [tokens])]
         offsets = _offsets(seqs)
         h = self._embed([i for s in seqs for i in s], offsets)
@@ -348,11 +354,11 @@ class VaeModel:
         targets = [self._prepare_ids(t, "decoder target")
                    for t in (target_tokens if pack else [target_tokens])]
         self._check_latents(z_layers, len(targets) if pack else None)
-        inputs = [[c.bos_id] + t for t in targets]
+        inputs = [[BOS] + t for t in targets]
         offsets = _offsets(inputs)
         logits = self._decoder_logits(z_layers, [i for s in inputs for i in s],
                                       offsets=offsets)
-        nll = ag.cross_entropy_with_logits(logits, [i for t in targets for i in t + [c.eos_id]],
+        nll = ag.cross_entropy_with_logits(logits, [i for t in targets for i in t + [EOS]],
                                            offsets if pack else None)
         return logits, nll
 
@@ -386,7 +392,7 @@ class VaeModel:
             pos = len(out)  # position of the newest input, bos at 0
             if pos >= c.max_seq_len:
                 break
-            last = out[-1] if out else c.bos_id
+            last = out[-1] if out else BOS
             logits = self._decoder_logits(z_layers, [last], cache, pos).data[-1]
             if strategy == "greedy":
                 nxt = int(np.argmax(logits))
@@ -396,7 +402,7 @@ class VaeModel:
                 probs = np.exp(logits[cand] - logits[cand].max())
                 probs /= probs.sum()
                 nxt = int(rng.choice(cand, p=probs))
-            if nxt == c.eos_id:
+            if nxt == EOS:
                 break
             out.append(nxt)
         return out

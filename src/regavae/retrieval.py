@@ -296,13 +296,8 @@ def load_database(path, d_z: int | None = None) -> RetrievalDatabase:
         raise InputError(f"{path}: database keys have dimension {dim}, but the "
                          f"checkpoint's latents have dimension {d_z}")
     counts = (n, n * dim, n * dim, n + 1, n_src, n + 1, n_tgt)
-    cuts = list(itertools.accumulate((c * t.itemsize for c, t in zip(counts, _DB_BLOCKS)),
-                                     initial=0))
-    body = r.take(cuts[-1])
-    if not r.at_end():
-        raise InputError(f"{path}: database dump has bytes after its last block")
-    ids, means, log_vars, src_off, src_tok, tgt_off, tgt_tok = (
-        np.frombuffer(body[a:b], t).copy() for a, b, t in zip(cuts, cuts[1:], _DB_BLOCKS))
+    ids, means, log_vars, src_off, src_tok, tgt_off, tgt_tok = r.take_blocks(
+        zip(counts, _DB_BLOCKS))
     for name, off, tok in (("source", src_off, src_tok), ("target", tgt_off, tgt_tok)):
         if off[0] != 0 or off[-1] != tok.size or np.any(off[1:] < off[:-1]):
             raise InputError(f"{path}: database dump {name} offsets do not run from 0 "

@@ -79,8 +79,8 @@ class RunConfig:
         with open(path, "r", encoding="utf-8") as f:
             try:
                 raw = json.load(f)
-            except json.JSONDecodeError as e:
-                raise InputError(f"{path}: invalid JSON config ({e.msg})") from e
+            except (json.JSONDecodeError, UnicodeDecodeError) as e:
+                raise InputError(f"{path}: invalid JSON config ({e})") from e
         check_json_fields(raw, get_type_hints(RunConfig), f"{path}: config")
         return RunConfig(**raw)
 
@@ -103,6 +103,11 @@ def _write_text(path, text: str) -> None:
 
 def _rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(list(key))
+
+
+def generation_rng(seed: int, i: int) -> np.random.Generator:
+    """The sampling stream of eval's i-th generation or `generate`'s i-th sample."""
+    return _rng(seed, 13, i)
 
 
 @dataclass
@@ -288,7 +293,7 @@ def run_eval(cfg: RunConfig, checkpoint_path, database_path, out_dir) -> MetricR
     generations = []
     for i in range(len(eval_pairs)):
         gen = model.generate([Tensor(z.data[i]) for z in latents], cfg.max_gen_len,
-                             strategy="top_k", rng=_rng(cfg.seed, 13, i),
+                             strategy="top_k", rng=generation_rng(cfg.seed, i),
                              top_k=cfg.top_k_sample)
         generations.append(gen if gen else [0])
     report = MetricReport(

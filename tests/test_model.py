@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from regavae.autograd import Adam, Tape, Tensor, backward, zero_grads
+from regavae.data import BOS, EOS, SPECIALS
 from regavae.errors import ConfigError, ContractError, InputError
 from regavae.mixture import regavae_loss
 from regavae.model import LatentGaussian, ModelConfig, VaeModel, _LayerCache, gaussian_kl_standard
@@ -34,10 +35,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(d_z=0)
 
-    @pytest.mark.parametrize("field,value", [("bos_id", 20), ("eos_id", -1)])
-    def test_rejects_special_ids_outside_vocabulary(self, field, value):
-        with pytest.raises(ConfigError, match=field):
-            tiny_config(**{field: value})
+    def test_rejects_vocabulary_smaller_than_specials(self):
+        with pytest.raises(ConfigError, match="vocab_size"):
+            tiny_config(vocab_size=len(SPECIALS) - 1)
+        tiny_config(vocab_size=len(SPECIALS))
 
     def test_d_ff_default(self):
         assert tiny_config().d_ff == 4 * 16
@@ -199,7 +200,7 @@ class TestDecode:
         z = self._latents(model)
         tokens = [4, 7, 9]
         logits, nll = model.decode(z, tokens)
-        targets = tokens + [model.config.eos_id]
+        targets = tokens + [EOS]
         lg = logits.data
         man = 0.0
         for i, t in enumerate(targets):
@@ -347,7 +348,7 @@ class TestGenerate:
         z = self._latents(model)
         out = model.generate(z, 5)
         assert len(out) <= 5
-        assert model.config.eos_id not in out
+        assert EOS not in out
 
     def test_top_k_requires_rng(self, model):
         for max_len in (5, 0):
@@ -382,7 +383,7 @@ def _reference_generate(model, z_layers, max_len, strategy="greedy", rng=None, t
     c = model.config
     out = []
     for _ in range(max_len):
-        inputs = [c.bos_id] + out
+        inputs = [BOS] + out
         if len(inputs) > c.max_seq_len:
             break
         logits = model._decoder_logits(z_layers, inputs).data[-1]
@@ -393,7 +394,7 @@ def _reference_generate(model, z_layers, max_len, strategy="greedy", rng=None, t
             probs = np.exp(logits[cand] - logits[cand].max())
             probs /= probs.sum()
             nxt = int(rng.choice(cand, p=probs))
-        if nxt == c.eos_id:
+        if nxt == EOS:
             break
         out.append(nxt)
     return out
@@ -437,7 +438,7 @@ class TestCachedGenerate:
         for z, out, steps in runs:
             assert len(steps) in (len(out), len(out) + 1)  # +1: the step that drew EOS
             for t, got in enumerate(steps):
-                ref = any_model._decoder_logits(z, [c.bos_id] + out[:t]).data[-1]
+                ref = any_model._decoder_logits(z, [BOS] + out[:t]).data[-1]
                 np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
 
     def test_greedy_matches_reference(self, any_model):
