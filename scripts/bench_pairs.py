@@ -17,8 +17,10 @@ last line printed names the metric with the largest `worse_by / bound`, so
 "nothing got worse beyond its bound" is one line. `raw` gives the same
 quartiles of the values before perfbench's speed adjustment, and `raw_ratio`
 their median ratio, so a shift in the pace probes shows. It also keeps every run's
-`correct`/`failed` and the environment perfbench recorded on each side. Run
-length is the `run_seconds` of BENCHMARK.json, the same on both sides.
+`correct`/`failed` and the environment perfbench recorded on each side, and
+`src_sha256`, a digest of each side's `src/` tree (`src_digest`), so the file
+names the code it compared. Run length is the `run_seconds` of
+BENCHMARK.json, the same on both sides.
 
 The summary is added to the `runs` list of --out; the file is created if it
 does not exist, so several workloads or seed sets can share one BENCH file.
@@ -29,6 +31,7 @@ changed; the benchmark itself is the one in each checkout.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -52,6 +55,17 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     record = json.loads(result.read_text(encoding="utf-8"))
     record["correct"] = last["correct"]
     return record
+
+
+def src_digest(root: Path) -> str:
+    """SHA-256 of the `*.py` files under `root/src`: each file's path relative
+    to `src/`, its length and its bytes, in path order."""
+    src, h = root / "src", hashlib.sha256()
+    for rel in sorted(p.relative_to(src).as_posix() for p in src.rglob("*.py")):
+        data = (src / rel).read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def quartiles(values: list[float]) -> dict:
@@ -113,11 +127,15 @@ def main(argv=None) -> int:
         print(f"seed {seed}: {order[0]} ran first", flush=True)
 
     summary = {"workload": args.workload, "seeds": args.seeds, "seconds": seconds,
-               "first": first, **summarize(spec, args.seeds, runs)}
+               "first": first,
+               "src_sha256": {side: src_digest(roots[side]) for side in SIDES},
+               **summarize(spec, args.seeds, runs)}
     doc = (json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists()
            else {"runs": []})
     doc["runs"].append(summary)
     args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    for side in SIDES:
+        print(f"{side} src sha256 {summary['src_sha256'][side]}")
     for name, m in summary["metrics"].items():
         print(f"{name:20s} parent {m['parent']['median']:12.6g} change "
               f"{m['change']['median']:12.6g} {m['unit']:7s} ratio {m['median_ratio']:.3f} "

@@ -288,9 +288,8 @@ def softmax(v: Tensor) -> Tensor:
     _check_finite(out.data, "softmax")
 
     def bwd(g):
-        if v.requires_grad:
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            v._accum(p * (g - dot))
+        dot = (g * p).sum(axis=-1, keepdims=True)
+        v._accum(p * (g - dot))
 
     return _record(out, (v,), bwd)
 
@@ -300,8 +299,7 @@ def exp(x: Tensor) -> Tensor:
     _check_finite(out.data, "exp")
 
     def bwd(g):
-        if x.requires_grad:
-            x._accum(g * out.data)
+        x._accum(g * out.data)
 
     return _record(out, (x,), bwd)
 
@@ -311,8 +309,7 @@ def log(x: Tensor) -> Tensor:
     _check_finite(out.data, "log")
 
     def bwd(g):
-        if x.requires_grad:
-            x._accum(g / x.data)
+        x._accum(g / x.data)
 
     return _record(out, (x,), bwd)
 
@@ -322,8 +319,7 @@ def tanh(x: Tensor) -> Tensor:
     out = Tensor(t)
 
     def bwd(g):
-        if x.requires_grad:
-            x._accum(g * (1.0 - t * t))
+        x._accum(g * (1.0 - t * t))
 
     return _record(out, (x,), bwd)
 
@@ -340,10 +336,9 @@ def gelu(x: Tensor) -> Tensor:
     out = Tensor(0.5 * xd * (1.0 + t))
 
     def bwd(g):
-        if x.requires_grad:
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-            dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
-            x._accum(g * dx)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
+        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
+        x._accum(g * dx)
 
     return _record(out, (x,), bwd)
 
@@ -354,8 +349,7 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     mask = (x.data >= lo) & (x.data <= hi)
 
     def bwd(g):
-        if x.requires_grad:
-            x._accum(g * mask)
+        x._accum(g * mask)
 
     return _record(out, (x,), bwd)
 
@@ -368,8 +362,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     out = Tensor(x.data.reshape(shape))
 
     def bwd(g):
-        if x.requires_grad:
-            x._accum(g.reshape(x.shape))
+        x._accum(g.reshape(x.shape))
 
     return _record(out, (x,), bwd)
 
@@ -396,9 +389,8 @@ def tensor_sum(x: Tensor, axis=None) -> Tensor:
     out = Tensor(x.data.sum(axis=axis))
 
     def bwd(g):
-        if x.requires_grad:
-            gg = g if axis is None else np.expand_dims(g, axis)
-            x._accum(np.broadcast_to(gg, x.shape).copy() if np.ndim(gg) else np.full(x.shape, gg))
+        gg = g if axis is None else np.expand_dims(g, axis)
+        x._accum(np.broadcast_to(gg, x.shape).copy() if np.ndim(gg) else np.full(x.shape, gg))
 
     return _record(out, (x,), bwd)
 
@@ -408,8 +400,7 @@ def tensor_mean(x: Tensor) -> Tensor:
     out = Tensor(x.data.mean())
 
     def bwd(g):
-        if x.requires_grad:
-            x._accum(np.full(x.shape, g / x.size))
+        x._accum(np.full(x.shape, g / x.size))
 
     return _record(out, (x,), bwd)
 
@@ -433,8 +424,7 @@ def segment_mean(x: Tensor, offsets) -> Tensor:
     out = Tensor(np.add.reduceat(x.data, starts, axis=0) / lengths[:, None])
 
     def bwd(g):
-        if x.requires_grad:
-            x._accum(np.repeat(g / lengths[:, None], lengths, axis=0))
+        x._accum(np.repeat(g / lengths[:, None], lengths, axis=0))
 
     return _record(out, (x,), bwd)
 
@@ -555,10 +545,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     out = Tensor(table.data[idx])
 
     def bwd(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, idx, g)
 
     return _record(out, (table,), bwd)
 
@@ -587,13 +576,12 @@ def cross_entropy_with_logits(logits: Tensor, targets, offsets=None) -> Tensor:
     _check_finite(out.data, "cross_entropy_with_logits")
 
     def bwd(g):
-        if logits.requires_grad:
-            p = np.exp(logp)
-            p[np.arange(n), tgt] -= 1.0
-            if offsets is None:
-                logits._accum(float(g) * p / n)
-            else:
-                logits._accum(p * np.repeat(g / lengths, lengths)[:, None])
+        p = np.exp(logp)
+        p[np.arange(n), tgt] -= 1.0
+        if offsets is None:
+            logits._accum(float(g) * p / n)
+        else:
+            logits._accum(p * np.repeat(g / lengths, lengths)[:, None])
 
     return _record(out, (logits,), bwd)
 

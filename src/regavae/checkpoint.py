@@ -135,7 +135,4 @@ def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
         raise InputError(f"{path}: checkpoint vocabulary is not a list of "
                          f"vocab_size={config.vocab_size} words that begins with {SPECIALS}")
     blocks = r.take_blocks((math.prod(shape), _F8) for _, shape, _ in parameter_layout(config))
-    model = VaeModel(config)
-    for t, block in zip(model.params.values(), blocks):
-        t.data = block.reshape(t.shape)
-    return model, vocab, extra
+    return VaeModel(config, values=blocks), vocab, extra

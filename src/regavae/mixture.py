@@ -162,7 +162,8 @@ def retrieve_mixtures(posts: list[LatentGaussian], db: RetrievalDatabase | None,
                       exclude_ids=None) -> list[tuple]:
     """Per row of a pack's posteriors, the mixture weights and the database
     rows of its top-k hits, from one batched top-k; the weights reuse the
-    hits' cosine scores. exclude_ids holds one id (or None) per row."""
+    hits' cosine scores. exclude_ids holds one database row (or None) per
+    query row, which that query does not retrieve."""
     n = np.atleast_2d(posts[0].mean_array).shape[0]
     if k == 0:
         return [(np.array([1.0]), [])] * n
@@ -183,10 +184,11 @@ def regavae_loss(model: VaeModel, x_tokens, y_tokens,
     is the query posterior alone and this is the plain-VAE ELBO.
 
     x_tokens and y_tokens are one document's sources and targets, or packs
-    of them; for a pack, rng and exclude_id hold one generator and one id
-    (or None) per document, and the loss is the mean of the documents'
-    losses. Each document draws from its own generator in a fixed order: per
-    layer, the mixture component (when there are several), then eps.
+    of them; for a pack, rng and exclude_id hold one generator and one
+    database row (or None) per document, and the loss is the mean of the
+    documents' losses. Each document draws from its own generator in a fixed
+    order: per layer, the mixture component (when there are several), then
+    eps.
 
     kl_floor > 0 enables free bits: each document's KL term is floored at
     kl_floor nats, so gradients stop pushing its posterior toward the prior

@@ -197,14 +197,17 @@ class _LayerCache:
 
 
 class VaeModel:
-    """Encoder/decoder VAE over token sequences. Parameters live in a flat dict."""
+    """Encoder/decoder VAE over token sequences. Parameters live in a flat dict,
+    drawn from `seed` or taken from `values`, arrays in `parameter_layout` order."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, values=None):
         self.config = config
-        rng = np.random.default_rng(seed)
+        if values is None:
+            rng = np.random.default_rng(seed)
+            values = (init(rng, shape) for _, shape, init in parameter_layout(config))
         self.params: dict[str, Tensor] = {
-            name: Tensor(init(rng, shape), requires_grad=True)
-            for name, shape, init in parameter_layout(config)}
+            name: Tensor(np.reshape(v, shape), requires_grad=True)
+            for (name, shape, _), v in zip(parameter_layout(config), values)}
 
     # -- transformer pieces --------------------------------------------------
 

@@ -142,7 +142,7 @@ def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig,
     """Shared step loop over regavae_loss; each step is one packed forward
     and backward over its batch and optimizes the batch mean. With a
     database, the loop refreshes it on schedule before every batch, and a
-    document never retrieves itself (entry id == corpus index)."""
+    document never retrieves itself (database row == corpus index)."""
     optimizer = Adam(model.params, lr=cfg.learning_rate)
     result = TrainResult(model, [], start_step, start_epoch)
     step = start_step
@@ -213,13 +213,17 @@ def _train_stage(cfg: RunConfig, out_dir, checkpoint_path, database_path, k: int
     warmup = extra.get("warmup_steps", warmup)
     cycle = extra.get("cycle_steps", cycle)
     db = load_database(database_path, model.config.d_z) if k > 0 else None
-    # A document excludes its own entry by corpus index, so entry i must be pair i.
-    if db is not None and (token_digest(db.ids, db.sources, db.targets)
+    # A document excludes its own entry by corpus index, so row i must be pair i.
+    if db is not None and (token_digest(db.sources, db.targets)
                            != token_digest(*corpus_tokens(pairs))):
         raise InputError(f"{database_path}: not a database of the training corpus ({len(db)} "
-                         f"entries for {len(pairs)} pairs; entry i must hold pair i, id i)")
-    result = train_loop(model, pairs, cfg, db, k, epochs, warmup, cycle,
-                        start_step=extra.get("global_step", 0),
+                         f"entries for {len(pairs)} pairs; row i must hold pair i)")
+    start = extra.get("global_step", 0)
+    # Stage 3 rewrites its database at its last step: a rerun on it meets this.
+    if db is not None and db.snapshot_step > start:
+        raise InputError(f"{database_path}: database snapshot step {db.snapshot_step} is after "
+                         f"the checkpoint's step {start}; rerun build-db from this checkpoint")
+    result = train_loop(model, pairs, cfg, db, k, epochs, warmup, cycle, start_step=start,
                         start_epoch=extra.get("global_epoch", 0))
     path = os.path.join(out_dir, name)
     save_checkpoint(path, model, vocab, extra={

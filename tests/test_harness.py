@@ -241,6 +241,21 @@ class TestCheckpoint:
             np.testing.assert_array_equal(back.params[name].data,
                                           m.params[name].data)
 
+    def test_load_draws_no_initialisation(self, tmp_path, monkeypatch):
+        m = self._model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m, SPECIALS + [f"w{i}" for i in range(16)])
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a load drew a random initialisation")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        back, _, _ = load_checkpoint(path)
+        assert list(back.params) == list(m.params)
+        for name, t in m.params.items():
+            assert back.params[name].shape == t.shape
+            assert back.params[name].data.tobytes() == t.data.tobytes()
+
     def test_save_load_save_identical_bytes(self, tmp_path):
         m = self._model()
         vocab = SPECIALS + [f"w{i}" for i in range(16)]
@@ -533,10 +548,9 @@ class TestPipelinePlumbing:
         write_jsonl(other, tmp_path / "other.jsonl")
         other_cfg = dataclasses.replace(cfg, corpus=str(tmp_path / "other.jsonl"))
         bad = {"other.db": load_database(run_stage2(other_cfg, ckpt, tmp_path / "other")),
-               "swapped.db": RetrievalDatabase([db.entries[1], db.entries[0]] + db.entries[2:],
-                                               db.snapshot_step, db.refresh_interval),
-               "renumbered.db": RetrievalDatabase(
-                   [dataclasses.replace(e, id=e.id + 1) for e in db.entries],
+               "swapped.db": RetrievalDatabase(
+                   [dataclasses.replace(db.entries[1], id=0),
+                    dataclasses.replace(db.entries[0], id=1)] + db.entries[2:],
                    db.snapshot_step, db.refresh_interval)}
         for name, bad_db in bad.items():
             save_database(bad_db, tmp_path / name)
@@ -596,6 +610,22 @@ class TestCli:
         p = tmp_path / "cli.json"
         p.write_text(json.dumps(dataclasses.asdict(cfg)))
         return p
+
+    def test_stage3_rerun_on_its_own_database_names_build_db(self, tmp_path, capsys):
+        # Stage 3 overwrites retrieval.db with its last snapshot, so a second
+        # train-regavae on that file meets a snapshot newer than stage 1.
+        cfgp, out = self._write_cfg(tmp_path, L=1, refresh_interval=2), tmp_path / "o"
+        base = ["--config", str(cfgp), "--out", str(out)]
+        ckpt, db = str(out / "stage1.ckpt"), str(out / "retrieval.db")
+        stage3 = base + ["train-regavae", "--checkpoint", ckpt, "--database", db]
+        for argv in (base + ["train-vae"], base + ["build-db", "--checkpoint", ckpt], stage3):
+            assert cli_main(argv) == 0
+        capsys.readouterr()
+        assert cli_main(stage3) == 1
+        err = capsys.readouterr().err
+        assert "rerun build-db" in err and "Traceback" not in err
+        steps = re.search(r"snapshot step (\d+) is after the checkpoint's step (\d+)", err)
+        assert steps and int(steps[1]) > int(steps[2])
 
     def test_train_vae_exit_zero(self, tmp_path, capsys):
         cfgp = self._write_cfg(tmp_path)
@@ -874,12 +904,17 @@ class TestTracerHooks:
 class TestBenchPairs:
     """scripts/bench_pairs.py's summary of alternating parent/change runs."""
 
-    def _summarize(self, parent, change):
+    @staticmethod
+    def _module():
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         spec = importlib.util.spec_from_file_location(
             "bench_pairs", os.path.join(root, "scripts", "bench_pairs.py"))
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        return module
+
+    def _summarize(self, parent, change):
+        module = self._module()
         bench = {"end_to_end": [
             {"name": "build_db_s", "unit": "s", "better": "lower", "bound": 0.25},
             {"name": "stage1_docs_per_s", "unit": "docs/s", "better": "higher", "bound": 0.25},
@@ -909,3 +944,17 @@ class TestBenchPairs:
         m = self._summarize([1.0, 100.0, 200.0], [1.3, 100.0, 200.0])["metrics"]
         assert not m["build_db_s"]["within_bound"]
         assert m["stage1_docs_per_s"]["within_bound"]
+
+    def test_src_digest_names_the_code(self, tmp_path):
+        digest = self._module().src_digest
+        trees = {}
+        for side, tail in (("a", b"x = 1\n"), ("b", b"x = 2\n")):
+            pkg = tmp_path / side / "src" / "pkg"
+            pkg.mkdir(parents=True)
+            (pkg / "__init__.py").write_bytes(b"")
+            (pkg / "mod.py").write_bytes(b"import os\n" + tail)
+            (pkg / "notes.txt").write_text(side)  # not a *.py file: not hashed
+            trees[side] = tmp_path / side
+        assert digest(trees["a"]) != digest(trees["b"])
+        (trees["b"] / "src" / "pkg" / "mod.py").write_bytes(b"import os\nx = 1\n")
+        assert digest(trees["a"]) == digest(trees["b"])

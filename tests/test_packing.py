@@ -114,7 +114,7 @@ class TestBatchedTopK:
             assert len(rows) == len(queries)
             for q, e, (hits, scores) in zip(queries, excludes, rows):
                 want = top_k(q, db, k, exclude_id=e)
-                assert db.ids[hits].tolist() == [h.id for h, _ in want]
+                assert hits.tolist() == [h.id for h, _ in want]
                 np.testing.assert_allclose(scores, [s for _, s in want], rtol=0, atol=1e-12)
 
     def test_exclusions_must_match_queries(self):

@@ -3,6 +3,7 @@ exact top-k against a brute-force rescoring, refresh scheduling, and the
 binary dump round trip."""
 
 import errno
+import hashlib
 import math
 import struct
 
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regavae.data import CorpusPair
-from regavae.errors import (ConfigError, DegenerateInputError, DimensionError,
-                            InputError, RetrievalError)
+from regavae.errors import (ConfigError, ContractError, DegenerateInputError,
+                            DimensionError, InputError, RetrievalError)
 from regavae import retrieval
 from regavae.model import LatentGaussian, ModelConfig, VaeModel, is_pack
 from regavae.retrieval import (RetrievalDatabase, RetrievalEntry,
@@ -141,11 +142,18 @@ class TestTopK:
         got = top_k([1.0, 1.0], db, 2, exclude_id=1)
         assert [e.id for e, _ in got] == [0, 2]
 
-    def test_tie_breaks_by_id_not_position(self):
-        db = RetrievalDatabase([make_entry(5, [1.0, 0.0]), make_entry(2, [1.0, 0.0]),
-                                make_entry(0, [0.0, 1.0])], 0, 500)
-        got = top_k([1.0, 0.1], db, 2)
-        assert [e.id for e, _ in got] == [2, 5]
+    @pytest.mark.parametrize("exclude", [None, -1, 3])
+    def test_exclude_outside_rows_excludes_nothing(self, exclude):
+        rng = np.random.default_rng(6)
+        means = rng.standard_normal((3, 4))
+        means[2] = means[0]  # a tie, so the order among equal scores counts too
+        db = make_db(means)
+        for query in (rng.standard_normal(4), means[0].copy()):
+            got = top_k(query, db, 3, exclude_id=exclude)
+            want = self.brute_force(query, db, 3)
+            assert len(got) == len(db)
+            assert [e.id for e, _ in got] == [e.id for e, _ in want]
+            np.testing.assert_allclose([s for _, s in got], [s for _, s in want], atol=1e-12)
 
     def test_excluding_only_entry_warns_and_returns_empty(self):
         db = make_db([[1.0, 0.0]])
@@ -258,13 +266,13 @@ class TestBuildAndRefresh:
                                    [similarity(query, e.key) for e, _ in got], atol=1e-12)
         assert [s for _, s in got] != [s for _, s in top_k(query, db, 3)]
 
-    def test_refresh_keeps_nonsequential_ids_and_tokens(self, tiny_model):
-        docs = [(p.source_tokens, p.target_tokens) for p in self.corpus()]
+    def test_refresh_keeps_rows_and_tokens(self, tiny_model):
+        docs = [(p.source_tokens, p.target_tokens) for p in self.corpus()][::-1]
         db = RetrievalDatabase(
-            [RetrievalEntry(eid, LatentGaussian.from_arrays(np.ones(4), np.zeros(4)), src, tgt)
-             for eid, (src, tgt) in zip([5, 2, 0], docs)], 0, 10)
+            [RetrievalEntry(row, LatentGaussian.from_arrays(np.ones(4), np.zeros(4)), src, tgt)
+             for row, (src, tgt) in enumerate(docs)], 0, 10)
         db2 = maybe_refresh(db, 10, tiny_model)
-        assert [e.id for e in db2.entries] == [5, 2, 0]
+        assert [e.id for e in db2.entries] == [0, 1, 2]
         assert [(e.source_tokens, e.target_tokens) for e in db2.entries] == docs
         self.assert_keys_are_layer_averages(tiny_model, db2.entries, docs)
 
@@ -341,6 +349,14 @@ def test_entries_are_built_one_by_one_and_kept(monkeypatch):
         db.entries[0] = last
 
 
+@pytest.mark.parametrize("ids", [[0, 2, 1], [1, 2, 3], [0, 1, 1]],
+                         ids=["out_of_order", "offset_by_one", "duplicated"])
+def test_ids_that_are_not_rows_rejected(ids):
+    entries = [make_entry(eid, [1.0, float(row)]) for row, eid in enumerate(ids)]
+    with pytest.raises(ContractError, match="must be their rows"):
+        RetrievalDatabase(entries, 0, 500)
+
+
 def uneven_db():
     """Four entries with non-trivial log-vars and token lists of several lengths."""
     rng = np.random.default_rng(4)
@@ -357,7 +373,7 @@ class TestDumpFormat:
         save_database(db, path)
         back = load_database(path)
         assert (back.snapshot_step, back.refresh_interval, len(back)) == (42, 123, 4)
-        for name in ("ids", "means", "log_vars", "norms"):
+        for name in ("means", "log_vars", "norms"):
             assert getattr(back, name).tobytes() == getattr(db, name).tobytes()
         for a, b in zip(db.entries, back.entries, strict=True):
             assert a.id == b.id
@@ -377,12 +393,21 @@ class TestDumpFormat:
     def test_version_1_dump_rejected(self, tmp_path):
         # v1: header {version, d_z, n, snapshot_step, refresh_interval}, then
         # per entry its id, key means and log-vars, and length-prefixed tokens.
-        p = tmp_path / "v1.db"
-        p.write_bytes(b"RGDB" + struct.pack("<IIIQIQ", 1, 2, 1, 0, 500, 0)
-                      + np.array([1.0, 0.0, 0.0, 0.0], "<f8").tobytes()
-                      + struct.pack("<IIII", 1, 4, 1, 5))
-        with pytest.raises(InputError, match="version 1.*rerun build-db"):
-            load_database(p)
+        v1 = (b"RGDB" + struct.pack("<IIIQIQ", 1, 2, 1, 0, 500, 0)
+              + np.array([1.0, 0.0, 0.0, 0.0], "<f8").tobytes()
+              + struct.pack("<IIII", 1, 4, 1, 5))
+        # v2: today's header, then an id block before the six blocks.
+        src, tgt = retrieval.Ragged.pack([[4]]), retrieval.Ragged.pack([[5]])
+        v2 = (b"RGDB" + struct.pack("<I", 2)
+              + retrieval._DB_HEADER.pack(2, 1, 0, 500, 1, 1, hashlib.sha256().digest())
+              + np.array([0], "<i8").tobytes() + np.array([1.0, 0.0, 0.0, 0.0], "<f8").tobytes()
+              + src.offsets.tobytes() + src.flat.tobytes()
+              + tgt.offsets.tobytes() + tgt.flat.tobytes())
+        for version, data in ((1, v1), (2, v2)):
+            p = tmp_path / f"v{version}.db"
+            p.write_bytes(data)
+            with pytest.raises(InputError, match=f"version {version}.*rerun build-db"):
+                load_database(p)
 
     def test_every_truncated_prefix_raises(self, tmp_path):
         path = tmp_path / "db.bin"
@@ -420,10 +445,10 @@ class TestDumpFormat:
         path = tmp_path / "db.bin"
         save_database(db, path)
         data = bytearray(path.read_bytes())
-        # The source tokens follow the 80-byte header, the ids, both key
-        # blocks and the N+1 source offsets.
+        # The source tokens follow the 80-byte header, both key blocks and
+        # the N+1 source offsets.
         n, d_z = db.means.shape
-        data[80 + 8 * n + 16 * n * d_z + 8 * (n + 1)] ^= 1
+        data[80 + 16 * n * d_z + 8 * (n + 1)] ^= 1
         path.write_bytes(bytes(data))
         with pytest.raises(InputError, match="digest"):
             load_database(path)
@@ -435,7 +460,7 @@ class TestDumpFormat:
         # offset check can catch them.
         db = make_db([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         bad = RetrievalDatabase.from_arrays(
-            db.ids, db.means, db.log_vars,
+            db.means, db.log_vars,
             retrieval.Ragged(np.array(offsets), np.array([4, 5, 6, 7], np.uint32)),
             db.targets, 0, 500)
         path = tmp_path / "db.bin"
