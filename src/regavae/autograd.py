@@ -8,6 +8,8 @@ mode). A tape is single-use: calling `backward` twice raises.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericOverflowError
@@ -610,8 +612,22 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
     return float(norm)
 
 
+# Floats per Adam update chunk: each chunk's operands and the two scratch
+# arrays (256 KB each) stay in cache across the chunk's fourteen ufunc calls.
+_CHUNK = 32768
+
+
 class Adam:
-    """Adam over a named parameter dict. Parameters without grads are skipped."""
+    """Adam over a named parameter dict. Parameters without grads are skipped.
+
+    Construction lays the parameters out, in dict order, in one flat float64
+    buffer: each value is copied there bit for bit and `p.data` is rebound to
+    its C-ordered view, so a parameter must not be rebound afterwards. The
+    moments `m`, `v` and a grad staging buffer share that layout. `step`
+    copies each present grad into its slice, then updates each run of
+    parameters with grads chunk by chunk with in-place ufuncs, in the
+    per-element order `m = b1*m + (1-b1)*g`, `v = b2*v + ((1-b2)*g)*g`,
+    `p -= (lr*(m/b1c)) / (sqrt(v/b2c)+eps)`."""
 
     def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -621,19 +637,54 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._bounds = [0, *accumulate(p.data.size for p in params.values())]
+        n = self._bounds[-1]
+        self.flat = np.empty(n)
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self._grad = np.empty(n)
+        self._views, self._grads = [], []
+        for p, lo, hi in zip(params.values(), self._bounds, self._bounds[1:]):
+            view = self.flat[lo:hi].reshape(p.data.shape)
+            np.copyto(view, p.data)
+            p.data = view
+            self._views.append(view)
+            self._grads.append(self._grad[lo:hi].reshape(view.shape))
+        self._scratch = np.empty((2, min(n, _CHUNK)))
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
-        for k, p in self.params.items():
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1c = 1.0 - b1**self.t
+        b2c = 1.0 - b2**self.t
+        runs: list[list[int]] = []  # [lo, hi) of consecutive parameters with grads
+        bounds = self._bounds
+        for i, (name, p) in enumerate(self.params.items()):
+            if p.data is not self._views[i]:
+                raise ContractError(f"parameter {name!r} was rebound after Adam laid it out")
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            mhat = self.m[k] / b1c
-            vhat = self.v[k] / b2c
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            np.copyto(self._grads[i], p.grad)
+            if runs and runs[-1][1] == bounds[i]:
+                runs[-1][1] = bounds[i + 1]
+            else:
+                runs.append([bounds[i], bounds[i + 1]])
+        for lo, hi in runs:
+            for c in range(lo, hi, _CHUNK):
+                e = min(c + _CHUNK, hi)
+                m, v, g, p = self.m[c:e], self.v[c:e], self._grad[c:e], self.flat[c:e]
+                a, b = self._scratch[:, :e - c]
+                np.multiply(m, b1, out=m)
+                np.multiply(g, 1.0 - b1, out=a)
+                np.add(m, a, out=m)
+                np.multiply(v, b2, out=v)
+                np.multiply(g, 1.0 - b2, out=a)
+                np.multiply(a, g, out=a)
+                np.add(v, a, out=v)
+                np.divide(m, b1c, out=a)
+                np.multiply(a, lr, out=a)
+                np.divide(v, b2c, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, eps, out=b)
+                np.divide(a, b, out=a)
+                np.subtract(p, a, out=p)

@@ -209,6 +209,8 @@ def top_k_batch(queries: np.ndarray, db: RetrievalDatabase, k: int,
         raise DegenerateInputError("cosine similarity undefined for zero-norm vectors")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    if len(q) == 0:
+        return []
     if k > avail.min():
         warnings.warn(f"k={k} exceeds database size {int(avail.min())}; clamping")
     # One einsum, not BLAS: a BLAS product may round equal rows differently

@@ -388,6 +388,59 @@ class TestOptimizer:
             opt.step()
         assert abs(p.data[0] - 3.0) < 1e-3
 
+    def test_flat_adam_bit_equal_to_per_parameter_reference(self):
+        # "big" spans two chunks (32 768 floats each) and ends mid-chunk, as
+        # do the small ones; "skip" has no grad at step 2, which splits the
+        # run of parameters with grads in two.
+        rng = np.random.default_rng(21)
+        shapes = {"emb": (7, 5), "big": (3, 12000), "skip": (4, 3), "bias": (13,),
+                  "w": (6, 9), "scalar": ()}
+        values = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-3, 1) for k, s in shapes.items()}
+        params = {k: Tensor(v.copy(), requires_grad=True) for k, v in values.items()}
+        opt = Adam(params, lr=3e-3)
+        for k, p in params.items():  # the layout copies every value bit for bit
+            assert same_bytes(p.data, values[k]) and p.data.flags["C_CONTIGUOUS"]
+            assert np.shares_memory(p.data, opt.flat)
+        bounds = np.concatenate(([0], np.cumsum([values[k].size for k in shapes])))
+        flat_slice = dict(zip(shapes, (slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))))
+
+        ref = {k: v.copy() for k, v in values.items()}
+        ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+        ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+        b1, b2, lr, eps = 0.9, 0.999, 3e-3, 1e-8
+        for t in range(1, 5):
+            grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-6, 2)
+                     for k, s in shapes.items()}
+            grads["w"] = np.asfortranarray(grads["w"])  # a transposed grad copies in too
+            if t == 2:
+                del grads["skip"]
+                kept = [params["skip"].data.copy(), opt.m[flat_slice["skip"]].copy(),
+                        opt.v[flat_slice["skip"]].copy()]
+            for k, p in params.items():
+                p.grad = grads[k].copy() if k in grads else None
+            opt.step()
+            b1c, b2c = 1.0 - b1**t, 1.0 - b2**t
+            for k, g in grads.items():  # the per-parameter update Adam used to run
+                ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
+                ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * g * g
+                ref[k] -= lr * (ref_m[k] / b1c) / (np.sqrt(ref_v[k] / b2c) + eps)
+            for k, p in params.items():
+                assert same_bytes(p.data, ref[k]), (t, k)
+                assert opt.m[flat_slice[k]].tobytes() == ref_m[k].tobytes(), (t, k)
+                assert opt.v[flat_slice[k]].tobytes() == ref_v[k].tobytes(), (t, k)
+            if t == 2:
+                skipped = [params["skip"].data, opt.m[flat_slice["skip"]],
+                           opt.v[flat_slice["skip"]]]
+                assert all(same_bytes(a, b) for a, b in zip(skipped, kept))
+
+    def test_adam_rejects_a_rebound_parameter(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        opt = Adam({"p": p}, lr=0.1)
+        p.data = np.ones(3)  # no longer the optimizer's view: updates would be lost
+        p.grad = np.ones(3)
+        with pytest.raises(ContractError, match="rebound"):
+            opt.step()
+
     def test_clip_grad_norm(self):
         a = Tensor(np.zeros(2), requires_grad=True)
         b = Tensor(np.zeros(2), requires_grad=True)

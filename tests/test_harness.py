@@ -9,6 +9,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -958,3 +960,27 @@ class TestBenchPairs:
         assert digest(trees["a"]) != digest(trees["b"])
         (trees["b"] / "src" / "pkg" / "mod.py").write_bytes(b"import os\nx = 1\n")
         assert digest(trees["a"]) == digest(trees["b"])
+
+
+class TestStageFaults:
+    """scripts/stage_faults.py runs every stage on a perfbench workload's inputs."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def _run(self, *args):
+        return subprocess.run([sys.executable, str(self.ROOT / "scripts" / "stage_faults.py"),
+                               *args], capture_output=True, text=True, timeout=600)
+
+    def test_one_cycle_prints_every_stage(self):
+        proc = self._run("--workload", "pipeline_small", "--cycles", "1")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "workload pipeline_small seed 1 cycles 1"
+        rows = [line.split() for line in lines[2:]]
+        assert [r[0] for r in rows] == ["run_stage1", "run_stage2", "run_stage3", "run_eval"]
+        for _, ms, median, *per_cycle in rows:
+            assert float(ms) > 0 and len(per_cycle) == 1 and float(median) == int(per_cycle[0])
+
+    def test_unknown_workload_is_a_usage_error(self):
+        proc = self._run("--workload", "nope", "--cycles", "1")
+        assert proc.returncode == 2 and "unknown workload" in proc.stderr

@@ -3,13 +3,15 @@ document (NLL, KL and every parameter grad), batched top-k against
 single-query top-k, the fused attention op's grads by finite differences,
 and the tape length of a training step."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import regavae.autograd as ag
 from regavae.autograd import Tape, Tensor, backward, zero_grads
 from regavae.data import CorpusPair
-from regavae.errors import ContractError, DimensionError
+from regavae.errors import ConfigError, ContractError, DimensionError
 from regavae.mixture import regavae_loss
 from regavae.model import LatentGaussian, ModelConfig, VaeModel
 from regavae.retrieval import (RetrievalDatabase, RetrievalEntry, build_database, top_k,
@@ -122,6 +124,20 @@ class TestBatchedTopK:
             np.ones(2), np.zeros(2)), [4], [5])], 0, 500)
         with pytest.raises(DimensionError):
             top_k_batch(np.ones((2, 2)), db, 1, [None])
+
+    def test_zero_queries_return_no_rows_after_the_checks(self):
+        db = RetrievalDatabase([RetrievalEntry(0, LatentGaussian.from_arrays(
+            np.ones(2), np.zeros(2)), [4], [5])], 0, 500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no clamp warning either
+            assert top_k_batch(np.empty((0, 2)), db, 1) == []
+            assert top_k_batch(np.empty((0, 2)), db, 3, []) == []
+        with pytest.raises(DimensionError):
+            top_k_batch(np.empty((0, 3)), db, 1)
+        with pytest.raises(DimensionError):
+            top_k_batch(np.empty((0, 2)), db, 1, [None])
+        with pytest.raises(ConfigError):
+            top_k_batch(np.empty((0, 2)), db, 0)
 
 
 def _reference_attention(q, k, v, offsets, causal, start, heads):
