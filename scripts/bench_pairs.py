@@ -19,7 +19,8 @@ quartiles of the values before perfbench's speed adjustment, and `raw_ratio`
 their median ratio, so a shift in the pace probes shows. It also keeps every run's
 `correct`/`failed` and the environment perfbench recorded on each side, and
 `src_sha256`, a digest of each side's `src/` tree (`src_digest`), so the file
-names the code it compared. Run length is the `run_seconds` of
+names the code it compared, and `src_lines`, the line count of that tree, so
+a simplification shows its size. Run length is the `run_seconds` of
 BENCHMARK.json, the same on both sides.
 
 The summary is added to the `runs` list of --out; the file is created if it
@@ -66,6 +67,11 @@ def src_digest(root: Path) -> str:
         h.update(f"{rel}\0{len(data)}\0".encode())
         h.update(data)
     return h.hexdigest()
+
+
+def src_lines(root: Path) -> int:
+    """The number of lines of the `*.py` files under `root/src`."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src").rglob("*.py"))
 
 
 def quartiles(values: list[float]) -> dict:
@@ -129,13 +135,15 @@ def main(argv=None) -> int:
     summary = {"workload": args.workload, "seeds": args.seeds, "seconds": seconds,
                "first": first,
                "src_sha256": {side: src_digest(roots[side]) for side in SIDES},
+               "src_lines": {side: src_lines(roots[side]) for side in SIDES},
                **summarize(spec, args.seeds, runs)}
     doc = (json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists()
            else {"runs": []})
     doc["runs"].append(summary)
     args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for side in SIDES:
-        print(f"{side} src sha256 {summary['src_sha256'][side]}")
+        print(f"{side} src sha256 {summary['src_sha256'][side]} "
+              f"lines {summary['src_lines'][side]}")
     for name, m in summary["metrics"].items():
         print(f"{name:20s} parent {m['parent']['median']:12.6g} change "
               f"{m['change']['median']:12.6g} {m['unit']:7s} ratio {m['median_ratio']:.3f} "

@@ -39,6 +39,7 @@ __all__ = [
     "embedding_lookup",
     "cross_entropy_with_logits",
     "Adam",
+    "check_views",
     "clip_grad_norm",
     "zero_grads",
 ]
@@ -612,26 +613,30 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
     return float(norm)
 
 
+def check_views(params: dict[str, Tensor], flat: np.ndarray) -> None:
+    """Raise ContractError if a parameter was rebound off `flat`, the buffer Adam and saves use."""
+    for name, p in params.items():
+        if p.data.base is not flat:
+            raise ContractError(f"parameter {name!r} was rebound off the parameter buffer")
+
+
 # Floats per Adam update chunk: each chunk's operands and the two scratch
 # arrays (256 KB each) stay in cache across the chunk's fourteen ufunc calls.
 _CHUNK = 32768
 
 
 class Adam:
-    """Adam over a named parameter dict. Parameters without grads are skipped.
+    """Adam over a named parameter dict whose values are C-ordered views of `flat`
+    in dict order, as `VaeModel` lays them out. Parameters without grads are
+    skipped. `step` copies each present grad into a staging buffer laid out
+    like `flat` and the moments `m` and `v`, then updates each run of parameters
+    with grads in place, chunk by chunk with ufuncs, in the per-element order
+    `m = b1*m + (1-b1)*g`, `v = b2*v + ((1-b2)*g)*g`, `p -= (lr*(m/b1c)) / (sqrt(v/b2c)+eps)`."""
 
-    Construction lays the parameters out, in dict order, in one flat float64
-    buffer: each value is copied there bit for bit and `p.data` is rebound to
-    its C-ordered view, so a parameter must not be rebound afterwards. The
-    moments `m`, `v` and a grad staging buffer share that layout. `step`
-    copies each present grad into its slice, then updates each run of
-    parameters with grads chunk by chunk with in-place ufuncs, in the
-    per-element order `m = b1*m + (1-b1)*g`, `v = b2*v + ((1-b2)*g)*g`,
-    `p -= (lr*(m/b1c)) / (sqrt(v/b2c)+eps)`."""
-
-    def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], flat: np.ndarray, lr: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
+        self.flat = flat
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -639,17 +644,11 @@ class Adam:
         self.t = 0
         self._bounds = [0, *accumulate(p.data.size for p in params.values())]
         n = self._bounds[-1]
-        self.flat = np.empty(n)
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self._grad = np.empty(n)
-        self._views, self._grads = [], []
-        for p, lo, hi in zip(params.values(), self._bounds, self._bounds[1:]):
-            view = self.flat[lo:hi].reshape(p.data.shape)
-            np.copyto(view, p.data)
-            p.data = view
-            self._views.append(view)
-            self._grads.append(self._grad[lo:hi].reshape(view.shape))
+        self._grads = [self._grad[lo:hi].reshape(p.data.shape)
+                       for p, lo, hi in zip(params.values(), self._bounds, self._bounds[1:])]
         self._scratch = np.empty((2, min(n, _CHUNK)))
 
     def step(self) -> None:
@@ -659,9 +658,8 @@ class Adam:
         b2c = 1.0 - b2**self.t
         runs: list[list[int]] = []  # [lo, hi) of consecutive parameters with grads
         bounds = self._bounds
-        for i, (name, p) in enumerate(self.params.items()):
-            if p.data is not self._views[i]:
-                raise ContractError(f"parameter {name!r} was rebound after Adam laid it out")
+        check_views(self.params, self.flat)
+        for i, p in enumerate(self.params.values()):
             if p.grad is None:
                 continue
             np.copyto(self._grads[i], p.grad)

@@ -1,15 +1,16 @@
 """Versioned binary checkpoints.
 
 Layout, version 3: magic "RGVC", u32 format version, u32 length + UTF-8 JSON
-header (model config, vocabulary, training counters), then one little-endian
-float64 block of every parameter in `model.parameter_layout` order, and
-nothing after it. The config alone decides each parameter's name and shape,
-so the file stores neither. A load checks the header and a vocabulary that
-begins with `data.SPECIALS`, then counts the config's floats against the
-bytes left, and only then builds the model: a header that claims a huge model
-costs no more than the file's size. Round-trips are bit-exact, and saves
-replace the file atomically. Versions 1 and 2, which stored a name and shape
-per parameter, are rejected with a message to rerun training.
+header (model config, vocabulary, non-negative training counters), then the
+model's parameter buffer `VaeModel.flat` as one little-endian float64 block,
+and nothing after it. The config alone decides each parameter's name, shape
+and place (`model.parameter_layout`), so the file stores none of them. A load
+checks the header and a vocabulary that begins with `data.SPECIALS`, then
+counts the config's floats against the bytes left, and only then builds the
+model around the block: a header that claims a huge model costs no more than
+the file's size. Round-trips are bit-exact, and saves replace the file
+atomically. Versions 1 and 2, which stored a name and shape per parameter,
+are rejected with a message to rerun training.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from .autograd import check_views
 from .data import SPECIALS
 from .errors import ConfigError, InputError
 from .model import ModelConfig, VaeModel, parameter_layout
@@ -69,63 +71,60 @@ def atomic_write(path):
 
 
 class ByteReader:
-    """The bytes of the file at `path`, read once and taken front to back. A
-    take that asks for more bytes than are left raises InputError
-    ("<path>: <what> is truncated"), so a corrupt size field costs one
-    comparison instead of an allocation of the size it claims."""
+    """The bytes of the file at `path`, read once and taken front to back. The
+    file must open with `magic` and the u32 format `version`; another version
+    raises InputError naming `rerun`, the command that rewrites the file. A take
+    that asks for more bytes than are left raises InputError ("<path>: <what>
+    is truncated"), so a corrupt size field costs a comparison, not an allocation."""
 
-    def __init__(self, path, what: str):
+    def __init__(self, path, what: str, magic: bytes, version: int, rerun: str):
         with open(path, "rb") as f:
-            self._view = memoryview(f.read())
-        self._pos = 0
+            self.rest = memoryview(f.read())  # the bytes not taken yet
         self._what = f"{path}: {what}"
+        if self.take(4) != magic:
+            raise InputError(f"{path} is not a {what} file")
+        (found,) = struct.unpack("<I", self.take(4))
+        if found != version:
+            raise InputError(f"{self._what} format version {found}, expected {version}; "
+                             f"rerun {rerun} to rewrite it")
 
     def take(self, n: int) -> memoryview:
-        start, self._pos = self._pos, self._pos + n
-        if self._pos > len(self._view):
+        if n > len(self.rest):
             raise InputError(f"{self._what} is truncated")
-        return self._view[start:self._pos]
+        taken, self.rest = self.rest[:n], self.rest[n:]
+        return taken
 
     def take_blocks(self, blocks) -> list[np.ndarray]:
-        """All the bytes left, as one array per (count, dtype) of `blocks`,
-        in order. The running size is checked against the bytes left after
-        each block, so a lazy `blocks` is read no further than the file goes;
-        bytes left over after the last block raise InputError too."""
-        left, sizes = len(self._view) - self._pos, []
-        for count, dtype in blocks:
-            sizes.append((count * dtype.itemsize, dtype))
-            if (left := left - sizes[-1][0]) < 0:
-                raise InputError(f"{self._what} is truncated")
-        if left:
-            raise InputError(f"{self._what} has bytes after its last block")
+        """All the bytes left, as one array per (count, dtype) of `blocks`, in
+        order; InputError if the blocks need more bytes or leave some over."""
+        sizes = [(count * dtype.itemsize, dtype) for count, dtype in blocks]
+        if (need := sum(n for n, _ in sizes)) != len(self.rest):
+            raise InputError(f"{self._what} is truncated" if need > len(self.rest)
+                             else f"{self._what} has bytes after its last block")
         return [np.frombuffer(self.take(n), dtype).copy() for n, dtype in sizes]
 
 
 def save_checkpoint(path, model: VaeModel, vocab: list[str], extra: dict | None = None) -> None:
     header = {"config": vars(model.config), "vocab": list(vocab), "extra": extra or {}}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    check_views(model.params, model.flat)
     with atomic_write(path) as f:
         f.write(_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob)
-        for t in model.params.values():
-            f.write(np.ascontiguousarray(t.data, dtype=_F8))
+        f.write(model.flat.astype(_F8, copy=False))
 
 
 def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
-    r = ByteReader(path, "checkpoint")
-    if r.take(4) != _MAGIC:
-        raise InputError(f"{path} is not a checkpoint file")
-    (version,) = struct.unpack("<I", r.take(4))
-    if version != _VERSION:
-        raise InputError(f"{path}: checkpoint format version {version}, expected {_VERSION}; "
-                         f"rerun training (train-vae, then train-regavae) to rewrite it")
+    r = ByteReader(path, "checkpoint", _MAGIC, _VERSION, "training (train-vae, then train-regavae)")
     (hlen,) = struct.unpack("<I", r.take(4))
     try:
         header = json.loads(str(r.take(hlen), "utf-8"))
         check_json_fields(header["config"], get_type_hints(ModelConfig),
                           f"{path}: checkpoint config")
         extra = header.get("extra", {})
-        # The extra fields are training counters, all integers.
+        # The extra fields are training counters, all non-negative integers.
         check_json_fields(extra, dict.fromkeys(extra, int), f"{path}: checkpoint 'extra'")
+        if negative := [name for name, value in extra.items() if value < 0]:
+            raise InputError(f"{path}: checkpoint 'extra' keys {negative} must be >= 0")
         config = ModelConfig(**header["config"])
     except (ValueError, KeyError, TypeError, ConfigError) as e:
         raise InputError(f"{path}: checkpoint header is corrupt ({e!r})") from e
@@ -134,5 +133,9 @@ def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
             or vocab[:len(SPECIALS)] != SPECIALS or not all(isinstance(w, str) for w in vocab)):
         raise InputError(f"{path}: checkpoint vocabulary is not a list of "
                          f"vocab_size={config.vocab_size} words that begins with {SPECIALS}")
-    blocks = r.take_blocks((math.prod(shape), _F8) for _, shape, _ in parameter_layout(config))
-    return VaeModel(config, values=blocks), vocab, extra
+    n = 0
+    for _, shape, _ in parameter_layout(config):  # counted only until past the bytes left
+        if (n := n + math.prod(shape)) * _F8.itemsize > len(r.rest):
+            break
+    (flat,) = r.take_blocks([(n, _F8)])
+    return VaeModel(config, flat=flat), vocab, extra

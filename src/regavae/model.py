@@ -17,6 +17,7 @@ pack of one.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -197,17 +198,20 @@ class _LayerCache:
 
 
 class VaeModel:
-    """Encoder/decoder VAE over token sequences. Parameters live in a flat dict,
-    drawn from `seed` or taken from `values`, arrays in `parameter_layout` order."""
+    """Encoder/decoder VAE over token sequences. Each parameter is a C-ordered view of
+    one float64 buffer, `flat`, in `parameter_layout` order: drawn from `seed` or passed in."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0, values=None):
+    def __init__(self, config: ModelConfig, seed: int = 0, flat: np.ndarray | None = None):
         self.config = config
-        if values is None:
-            rng = np.random.default_rng(seed)
-            values = (init(rng, shape) for _, shape, init in parameter_layout(config))
-        self.params: dict[str, Tensor] = {
-            name: Tensor(np.reshape(v, shape), requires_grad=True)
-            for (name, shape, _), v in zip(parameter_layout(config), values)}
+        layout = list(parameter_layout(config))
+        ends = np.cumsum([math.prod(shape) for _, shape, _ in layout])
+        self.flat = np.empty(ends[-1]) if flat is None else flat
+        rng = np.random.default_rng(seed) if flat is None else None
+        self.params: dict[str, Tensor] = {}
+        for (name, shape, init), v in zip(layout, np.split(self.flat, ends[:-1])):
+            self.params[name] = Tensor(v.reshape(shape), requires_grad=True)
+            if rng is not None:  # each draw goes straight into its slice
+                self.params[name].data[...] = init(rng, shape)
 
     # -- transformer pieces --------------------------------------------------
 

@@ -289,13 +289,7 @@ def save_database(db: RetrievalDatabase, path) -> None:
 def load_database(path, d_z: int | None = None) -> RetrievalDatabase:
     """The snapshot dumped at `path`. With d_z given, a dump of keys of
     another dimension raises InputError before its blocks are read."""
-    r = ByteReader(path, "database dump")
-    if r.take(4) != _DB_MAGIC:
-        raise InputError(f"{path} is not a retrieval database dump")
-    (version,) = struct.unpack("<I", r.take(4))
-    if version != _DB_VERSION:
-        raise InputError(f"{path}: database dump format version {version}, expected "
-                         f"{_DB_VERSION}; rerun build-db to rewrite it")
+    r = ByteReader(path, "database dump", _DB_MAGIC, _DB_VERSION, "build-db")
     dim, n, snapshot_step, refresh_interval, n_src, n_tgt, digest = _DB_HEADER.unpack(
         r.take(_DB_HEADER.size))
     if d_z is not None and dim != d_z:

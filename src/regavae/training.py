@@ -143,7 +143,7 @@ def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig,
     and backward over its batch and optimizes the batch mean. With a
     database, the loop refreshes it on schedule before every batch, and a
     document never retrieves itself (database row == corpus index)."""
-    optimizer = Adam(model.params, lr=cfg.learning_rate)
+    optimizer = Adam(model.params, model.flat, lr=cfg.learning_rate)
     result = TrainResult(model, [], start_step, start_epoch)
     step = start_step
     for ep in range(epochs):

@@ -369,20 +369,35 @@ class TestNumericGuards:
                 ag.log(Tensor(np.array([-1.0])))
 
 
+def flat_params(values: dict) -> tuple[dict, np.ndarray]:
+    """Parameters holding `values`, as C-ordered views of one flat buffer laid
+    out in dict order, the layout `VaeModel` gives its parameters."""
+    bounds = np.concatenate(([0], np.cumsum([np.size(v) for v in values.values()])))
+    flat = np.empty(bounds[-1])
+    params = {}
+    for (k, v), lo, hi in zip(values.items(), bounds, bounds[1:]):
+        view = flat[lo:hi].reshape(np.shape(v))
+        view[...] = v
+        params[k] = Tensor(view, requires_grad=True)
+    return params, flat
+
+
 class TestOptimizer:
     def test_adam_first_step_size(self):
         # With bias correction, the first Adam step has magnitude ~lr.
-        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        params, flat = flat_params({"p": [1.0, -2.0]})
+        p = params["p"]
         p.grad = np.array([0.5, -3.0])
-        opt = Adam({"p": p}, lr=0.1)
+        opt = Adam(params, flat, lr=0.1)
         opt.step()
         np.testing.assert_allclose(p.data, [1.0 - 0.1, -2.0 + 0.1], atol=1e-6)
 
     def test_adam_converges_on_quadratic(self):
-        p = Tensor(np.array([5.0]), requires_grad=True)
-        opt = Adam({"p": p}, lr=0.2)
+        params, flat = flat_params({"p": [5.0]})
+        p = params["p"]
+        opt = Adam(params, flat, lr=0.2)
         for _ in range(300):
-            zero_grads({"p": p})
+            zero_grads(params)
             with Tape() as tape:
                 backward(ag.tensor_sum((p - 3.0) * (p - 3.0)), tape)
             opt.step()
@@ -396,11 +411,7 @@ class TestOptimizer:
         shapes = {"emb": (7, 5), "big": (3, 12000), "skip": (4, 3), "bias": (13,),
                   "w": (6, 9), "scalar": ()}
         values = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-3, 1) for k, s in shapes.items()}
-        params = {k: Tensor(v.copy(), requires_grad=True) for k, v in values.items()}
-        opt = Adam(params, lr=3e-3)
-        for k, p in params.items():  # the layout copies every value bit for bit
-            assert same_bytes(p.data, values[k]) and p.data.flags["C_CONTIGUOUS"]
-            assert np.shares_memory(p.data, opt.flat)
+        params, flat = flat_params(values)
         bounds = np.concatenate(([0], np.cumsum([values[k].size for k in shapes])))
         flat_slice = dict(zip(shapes, (slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))))
 
@@ -408,6 +419,7 @@ class TestOptimizer:
         ref_m = {k: np.zeros(s) for k, s in shapes.items()}
         ref_v = {k: np.zeros(s) for k, s in shapes.items()}
         b1, b2, lr, eps = 0.9, 0.999, 3e-3, 1e-8
+        opt = Adam(params, flat, lr=lr)
         for t in range(1, 5):
             grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-6, 2)
                      for k, s in shapes.items()}
@@ -426,6 +438,7 @@ class TestOptimizer:
                 ref[k] -= lr * (ref_m[k] / b1c) / (np.sqrt(ref_v[k] / b2c) + eps)
             for k, p in params.items():
                 assert same_bytes(p.data, ref[k]), (t, k)
+                assert flat[flat_slice[k]].tobytes() == ref[k].tobytes(), (t, k)
                 assert opt.m[flat_slice[k]].tobytes() == ref_m[k].tobytes(), (t, k)
                 assert opt.v[flat_slice[k]].tobytes() == ref_v[k].tobytes(), (t, k)
             if t == 2:
@@ -434,12 +447,15 @@ class TestOptimizer:
                 assert all(same_bytes(a, b) for a, b in zip(skipped, kept))
 
     def test_adam_rejects_a_rebound_parameter(self):
-        p = Tensor(np.ones(3), requires_grad=True)
-        opt = Adam({"p": p}, lr=0.1)
-        p.data = np.ones(3)  # no longer the optimizer's view: updates would be lost
+        params, flat = flat_params({"p": np.ones(3)})
+        p = params["p"]
+        opt = Adam(params, flat, lr=0.1)
+        before = flat.tobytes()
+        p.data = np.ones(3)  # no longer a view of the buffer: updates would be lost
         p.grad = np.ones(3)
         with pytest.raises(ContractError, match="rebound"):
             opt.step()
+        assert flat.tobytes() == before  # raised before any update
 
     def test_clip_grad_norm(self):
         a = Tensor(np.zeros(2), requires_grad=True)

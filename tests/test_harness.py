@@ -5,6 +5,7 @@ exit codes."""
 import dataclasses
 import errno
 import importlib.util
+import io
 import json
 import os
 import re
@@ -22,7 +23,7 @@ from regavae.checkpoint import load_checkpoint, save_checkpoint
 from regavae.cli import main as cli_main
 from regavae.data import (SPECIALS, Tokenizer, ingest, make_synthetic_corpus,
                           read_jsonl, write_jsonl)
-from regavae.errors import ConfigError, InputError
+from regavae.errors import ConfigError, ContractError, InputError
 from regavae.model import ModelConfig, VaeModel, parameter_layout
 from regavae.retrieval import RetrievalDatabase, load_database, save_database
 from regavae.training import (RunConfig, beta_at, beta_schedule, run_eval, run_stage1,
@@ -269,7 +270,8 @@ class TestCheckpoint:
 
     def test_file_is_header_then_parameter_block(self, tmp_path):
         # Version 3 stores no parameter names or shapes: the config's layout
-        # orders the model's dict and the file's one float64 block alike.
+        # orders the model's dict, its buffer and the file's one float64
+        # block alike.
         m = self._model()
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, m, SPECIALS + [f"w{i}" for i in range(16)])
@@ -277,6 +279,7 @@ class TestCheckpoint:
         (hlen,) = struct.unpack_from("<I", data, 8)
         assert data[4:8] == struct.pack("<I", 3)
         assert list(m.params) == [name for name, _, _ in parameter_layout(m.config)]
+        assert data[12 + hlen:] == m.flat.astype("<f8").tobytes()
         assert data[12 + hlen:] == b"".join(p.data.astype("<f8").tobytes()
                                             for p in m.params.values())
 
@@ -397,14 +400,17 @@ class TestCheckpoint:
         assert "truncated" in capsys.readouterr().err
 
     def test_train_regavae_string_counter_exit_one(self, tmp_path, capsys):
+        # A string or a negative training counter ends in exit 1 naming the
+        # key, not in a traceback from the step or epoch random streams.
         path = tmp_path / "m.ckpt"
-        path.write_bytes(self._with_header(self._small(path),
-                                           self._set("extra", global_step="7")))
-        rc = cli_main(["--out", str(tmp_path / "o"), "train-regavae",
-                       "--checkpoint", str(path), "--database", str(tmp_path / "r.db")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "global_step" in err
+        for key, value in (("global_step", "7"), ("global_step", -3), ("global_epoch", -3)):
+            path.write_bytes(self._with_header(self._small(path),
+                                               self._set("extra", **{key: value})))
+            rc = cli_main(["--out", str(tmp_path / "o"), "train-regavae",
+                           "--checkpoint", str(path), "--database", str(tmp_path / "r.db")])
+            assert rc == 1, (key, value)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err, (key, value)
 
     def test_bad_vocabulary_rejected(self, tmp_path):
         # Too short, a non-string word, and the specials out of place.
@@ -419,23 +425,33 @@ class TestCheckpoint:
         with pytest.raises(InputError):
             load_checkpoint(path)
 
-    def test_failed_save_keeps_previous_file(self, tmp_path):
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "m.ckpt"
         before = self._small(path)
-        m = self._model()
-        m.params["dec.lnf.b"].data = np.array(["x"], dtype=object)  # fails mid-write
-        with pytest.raises(ValueError):
-            save_checkpoint(path, m, SPECIALS + [f"w{i}" for i in range(16)])
+
+        class DiskFullAfterHeader(io.FileIO):
+            """A file that takes the header, then fails on the parameter block."""
+
+            def write(self, b):
+                if self.tell() > 0:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(b)
+
+        monkeypatch.setattr(checkpoint, "open", DiskFullAfterHeader, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, self._model(), SPECIALS + [f"w{i}" for i in range(16)])
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
-    def test_missing_parameter_rejected(self, tmp_path):
+    def test_rebound_parameter_not_saved(self, tmp_path):
+        # The buffer no longer holds a rebound parameter's values: the save
+        # raises instead of writing stale ones, and leaves no file.
         m = self._model()
-        del m.params["dec.lnf.b"]
+        m.params["dec.lnf.b"].data = m.params["dec.lnf.b"].data + 1.0
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, m, SPECIALS + [f"w{i}" for i in range(16)])
-        with pytest.raises(InputError, match="truncated"):
-            load_checkpoint(path)
+        with pytest.raises(ContractError, match="dec.lnf.b"):
+            save_checkpoint(path, m, SPECIALS + [f"w{i}" for i in range(16)])
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -880,6 +896,9 @@ class TestTracerHooks:
         assert result.global_step == 3 * result.global_epoch
         assert calls["mixture.regavae_loss"] == result.global_step
         assert calls["autograd.backward"] == result.global_step
+        # perfbench's adam_step_ms and clip_ms divide by these counts.
+        assert calls["autograd.adam_step"] == result.global_step
+        assert calls["autograd.clip_grad_norm"] == result.global_step
 
     def test_retrieval_reuses_top_k_scores_for_weights(self):
         from regavae import mixture
@@ -948,7 +967,8 @@ class TestBenchPairs:
         assert m["stage1_docs_per_s"]["within_bound"]
 
     def test_src_digest_names_the_code(self, tmp_path):
-        digest = self._module().src_digest
+        module = self._module()
+        digest, lines = module.src_digest, module.src_lines
         trees = {}
         for side, tail in (("a", b"x = 1\n"), ("b", b"x = 2\n")):
             pkg = tmp_path / side / "src" / "pkg"
@@ -958,8 +978,11 @@ class TestBenchPairs:
             (pkg / "notes.txt").write_text(side)  # not a *.py file: not hashed
             trees[side] = tmp_path / side
         assert digest(trees["a"]) != digest(trees["b"])
+        assert lines(trees["a"]) == lines(trees["b"]) == 2  # notes.txt is not counted
         (trees["b"] / "src" / "pkg" / "mod.py").write_bytes(b"import os\nx = 1\n")
         assert digest(trees["a"]) == digest(trees["b"])
+        (trees["b"] / "src" / "pkg" / "extra.py").write_bytes(b"y = 1\nz = 2\n")
+        assert lines(trees["b"]) == 4
 
 
 class TestStageFaults:

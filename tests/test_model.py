@@ -1,17 +1,20 @@
-"""Model tests: posterior shapes and init behavior, reparameterization
-statistics of `regavae_loss`'s latents, latent-injection loop oracle, decode
-NLL oracles, ELBO gradient check, overfit smoke test, attention head layout
-against a per-head reference, generation contracts, and cached generation
-against a full re-decode of every prefix."""
+"""Model tests: the flat parameter buffer and its views, posterior shapes
+and init behavior, reparameterization statistics of `regavae_loss`'s
+latents, latent-injection loop oracle, decode NLL oracles, ELBO gradient
+check, overfit smoke test, attention head layout against a per-head
+reference, generation contracts, and cached generation against a full
+re-decode of every prefix."""
 
 import numpy as np
 import pytest
 
 from regavae.autograd import Adam, Tape, Tensor, backward, zero_grads
+from regavae.checkpoint import load_checkpoint, save_checkpoint
 from regavae.data import BOS, EOS, SPECIALS
 from regavae.errors import ConfigError, ContractError, InputError
 from regavae.mixture import regavae_loss
-from regavae.model import LatentGaussian, ModelConfig, VaeModel, _LayerCache, gaussian_kl_standard
+from regavae.model import (LatentGaussian, ModelConfig, VaeModel, _LayerCache,
+                           gaussian_kl_standard, parameter_layout)
 
 
 def tiny_config(**kw):
@@ -42,6 +45,47 @@ class TestConfig:
 
     def test_d_ff_default(self):
         assert tiny_config().d_ff == 4 * 16
+
+
+def assert_views_of_flat(m):
+    """Every parameter is the C-ordered view of its slice of `m.flat`, the
+    slices following one another in `parameter_layout` order."""
+    assert list(m.params) == [name for name, _, _ in parameter_layout(m.config)]
+    assert m.flat.dtype == np.float64 and m.flat.flags["C_CONTIGUOUS"]
+    lo = 0
+    for p in m.params.values():
+        assert p.data.base is m.flat and p.data.flags["C_CONTIGUOUS"]
+        assert (p.data.__array_interface__["data"][0]
+                == m.flat.__array_interface__["data"][0] + 8 * lo)
+        lo += p.data.size
+    assert lo == m.flat.size
+
+
+class TestParameterBuffer:
+    def test_fresh_model_views_its_buffer(self):
+        assert_views_of_flat(VaeModel(tiny_config(), seed=3))
+
+    def test_fresh_model_draws_in_layout_order(self):
+        # The values a per-parameter draw in layout order gives, bit for bit.
+        m = VaeModel(tiny_config(), seed=3)
+        rng = np.random.default_rng(3)
+        for name, shape, init in parameter_layout(m.config):
+            assert m.params[name].data.tobytes() == init(rng, shape).tobytes(), name
+
+    def test_loaded_model_views_the_file_block(self, tmp_path):
+        m = VaeModel(tiny_config(), seed=3)
+        save_checkpoint(tmp_path / "m.ckpt", m, SPECIALS + [f"w{i}" for i in range(16)])
+        back, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+        assert_views_of_flat(back)
+        assert back.flat.tobytes() == m.flat.tobytes()
+
+    def test_adam_copies_and_rebinds_nothing(self):
+        m = VaeModel(tiny_config(), seed=3)
+        before = {name: (p.data, p.data.tobytes()) for name, p in m.params.items()}
+        opt = Adam(m.params, m.flat, lr=1e-3)
+        assert opt.flat is m.flat
+        for name, p in m.params.items():
+            assert p.data is before[name][0] and p.data.tobytes() == before[name][1]
 
 
 class TestEncode:
@@ -256,7 +300,7 @@ class TestElbo:
         # Memorization smoke test: a tiny model should drive NLL down on one
         # pair within a few hundred steps.
         m = VaeModel(tiny_config(), seed=2)
-        opt = Adam(m.params, lr=3e-3)
+        opt = Adam(m.params, m.flat, lr=3e-3)
         first = last = None
         for step in range(250):
             zero_grads(m.params)
@@ -305,7 +349,7 @@ class TestAttentionHeadLayout:
         rng = np.random.default_rng(5)
         for name, t in m.params.items():  # unit-scale weights: heads differ
             if ".attn." in name:
-                t.data = rng.standard_normal(t.shape) * 0.5
+                t.data[...] = rng.standard_normal(t.shape) * 0.5
         return m
 
     def test_non_causal(self, model4):
