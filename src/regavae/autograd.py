@@ -30,7 +30,6 @@ __all__ = [
     "gelu",
     "clamp",
     "reshape",
-    "concat",
     "tensor_sum",
     "tensor_mean",
     "segment_mean",
@@ -370,20 +369,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def concat(tensors) -> Tensor:
-    """The tensors stacked along their first axis."""
-    tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors]))
-    offsets = np.cumsum([0] + [t.shape[0] for t in tensors])
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accum(g[lo:hi])
-
-    return _record(out, tuple(tensors), bwd)
-
-
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------
@@ -436,11 +421,11 @@ def segment_mean(x: Tensor, offsets) -> Tensor:
 # Neural-net primitives
 # ---------------------------------------------------------------------------
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis (variance plus 1e-5), then scale and shift."""
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mu) * inv
     out = Tensor(xhat * gain.data + bias.data)
     _check_finite(out.data, "layer_norm")
@@ -623,66 +608,60 @@ def check_views(params: dict[str, Tensor], flat: np.ndarray) -> None:
 # Floats per Adam update chunk: each chunk's operands and the two scratch
 # arrays (256 KB each) stay in cache across the chunk's fourteen ufunc calls.
 _CHUNK = 32768
+# Adam's default settings (Kingma & Ba 2015), the only ones any run uses.
+_B1, _B2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam over a named parameter dict whose values are C-ordered views of `flat`
-    in dict order, as `VaeModel` lays them out. Parameters without grads are
-    skipped. `step` copies each present grad into a staging buffer laid out
-    like `flat` and the moments `m` and `v`, then updates each run of parameters
-    with grads in place, chunk by chunk with ufuncs, in the per-element order
-    `m = b1*m + (1-b1)*g`, `v = b2*v + ((1-b2)*g)*g`, `p -= (lr*(m/b1c)) / (sqrt(v/b2c)+eps)`."""
+    """Adam (beta1 0.9, beta2 0.999, eps 1e-8) over a named parameter dict whose
+    values are C-ordered views of `flat` in dict order, as `VaeModel` lays them
+    out. `step` first checks that no parameter was rebound and that every one
+    holds a grad, raising ContractError before it changes anything. It then
+    copies the grads into a staging buffer laid out like `flat` and the moments
+    `m` and `v`, and updates all three in place, chunk by chunk with ufuncs, in
+    the per-element order `m = b1*m + (1-b1)*g`, `v = b2*v + ((1-b2)*g)*g`,
+    `p -= (lr*(m/b1c)) / (sqrt(v/b2c)+eps)`."""
 
-    def __init__(self, params: dict[str, Tensor], flat: np.ndarray, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], flat: np.ndarray, lr: float):
         self.params = params
         self.flat = flat
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        self._bounds = [0, *accumulate(p.data.size for p in params.values())]
-        n = self._bounds[-1]
+        bounds = [0, *accumulate(p.data.size for p in params.values())]
+        n = bounds[-1]
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self._grad = np.empty(n)
         self._grads = [self._grad[lo:hi].reshape(p.data.shape)
-                       for p, lo, hi in zip(params.values(), self._bounds, self._bounds[1:])]
+                       for p, lo, hi in zip(params.values(), bounds, bounds[1:])]
         self._scratch = np.empty((2, min(n, _CHUNK)))
 
     def step(self) -> None:
-        self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        b1c = 1.0 - b1**self.t
-        b2c = 1.0 - b2**self.t
-        runs: list[list[int]] = []  # [lo, hi) of consecutive parameters with grads
-        bounds = self._bounds
         check_views(self.params, self.flat)
-        for i, p in enumerate(self.params.values()):
-            if p.grad is None:
-                continue
-            np.copyto(self._grads[i], p.grad)
-            if runs and runs[-1][1] == bounds[i]:
-                runs[-1][1] = bounds[i + 1]
-            else:
-                runs.append([bounds[i], bounds[i + 1]])
-        for lo, hi in runs:
-            for c in range(lo, hi, _CHUNK):
-                e = min(c + _CHUNK, hi)
-                m, v, g, p = self.m[c:e], self.v[c:e], self._grad[c:e], self.flat[c:e]
-                a, b = self._scratch[:, :e - c]
-                np.multiply(m, b1, out=m)
-                np.multiply(g, 1.0 - b1, out=a)
-                np.add(m, a, out=m)
-                np.multiply(v, b2, out=v)
-                np.multiply(g, 1.0 - b2, out=a)
-                np.multiply(a, g, out=a)
-                np.add(v, a, out=v)
-                np.divide(m, b1c, out=a)
-                np.multiply(a, lr, out=a)
-                np.divide(v, b2c, out=b)
-                np.sqrt(b, out=b)
-                np.add(b, eps, out=b)
-                np.divide(a, b, out=a)
-                np.subtract(p, a, out=p)
+        missing = [name for name, p in self.params.items() if p.grad is None]
+        if missing:
+            raise ContractError(f"parameters without a grad: {missing}")
+        for g, p in zip(self._grads, self.params.values()):
+            np.copyto(g, p.grad)
+        self.t += 1
+        b1c = 1.0 - _B1**self.t
+        b2c = 1.0 - _B2**self.t
+        n = self._grad.size
+        for c in range(0, n, _CHUNK):
+            e = min(c + _CHUNK, n)
+            m, v, g, p = self.m[c:e], self.v[c:e], self._grad[c:e], self.flat[c:e]
+            a, b = self._scratch[:, :e - c]
+            np.multiply(m, _B1, out=m)
+            np.multiply(g, 1.0 - _B1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, _B2, out=v)
+            np.multiply(g, 1.0 - _B2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(m, b1c, out=a)
+            np.multiply(a, self.lr, out=a)
+            np.divide(v, b2c, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, _EPS, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(p, a, out=p)

@@ -46,6 +46,9 @@ def _closest_ref_len(cand_len: int, references) -> int:
     return min((len(r) for r in references), key=lambda rl: (abs(rl - cand_len), rl))
 
 
+_ORDERS = range(1, 5)  # BLEU-4: n-gram orders 1 to 4
+
+
 def _bleu_from_stats(clipped, totals, cand_len: int, ref_len: int) -> float:
     log_p = 0.0
     for n, (c, t) in enumerate(zip(clipped, totals), start=1):
@@ -61,29 +64,29 @@ def _bleu_from_stats(clipped, totals, cand_len: int, ref_len: int) -> float:
     return 100.0 * bp * float(np.exp(log_p))
 
 
-def sentence_bleu(candidate, references, n_max: int = 4) -> float:
-    """Smoothed BLEU of one candidate against multiple references, 0..100."""
+def sentence_bleu(candidate, references) -> float:
+    """Smoothed BLEU-4 of one candidate against multiple references, 0..100."""
     if not references:
         raise InputError("sentence_bleu needs at least one reference")
-    stats = [_clipped_counts(candidate, references, n) for n in range(1, n_max + 1)]
+    stats = [_clipped_counts(candidate, references, n) for n in _ORDERS]
     clipped, totals = zip(*stats)
     return _bleu_from_stats(clipped, totals, len(candidate),
                             _closest_ref_len(len(candidate), references))
 
 
-def self_bleu(generations, n_max: int = 4) -> float:
-    """Mean BLEU of each generation against all the others, 0..100."""
+def self_bleu(generations) -> float:
+    """Mean BLEU-4 of each generation against all the others, 0..100."""
     generations = list(generations)
     if len(generations) < 2:
         raise InputError("self_bleu needs at least 2 generations")
     scores = [
-        sentence_bleu(g, generations[:i] + generations[i + 1:], n_max=n_max)
+        sentence_bleu(g, generations[:i] + generations[i + 1:])
         for i, g in enumerate(generations)
     ]
     return float(np.mean(scores))
 
 
-def corpus_bleu(candidates, references, n_max: int = 4) -> float:
+def corpus_bleu(candidates, references) -> float:
     """Corpus-level smoothed BLEU-4 against one reference per candidate, 0..100."""
     candidates = list(candidates)
     references = list(references)
@@ -93,12 +96,12 @@ def corpus_bleu(candidates, references, n_max: int = 4) -> float:
         )
     if not candidates:
         raise InputError("corpus_bleu needs a nonempty corpus")
-    clipped = [0] * n_max
-    totals = [0] * n_max
+    clipped = [0] * len(_ORDERS)
+    totals = [0] * len(_ORDERS)
     cand_len = 0
     ref_len = 0
     for cand, ref in zip(candidates, references):
-        for n in range(1, n_max + 1):
+        for n in _ORDERS:
             c, t = _clipped_counts(cand, [ref], n)
             clipped[n - 1] += c
             totals[n - 1] += t

@@ -78,17 +78,16 @@ class MixturePrior:
         return MixturePrior(mp.components[0].dim, w)
 
 
-def _softmax_weights(scores, self_logit: float = 1.0) -> np.ndarray:
-    """Softmax over [self_logit, scores...]; index 0 is the query."""
-    logits = np.array([self_logit] + list(scores))
+def _softmax_weights(scores) -> np.ndarray:
+    """Softmax over [1, scores...]; index 0 is the query, whose logit is 1."""
+    logits = np.array([1.0] + list(scores))
     e = np.exp(logits - logits.max())
     return e / e.sum()
 
 
-def mixture_weights(query: np.ndarray, retrieved: list[LatentGaussian],
-                    self_logit: float = 1.0) -> np.ndarray:
-    """Softmax over [self_logit, cos(query, key_i)...]; index 0 is the query."""
-    return _softmax_weights([similarity(query, g) for g in retrieved], self_logit)
+def mixture_weights(query: np.ndarray, retrieved: list[LatentGaussian]) -> np.ndarray:
+    """Softmax over [1, cos(query, key_i)...]; index 0 is the query."""
+    return _softmax_weights([similarity(query, g) for g in retrieved])
 
 
 def _component(weights: np.ndarray, rng: np.random.Generator) -> int:

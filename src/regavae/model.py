@@ -189,12 +189,12 @@ def _offsets(seqs) -> np.ndarray:
 
 @dataclass
 class _LayerCache:
-    """One decoder layer's state during incremental decoding: its latent
-    gate and the attention keys/values of every position decoded so far."""
+    """One decoder layer's state during incremental decoding: its latent gate and
+    the attention keys/values of every position so far, as arrays (no tape runs)."""
 
     gate: Tensor
-    keys: Tensor | None = None
-    values: Tensor | None = None
+    keys: np.ndarray
+    values: np.ndarray
 
 
 class VaeModel:
@@ -223,25 +223,20 @@ class VaeModel:
             self.params["pos_emb"], pos
         )
 
-    def _attention(self, h: Tensor, prefix: str, causal: bool,
-                   cache: _LayerCache | None = None, start: int = 0,
-                   offsets: np.ndarray | None = None) -> Tensor:
+    def _attention(self, h: Tensor, prefix: str, causal: bool, offsets: np.ndarray,
+                   cache: _LayerCache | None = None, start: int = 0) -> Tensor:
         """Multi-head self-attention within each segment of the rows of `h`
-        (`offsets`; one segment when None), whose rows sit at positions
-        start, start+1, ... With a cache (one segment), the keys and values
-        of the positions before `start` come from it, and this call's are
-        appended."""
+        (`offsets`), whose rows sit at positions start, start+1, ... With a
+        cache (one segment), the keys and values of the positions before
+        `start` come from it, and this call's are appended."""
         p = self.params
-        if offsets is None:
-            offsets = np.array([0, h.shape[0]])
         q = ag.linear(h, p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.wq_b"])
         k = ag.linear(h, p[f"{prefix}.attn.wk"])
         v = ag.linear(h, p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wv_b"])
         if cache is not None:
-            if cache.keys is not None:
-                k = ag.concat([cache.keys, k])
-                v = ag.concat([cache.values, v])
-            cache.keys, cache.values = k, v
+            cache.keys = np.concatenate([cache.keys, k.data])
+            cache.values = np.concatenate([cache.values, v.data])
+            k, v = Tensor(cache.keys), Tensor(cache.values)
         o = ag.attention(q, k, v, offsets, causal, start, self.config.n_heads)
         return ag.linear(o, p[f"{prefix}.attn.wo"], p[f"{prefix}.attn.wo_b"])
 
@@ -250,13 +245,12 @@ class VaeModel:
         u = ag.gelu(ag.linear(h, p[f"{prefix}.ff.w1"], p[f"{prefix}.ff.b1"]))
         return ag.linear(u, p[f"{prefix}.ff.w2"], p[f"{prefix}.ff.b2"])
 
-    def _block(self, h: Tensor, prefix: str, causal: bool,
-               cache: _LayerCache | None = None, start: int = 0,
-               offsets: np.ndarray | None = None) -> Tensor:
+    def _block(self, h: Tensor, prefix: str, causal: bool, offsets: np.ndarray,
+               cache: _LayerCache | None = None, start: int = 0) -> Tensor:
         p = self.params
         h = h + self._attention(
             ag.layer_norm(h, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"]), prefix, causal,
-            cache, start, offsets
+            offsets, cache, start
         )
         h = h + self._ff(ag.layer_norm(h, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"]), prefix)
         return h
@@ -284,7 +278,7 @@ class VaeModel:
         offsets = _offsets(seqs)
         h = self._embed([i for s in seqs for i in s], offsets)
         for l in range(c.n_layers):
-            h = self._block(h, f"enc.{l}", causal=False, offsets=offsets)
+            h = self._block(h, f"enc.{l}", False, offsets)
         h = ag.layer_norm(h, p["enc.lnf.g"], p["enc.lnf.b"])
         pooled = ag.segment_mean(h, offsets)
         posts = []
@@ -348,7 +342,7 @@ class VaeModel:
                 h = h + self.inject_latent(h, z_layers[l], l, offsets)
             else:
                 h = h + self._fuse(h, layer_cache.gate, l)
-            h = self._block(h, f"dec.{l}", True, layer_cache, start, offsets)
+            h = self._block(h, f"dec.{l}", True, offsets, layer_cache, start)
         h = ag.layer_norm(h, self.params["dec.lnf.g"], self.params["dec.lnf.b"])
         return ag.linear(h, self.params["tok_emb"])
 
@@ -392,7 +386,8 @@ class VaeModel:
             raise ContractError(f"top_k must be >= 1, got {top_k}")
         self._check_latents(z_layers)
         # z is fixed for the whole call, so each layer's gate is computed once.
-        cache = [_LayerCache(ag.linear(z, self.params[f"inj.{l}.w_z"]))
+        cache = [_LayerCache(ag.linear(z, self.params[f"inj.{l}.w_z"]),
+                             np.empty((0, c.d_h)), np.empty((0, c.d_h)))
                  for l, z in enumerate(z_layers)]
         out: list[int] = []
         for _ in range(max_len):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 import struct
 import warnings
 from collections.abc import Sequence
@@ -66,10 +67,8 @@ class _Records(Sequence):
     def __len__(self) -> int:
         return len(self._made)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        record = self._made[i]
+    def __getitem__(self, i: int) -> RetrievalEntry:
+        record = self._made[operator.index(i)]  # a slice raises TypeError
         if record is None:
             i = range(len(self))[i]  # a negative i counts from the end
             means, log_vars, sources, targets = self._arrays
@@ -85,7 +84,7 @@ class RetrievalDatabase:
     `RetrievalEntry` records, whose ids must be their rows 0..N-1;
     `from_arrays` takes the arrays themselves and makes them read-only.
     `entries` gives the snapshot back as a read-only sequence of records
-    (`_Records`); a slice of it is a list."""
+    (`_Records`), indexed by row."""
 
     def __init__(self, entries: list[RetrievalEntry], snapshot_step: int, refresh_interval: int):
         if [e.id for e in entries] != list(range(len(entries))):

@@ -9,8 +9,8 @@ from regavae.model import VaeModel
 @pytest.fixture
 def sampled_latents(monkeypatch):
     """sampled_latents(model, *args, **kw) runs `regavae_loss(model, *args,
-    **kw)` and returns the per-layer latents it hands to `decode`, as arrays:
-    (d_z,) for one document, (B, d_z) for a pack."""
+    **kw)` and returns the per-layer latents it hands to `decode`, as (B, d_z)
+    arrays: `regavae_loss` makes a lone document a pack of one (B = 1)."""
     decode = VaeModel.decode
 
     def run(model, *args, **kw):

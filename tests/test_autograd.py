@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regavae.autograd as ag
+import regavae.mixture as mixture
 from regavae.autograd import Adam, Tape, Tensor, backward, clip_grad_norm, zero_grads
+from regavae.data import CorpusPair
 from regavae.errors import ContractError, DimensionError, NumericOverflowError
 from regavae.mixture import regavae_loss
 from regavae.model import VaeModel
+from regavae.retrieval import build_database
 from regavae.training import RunConfig
 
 RNG = np.random.default_rng(1234)
@@ -104,10 +107,6 @@ class TestOpGradients:
     def test_reshape_transpose(self):
         check_grad(lambda a: ag.tensor_sum(ag.reshape(a, (4, 3))
                                            * ag.reshape(a, (4, 3))), (3, 4))
-
-    def test_concat(self):
-        check_grad(lambda a, b: ag.tensor_sum(ag.concat([a, b]) * ag.concat([a, b])),
-                   (2, 3), (1, 3))
 
     def test_sum_axis(self):
         check_grad(lambda a: ag.tensor_sum(ag.tensor_sum(a, axis=0)
@@ -331,20 +330,32 @@ class TestTapeContract:
         np.testing.assert_array_equal(a.grad, [2.0, 2.0])
         assert b.grad is None and unused.grad is None
 
-    def test_backward_releases_intermediate_grads(self):
-        # A packed stage-1 step: once backward is done only the parameters
-        # hold grads.
+    def test_backward_releases_intermediate_grads(self, monkeypatch):
+        # A packed stage-1 step (k=0) and a stage-3 step (k=5): once backward
+        # is done only the parameters hold grads, and every one holds one, as
+        # Adam.step requires. At k=5 some latents are drawn from retrieved
+        # keys and reach the decoder as `z * keep + fixed`, which still passes
+        # (zero) grads to the posterior heads.
         cfg = RunConfig.from_file(os.path.join(os.path.dirname(__file__), "..", "configs",
                                                "synthetic.json"))
         model = VaeModel(cfg.model_config(50), seed=0)
         xs, ys = [[5, 6, 7], [8, 9], [10, 11, 12, 13]], [[8, 9, 10, 11], [12], [13, 14]]
-        with Tape() as tape:
-            _, total = regavae_loss(model, xs, ys, None, 0, 0.5,
-                                    [np.random.default_rng([0, b]) for b in range(3)],
-                                    kl_floor=cfg.kl_floor)
-            backward(total, tape)
-        assert all(node.out.grad is None for node in tape.nodes)
-        assert all(p.grad is not None for p in model.params.values())
+        db = build_database([CorpusPair([4 + i, 20 + i % 5], [40 - i]) for i in range(12)], model)
+        drawn, draw = [], mixture._component
+        monkeypatch.setattr(mixture, "_component",
+                            lambda w, gen: drawn.append(draw(w, gen)) or drawn[-1])
+        opt = Adam(model.params, model.flat, lr=cfg.learning_rate)
+        for k in (0, 5):
+            zero_grads(model.params)
+            with Tape() as tape:
+                _, total = regavae_loss(model, xs, ys, db if k else None, k, 0.5,
+                                        [np.random.default_rng([k, b]) for b in range(3)],
+                                        kl_floor=cfg.kl_floor)
+                backward(total, tape)
+            assert all(node.out.grad is None for node in tape.nodes)
+            assert [n for n, p in model.params.items() if p.grad is None] == [], k
+            opt.step()
+        assert opt.t == 2 and any(c > 0 for c in drawn)  # some latent came from a key
 
     def test_zero_grads(self):
         a = Tensor(np.ones(2), requires_grad=True)
@@ -405,10 +416,9 @@ class TestOptimizer:
 
     def test_flat_adam_bit_equal_to_per_parameter_reference(self):
         # "big" spans two chunks (32 768 floats each) and ends mid-chunk, as
-        # do the small ones; "skip" has no grad at step 2, which splits the
-        # run of parameters with grads in two.
+        # do the small ones.
         rng = np.random.default_rng(21)
-        shapes = {"emb": (7, 5), "big": (3, 12000), "skip": (4, 3), "bias": (13,),
+        shapes = {"emb": (7, 5), "big": (3, 12000), "mid": (4, 3), "bias": (13,),
                   "w": (6, 9), "scalar": ()}
         values = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-3, 1) for k, s in shapes.items()}
         params, flat = flat_params(values)
@@ -424,12 +434,8 @@ class TestOptimizer:
             grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-6, 2)
                      for k, s in shapes.items()}
             grads["w"] = np.asfortranarray(grads["w"])  # a transposed grad copies in too
-            if t == 2:
-                del grads["skip"]
-                kept = [params["skip"].data.copy(), opt.m[flat_slice["skip"]].copy(),
-                        opt.v[flat_slice["skip"]].copy()]
             for k, p in params.items():
-                p.grad = grads[k].copy() if k in grads else None
+                p.grad = grads[k].copy()
             opt.step()
             b1c, b2c = 1.0 - b1**t, 1.0 - b2**t
             for k, g in grads.items():  # the per-parameter update Adam used to run
@@ -441,21 +447,33 @@ class TestOptimizer:
                 assert flat[flat_slice[k]].tobytes() == ref[k].tobytes(), (t, k)
                 assert opt.m[flat_slice[k]].tobytes() == ref_m[k].tobytes(), (t, k)
                 assert opt.v[flat_slice[k]].tobytes() == ref_v[k].tobytes(), (t, k)
-            if t == 2:
-                skipped = [params["skip"].data, opt.m[flat_slice["skip"]],
-                           opt.v[flat_slice["skip"]]]
-                assert all(same_bytes(a, b) for a, b in zip(skipped, kept))
+
+    @staticmethod
+    def _state(opt):
+        return opt.t, opt.m.tobytes(), opt.v.tobytes(), opt.flat.tobytes()
 
     def test_adam_rejects_a_rebound_parameter(self):
         params, flat = flat_params({"p": np.ones(3)})
         p = params["p"]
         opt = Adam(params, flat, lr=0.1)
-        before = flat.tobytes()
+        before = self._state(opt)
         p.data = np.ones(3)  # no longer a view of the buffer: updates would be lost
         p.grad = np.ones(3)
         with pytest.raises(ContractError, match="rebound"):
             opt.step()
-        assert flat.tobytes() == before  # raised before any update
+        assert self._state(opt) == before and opt.t == 0  # raised before any update
+
+    def test_missing_grad_rejected(self):
+        params, flat = flat_params({"a": np.ones(3), "b": np.ones(2), "c": np.ones(4)})
+        opt = Adam(params, flat, lr=0.1)
+        for p in params.values():
+            p.grad = np.ones(p.shape)
+        opt.step()
+        before = self._state(opt)
+        params["b"].grad = None
+        with pytest.raises(ContractError, match=r"without a grad: \['b'\]$"):
+            opt.step()
+        assert self._state(opt) == before  # t, m, v and the buffer untouched
 
     def test_clip_grad_norm(self):
         a = Tensor(np.zeros(2), requires_grad=True)

@@ -24,6 +24,7 @@ from regavae.cli import main as cli_main
 from regavae.data import (SPECIALS, Tokenizer, ingest, make_synthetic_corpus,
                           read_jsonl, write_jsonl)
 from regavae.errors import ConfigError, ContractError, InputError
+from regavae.metrics import rouge_l
 from regavae.model import ModelConfig, VaeModel, parameter_layout
 from regavae.retrieval import RetrievalDatabase, load_database, save_database
 from regavae.training import (RunConfig, beta_at, beta_schedule, run_eval, run_stage1,
@@ -568,7 +569,8 @@ class TestPipelinePlumbing:
         bad = {"other.db": load_database(run_stage2(other_cfg, ckpt, tmp_path / "other")),
                "swapped.db": RetrievalDatabase(
                    [dataclasses.replace(db.entries[1], id=0),
-                    dataclasses.replace(db.entries[0], id=1)] + db.entries[2:],
+                    dataclasses.replace(db.entries[0], id=1)]
+                   + [db.entries[i] for i in range(2, len(db))],
                    db.snapshot_step, db.refresh_interval)}
         for name, bad_db in bad.items():
             save_database(bad_db, tmp_path / name)
@@ -1007,3 +1009,25 @@ class TestStageFaults:
     def test_unknown_workload_is_a_usage_error(self):
         proc = self._run("--workload", "nope", "--cycles", "1")
         assert proc.returncode == 2 and "unknown workload" in proc.stderr
+
+
+class TestSrcReach:
+    """scripts/src_reach.py's line tracer."""
+
+    def test_tracer_records_the_lines_run_and_only_those(self):
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location("src_reach",
+                                                      root / "scripts" / "src_reach.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+
+        def lines(fn):  # (real file, line) of fn's statements, its def line left out
+            code = fn.__code__
+            return {(os.path.realpath(code.co_filename), line)
+                    for _, _, line in code.co_lines() if line and line != code.co_firstlineno}
+
+        with module.LineReach(str(root / "src" / "regavae")) as reach:
+            Tokenizer.build(["a b b", "c a b"])
+        assert lines(Tokenizer.build) <= reach.lines
+        assert not lines(rouge_l) & reach.lines
+        assert {f for f, _ in reach.lines} == {f for f, _ in lines(Tokenizer.build)}  # data.py

@@ -86,13 +86,6 @@ class TestMixtureWeights:
             assert w.shape == (4,)
             assert np.all(w > 0)
 
-    def test_self_logit_monotone(self):
-        q = np.array([1.0, 0.0])
-        keys = [gauss([0.0, 1.0])]
-        w_lo = mixture_weights(q, keys, self_logit=0.0)
-        w_hi = mixture_weights(q, keys, self_logit=3.0)
-        assert w_hi[0] > w_lo[0]
-
 
 class TestMixtureDataclasses:
     def test_weight_validation(self):

@@ -354,23 +354,23 @@ class TestAttentionHeadLayout:
 
     def test_non_causal(self, model4):
         h = np.random.default_rng(6).standard_normal((5, 16))
-        got = model4._attention(Tensor(h), "enc.0", causal=False).data
+        got = model4._attention(Tensor(h), "enc.0", False, np.array([0, 5])).data
         ref = _reference_attention(model4, h, "enc.0", causal=False)
         np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
 
     def test_causal_rows(self, model4):
         h = np.random.default_rng(7).standard_normal((6, 16))
-        got = model4._attention(Tensor(h), "dec.1", causal=True).data
+        got = model4._attention(Tensor(h), "dec.1", True, np.array([0, 6])).data
         ref = _reference_attention(model4, h, "dec.1", causal=True)
         np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
 
     def test_cached_one_row(self, model4):
         rng = np.random.default_rng(8)
         prefix, new = rng.standard_normal((4, 16)), rng.standard_normal((1, 16))
-        cache = _LayerCache(gate=None)
-        model4._attention(Tensor(prefix), "dec.0", True, cache, 0)
-        past = (cache.keys.data.copy(), cache.values.data.copy())
-        got = model4._attention(Tensor(new), "dec.0", True, cache, 4).data
+        cache = _LayerCache(None, np.empty((0, 16)), np.empty((0, 16)))
+        model4._attention(Tensor(prefix), "dec.0", True, np.array([0, 4]), cache, 0)
+        past = (cache.keys.copy(), cache.values.copy())
+        got = model4._attention(Tensor(new), "dec.0", True, np.array([0, 1]), cache, 4).data
         ref = _reference_attention(model4, new, "dec.0", causal=True, past=past)
         np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
         assert cache.keys.shape == cache.values.shape == (5, 16)

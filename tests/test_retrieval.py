@@ -344,9 +344,11 @@ def test_entries_are_built_one_by_one_and_kept(monkeypatch):
     assert made == [2] and db.entries[2] is last
     assert (last.id, last.source_tokens, last.target_tokens) == (2, [4, 6], [5, 7])
     np.testing.assert_array_equal(last.key.mean_array, [1.0, 1.0])
-    assert [e.id for e in db.entries[:2]] == [0, 1] and made == [2, 0, 1]
+    assert [db.entries[i].id for i in (0, 1)] == [0, 1] and made == [2, 0, 1]
     with pytest.raises(TypeError):
         db.entries[0] = last
+    with pytest.raises(TypeError):  # records are read by row only
+        db.entries[:2]
 
 
 @pytest.mark.parametrize("ids", [[0, 2, 1], [1, 2, 3], [0, 1, 1]],
