@@ -87,29 +87,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
 
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(np.float64(-1.0)))
-
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def _wrap(x) -> Tensor:
@@ -244,20 +229,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map x @ w.T (+ b) of a row (1-D x) or the rows of 2-D x, as one
-    tape node; w is (out, in)."""
-    if x.ndim not in (1, 2) or w.ndim != 2:
-        raise DimensionError(f"linear needs 1-D/2-D x and 2-D w, got {x.shape} and {w.shape}")
-    if x.shape[-1] != w.shape[1]:
+    """Affine map x @ w.T (+ b) of the rows of 2-D x, as one tape node; w is
+    (out, in). A lone vector is a (1, in) row stack."""
+    if x.ndim != 2 or w.ndim != 2:
+        raise DimensionError(f"linear needs 2-D x and w, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[1]:
         raise DimensionError(f"linear inner dimensions differ: {x.shape} x {w.shape}.T")
     if b is not None and b.shape != (w.shape[0],):
         raise DimensionError(f"linear bias must have shape ({w.shape[0]},), got {b.shape}")
-    x2 = x.data.reshape(1, -1) if x.ndim == 1 else x.data
-    wd = w.data
-    out_data = x2 @ wd.T
-    g_shape = out_data.shape
-    if x.ndim == 1:
-        out_data = out_data.reshape(-1)
+    out_data = x.data @ w.data.T
     _check_finite(out_data, "linear product")
     if b is not None:
         out_data = out_data + b.data
@@ -267,11 +247,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def bwd(g):
         if b is not None and b.requires_grad:
             b._accum(_unbroadcast(g, b.shape))
-        g2 = g.reshape(g_shape)
         if x.requires_grad:
-            x._accum((g2 @ wd).reshape(x.shape))
+            x._accum(g @ w.data)
         if w.requires_grad:
-            w._accum((x2.T @ g2).T)
+            w._accum((x.data.T @ g).T)
 
     return _record(out, (x, w) if b is None else (x, w, b), bwd)
 
@@ -541,35 +520,26 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def cross_entropy_with_logits(logits: Tensor, targets, offsets=None) -> Tensor:
-    """Mean negative log-likelihood in nats; targets are class ids. With
-    `offsets` (B+1 segment boundaries over the rows), the mean of each
-    segment's rows, shape (B,)."""
+    """Mean negative log-likelihood in nats of each segment of rows, shape (B,);
+    targets are class ids and `offsets` the B+1 segment boundaries over the
+    rows. Without offsets all rows are one segment, shape (1,)."""
     tgt = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2 or tgt.ndim != 1 or logits.shape[0] != tgt.shape[0]:
-        raise DimensionError(
-            f"cross_entropy expects (n, V) logits and (n,) targets, got {logits.shape} and {tgt.shape}"
-        )
+        raise DimensionError(f"cross_entropy expects (n, V) logits and (n,) targets, "
+                             f"got {logits.shape} and {tgt.shape}")
     z = logits.data
     m = z.max(axis=-1, keepdims=True)
     lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
     logp = z - lse
     n = tgt.shape[0]
-    rows = -logp[np.arange(n), tgt]
-    if offsets is None:
-        nll = np.float64(rows.mean())
-    else:
-        starts, lengths = _segments(offsets, n)
-        nll = np.add.reduceat(rows, starts) / lengths
-    out = Tensor(nll)
+    starts, lengths = _segments([0, n] if offsets is None else offsets, n)
+    out = Tensor(np.add.reduceat(-logp[np.arange(n), tgt], starts) / lengths)
     _check_finite(out.data, "cross_entropy_with_logits")
 
     def bwd(g):
         p = np.exp(logp)
         p[np.arange(n), tgt] -= 1.0
-        if offsets is None:
-            logits._accum(float(g) * p / n)
-        else:
-            logits._accum(p * np.repeat(g / lengths, lengths)[:, None])
+        logits._accum(p * np.repeat(g / lengths, lengths)[:, None])
 
     return _record(out, (logits,), bwd)
 

@@ -6,9 +6,10 @@ model's parameter buffer `VaeModel.flat` as one little-endian float64 block,
 and nothing after it. The config alone decides each parameter's name, shape
 and place (`model.parameter_layout`), so the file stores none of them. A load
 checks the header and a vocabulary that begins with `data.SPECIALS`, then
-counts the config's floats against the bytes left, and only then builds the
-model around the block: a header that claims a huge model costs no more than
-the file's size. Round-trips are bit-exact, and saves replace the file
+counts the config's floats against the bytes left, and only then reads the
+block straight into the buffer the model is built around: a load holds the
+block once, and a header that claims a huge model costs no more than the
+file's size. Round-trips are bit-exact, and saves replace the file
 atomically. Versions 1 and 2, which stored a name and shape per parameter,
 are rejected with a message to rerun training.
 """
@@ -71,37 +72,42 @@ def atomic_write(path):
 
 
 class ByteReader:
-    """The bytes of the file at `path`, read once and taken front to back. The
-    file must open with `magic` and the u32 format `version`; another version
-    raises InputError naming `rerun`, the command that rewrites the file. A take
-    that asks for more bytes than are left raises InputError ("<path>: <what>
-    is truncated"), so a corrupt size field costs a comparison, not an allocation."""
+    """The binary file `f`, read once, front to back. The file must open with
+    `magic` and the u32 format `version`; another version raises InputError
+    naming `rerun`, the command that rewrites the file. A take that asks for
+    more bytes than are left raises InputError ("<path>: <what> is truncated"),
+    so a corrupt size field costs a comparison, not an allocation."""
 
-    def __init__(self, path, what: str, magic: bytes, version: int, rerun: str):
-        with open(path, "rb") as f:
-            self.rest = memoryview(f.read())  # the bytes not taken yet
-        self._what = f"{path}: {what}"
+    def __init__(self, f, what: str, magic: bytes, version: int, rerun: str):
+        self._f = f
+        # The bytes not taken yet; saves replace a file by rename, so an open one keeps its size.
+        self.left = os.fstat(f.fileno()).st_size
+        self._what = f"{f.name}: {what}"
         if self.take(4) != magic:
-            raise InputError(f"{path} is not a {what} file")
+            raise InputError(f"{f.name} is not a {what} file")
         (found,) = struct.unpack("<I", self.take(4))
         if found != version:
             raise InputError(f"{self._what} format version {found}, expected {version}; "
                              f"rerun {rerun} to rewrite it")
 
-    def take(self, n: int) -> memoryview:
-        if n > len(self.rest):
+    def take(self, n: int) -> bytes:
+        if n > self.left:
             raise InputError(f"{self._what} is truncated")
-        taken, self.rest = self.rest[:n], self.rest[n:]
-        return taken
+        self.left -= n
+        return self._f.read(n)
 
     def take_blocks(self, blocks) -> list[np.ndarray]:
-        """All the bytes left, as one array per (count, dtype) of `blocks`, in
-        order; InputError if the blocks need more bytes or leave some over."""
-        sizes = [(count * dtype.itemsize, dtype) for count, dtype in blocks]
-        if (need := sum(n for n, _ in sizes)) != len(self.rest):
-            raise InputError(f"{self._what} is truncated" if need > len(self.rest)
+        """All the bytes left, read into a new array per (count, dtype) of `blocks`;
+        InputError if the blocks need more bytes or leave some over."""
+        blocks = list(blocks)
+        if (need := sum(count * dtype.itemsize for count, dtype in blocks)) != self.left:
+            raise InputError(f"{self._what} is truncated" if need > self.left
                              else f"{self._what} has bytes after its last block")
-        return [np.frombuffer(self.take(n), dtype).copy() for n, dtype in sizes]
+        arrays = [np.empty(count, dtype) for count, dtype in blocks]
+        for a in arrays:
+            self._f.readinto(a)
+        self.left = 0
+        return arrays
 
 
 def save_checkpoint(path, model: VaeModel, vocab: list[str], extra: dict | None = None) -> None:
@@ -114,28 +120,30 @@ def save_checkpoint(path, model: VaeModel, vocab: list[str], extra: dict | None 
 
 
 def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
-    r = ByteReader(path, "checkpoint", _MAGIC, _VERSION, "training (train-vae, then train-regavae)")
-    (hlen,) = struct.unpack("<I", r.take(4))
-    try:
-        header = json.loads(str(r.take(hlen), "utf-8"))
-        check_json_fields(header["config"], get_type_hints(ModelConfig),
-                          f"{path}: checkpoint config")
-        extra = header.get("extra", {})
-        # The extra fields are training counters, all non-negative integers.
-        check_json_fields(extra, dict.fromkeys(extra, int), f"{path}: checkpoint 'extra'")
-        if negative := [name for name, value in extra.items() if value < 0]:
-            raise InputError(f"{path}: checkpoint 'extra' keys {negative} must be >= 0")
-        config = ModelConfig(**header["config"])
-    except (ValueError, KeyError, TypeError, ConfigError) as e:
-        raise InputError(f"{path}: checkpoint header is corrupt ({e!r})") from e
-    vocab = header.get("vocab")
-    if (not isinstance(vocab, list) or len(vocab) != config.vocab_size
-            or vocab[:len(SPECIALS)] != SPECIALS or not all(isinstance(w, str) for w in vocab)):
-        raise InputError(f"{path}: checkpoint vocabulary is not a list of "
-                         f"vocab_size={config.vocab_size} words that begins with {SPECIALS}")
-    n = 0
-    for _, shape, _ in parameter_layout(config):  # counted only until past the bytes left
-        if (n := n + math.prod(shape)) * _F8.itemsize > len(r.rest):
-            break
-    (flat,) = r.take_blocks([(n, _F8)])
+    with open(path, "rb") as f:
+        r = ByteReader(f, "checkpoint", _MAGIC, _VERSION,
+                       "training (train-vae, then train-regavae)")
+        (hlen,) = struct.unpack("<I", r.take(4))
+        try:
+            header = json.loads(str(r.take(hlen), "utf-8"))
+            check_json_fields(header["config"], get_type_hints(ModelConfig),
+                              f"{path}: checkpoint config")
+            extra = header.get("extra", {})
+            # The extra fields are training counters, all non-negative integers.
+            check_json_fields(extra, dict.fromkeys(extra, int), f"{path}: checkpoint 'extra'")
+            if negative := [name for name, value in extra.items() if value < 0]:
+                raise InputError(f"{path}: checkpoint 'extra' keys {negative} must be >= 0")
+            config = ModelConfig(**header["config"])
+        except (ValueError, KeyError, TypeError, ConfigError) as e:
+            raise InputError(f"{path}: checkpoint header is corrupt ({e!r})") from e
+        vocab = header.get("vocab")
+        if (not isinstance(vocab, list) or len(vocab) != config.vocab_size
+                or vocab[:len(SPECIALS)] != SPECIALS or not all(isinstance(w, str) for w in vocab)):
+            raise InputError(f"{path}: checkpoint vocabulary is not a list of "
+                             f"vocab_size={config.vocab_size} words that begins with {SPECIALS}")
+        n = 0
+        for _, shape, _ in parameter_layout(config):  # counted only until past the bytes left
+            if (n := n + math.prod(shape)) * _F8.itemsize > r.left:
+                break
+        (flat,) = r.take_blocks([(n, _F8)])
     return VaeModel(config, flat=flat), vocab, extra

@@ -152,18 +152,16 @@ def rouge_l(candidate, reference) -> float:
 # Model-based metrics
 # ---------------------------------------------------------------------------
 
-def perplexity(model: VaeModel, dataset, db=None, k: int = 0, posts=None) -> float:
+def perplexity(model: VaeModel, dataset, posts, db=None, k: int = 0) -> float:
     """exp of the token-weighted per-token bound (NLL + KL share). Latents are
     the deterministic mixture means; k=0 uses the query posterior mean alone.
-    The dataset is encoded and decoded as one pack; `posts` may hold the
-    posteriors of its sources from an earlier `model.encode` of that pack."""
+    `posts` are the posteriors of the dataset's sources from one `model.encode`
+    of them as a pack; the targets are decoded as one pack."""
     dataset = list(dataset)
     if not dataset:
         raise InputError("perplexity over an empty dataset")
     sources = [p.source_tokens for p in dataset]
     targets = [p.target_tokens for p in dataset]
-    if posts is None:
-        posts = model.encode(sources)
     z_layers = mixture_mean_latents(model, sources, db, k, posts=posts)
     _, nll = model.decode(z_layers, targets)
     kl = sum(gaussian_kl_standard(g).data for g in posts)

@@ -7,12 +7,13 @@ with that layer's latent z by a rank-r tensor-product fusion, the sum over j
 of (W_v,j h) * (W_z,j z) elementwise (Liu et al. 2018; DELLA), which keeps
 the decoder dependent on the latent and counteracts posterior collapse.
 
-A document is a list of token ids; a pack is a list of documents. `encode`
-and `decode` take either. A pack runs as one forward over the concatenated
-rows of all its documents, with per-document offsets and no padding:
-attention never crosses a document boundary, pooling is a per-document mean
-and each row's latent gate is its own document's. A single document is a
-pack of one.
+A document is a list of token ids; a pack is a list of documents, and a
+single document is a pack of one. A pack runs as one forward over the
+concatenated rows of all its documents, with per-document offsets and no
+padding: attention never crosses a document boundary, pooling is a
+per-document mean and each row's latent gate is its own document's. `decode`
+and `inject_latent` take packs and (B, d_z) latents only; `encode` also
+takes a lone document, returning (d_z,) vectors, as `generate` takes.
 """
 
 from __future__ import annotations
@@ -291,19 +292,16 @@ class VaeModel:
             posts.append(LatentGaussian(mu, lv))
         return posts
 
-    def inject_latent(self, v: Tensor, z: Tensor, layer: int,
-                      offsets: np.ndarray | None = None) -> Tensor:
+    def inject_latent(self, v: Tensor, z: Tensor, layer: int, offsets: np.ndarray) -> Tensor:
         """Rank-r fusion sum_j (W_v,j v_i) * (W_z,j z), rank j being rows
-        j*d_h:(j+1)*d_h of `inj.{layer}.w_v`/`.w_z`. A (B, d_z) stack of latents
-        gives row i of v the latent of the segment of `offsets` it lies in."""
+        j*d_h:(j+1)*d_h of `inj.{layer}.w_v`/`.w_z`. Row i of v takes the row
+        of the (B, d_z) latents z of the segment of `offsets` it lies in."""
         c = self.config
         if not 0 <= layer < c.n_layers:
             raise ContractError(f"layer {layer} out of range for {c.n_layers} layers")
         gate = ag.linear(z, self.params[f"inj.{layer}.w_z"])  # every W_z,j z, side by side
-        if z.ndim == 2:
-            seg = np.repeat(np.arange(z.shape[0]), np.diff(offsets))
-            gate = ag.embedding_lookup(gate, seg)
-        return self._fuse(v, gate, layer)
+        seg = np.repeat(np.arange(z.shape[0]), np.diff(offsets))
+        return self._fuse(v, ag.embedding_lookup(gate, seg), layer)
 
     def _fuse(self, v: Tensor, gate: Tensor, layer: int) -> Tensor:
         """The sum over ranks j of columns j*d_h:(j+1)*d_h of (W_v v) * gate."""
@@ -327,8 +325,8 @@ class VaeModel:
 
         `inputs` are the rows of the segments that `offsets` cuts them into
         (one segment when None), each at positions start, start+1, ...;
-        a (B, d_z) latent per layer gives segment i its row i. Without a
-        cache they start at 0. With one (one `_LayerCache` per layer, one
+        the (B, d_z) latent of each layer gives segment i its row i. Without
+        a cache they start at 0. With one (one `_LayerCache` per layer, one
         segment), the earlier positions' keys and values and each layer's
         latent gate come from it, and only the new rows are computed."""
         c = self.config
@@ -347,20 +345,16 @@ class VaeModel:
         return ag.linear(h, self.params["tok_emb"])
 
     def decode(self, z_layers: list[Tensor], target_tokens) -> tuple[Tensor, Tensor]:
-        """Teacher-forced causal decode; returns (logits, mean NLL in nats).
-        For a pack of B targets, each latent is (B, d_z) and the NLL is each
-        target's own mean, shape (B,)."""
-        c = self.config
-        pack = is_pack(target_tokens)
-        targets = [self._prepare_ids(t, "decoder target")
-                   for t in (target_tokens if pack else [target_tokens])]
-        self._check_latents(z_layers, len(targets) if pack else None)
+        """Teacher-forced causal decode of a pack of B targets under (B, d_z)
+        latents; returns (logits, each target's mean NLL in nats, shape (B,))."""
+        if not is_pack(target_tokens):
+            raise ContractError("decode takes a pack of targets; a lone target is a pack of one")
+        targets = [self._prepare_ids(t, "decoder target") for t in target_tokens]
+        self._check_latents(z_layers, len(targets))
         inputs = [[BOS] + t for t in targets]
         offsets = _offsets(inputs)
-        logits = self._decoder_logits(z_layers, [i for s in inputs for i in s],
-                                      offsets=offsets)
-        nll = ag.cross_entropy_with_logits(logits, [i for t in targets for i in t + [EOS]],
-                                           offsets if pack else None)
+        logits = self._decoder_logits(z_layers, [i for s in inputs for i in s], offsets=offsets)
+        nll = ag.cross_entropy_with_logits(logits, [i for t in targets for i in t + [EOS]], offsets)
         return logits, nll
 
     def elbo_step(self, x_tokens: list[int], y_tokens: list[int], beta: float,
@@ -386,7 +380,7 @@ class VaeModel:
             raise ContractError(f"top_k must be >= 1, got {top_k}")
         self._check_latents(z_layers)
         # z is fixed for the whole call, so each layer's gate is computed once.
-        cache = [_LayerCache(ag.linear(z, self.params[f"inj.{l}.w_z"]),
+        cache = [_LayerCache(ag.linear(Tensor(z.data[None]), self.params[f"inj.{l}.w_z"]),
                              np.empty((0, c.d_h)), np.empty((0, c.d_h)))
                  for l, z in enumerate(z_layers)]
         out: list[int] = []

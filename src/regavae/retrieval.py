@@ -288,15 +288,16 @@ def save_database(db: RetrievalDatabase, path) -> None:
 def load_database(path, d_z: int | None = None) -> RetrievalDatabase:
     """The snapshot dumped at `path`. With d_z given, a dump of keys of
     another dimension raises InputError before its blocks are read."""
-    r = ByteReader(path, "database dump", _DB_MAGIC, _DB_VERSION, "build-db")
-    dim, n, snapshot_step, refresh_interval, n_src, n_tgt, digest = _DB_HEADER.unpack(
-        r.take(_DB_HEADER.size))
-    if d_z is not None and dim != d_z:
-        raise InputError(f"{path}: database keys have dimension {dim}, but the "
-                         f"checkpoint's latents have dimension {d_z}")
-    counts = (n * dim, n * dim, n + 1, n_src, n + 1, n_tgt)
-    means, log_vars, src_off, src_tok, tgt_off, tgt_tok = r.take_blocks(
-        zip(counts, _DB_BLOCKS))
+    with open(path, "rb") as f:
+        r = ByteReader(f, "database dump", _DB_MAGIC, _DB_VERSION, "build-db")
+        dim, n, snapshot_step, refresh_interval, n_src, n_tgt, digest = _DB_HEADER.unpack(
+            r.take(_DB_HEADER.size))
+        if d_z is not None and dim != d_z:
+            raise InputError(f"{path}: database keys have dimension {dim}, but the "
+                             f"checkpoint's latents have dimension {d_z}")
+        counts = (n * dim, n * dim, n + 1, n_src, n + 1, n_tgt)
+        means, log_vars, src_off, src_tok, tgt_off, tgt_tok = r.take_blocks(
+            zip(counts, _DB_BLOCKS))
     for name, off, tok in (("source", src_off, src_tok), ("target", tgt_off, tgt_tok)):
         if off[0] != 0 or off[-1] != tok.size or np.any(off[1:] < off[:-1]):
             raise InputError(f"{path}: database dump {name} offsets do not run from 0 "

@@ -291,7 +291,7 @@ def run_eval(cfg: RunConfig, checkpoint_path, database_path, out_dir) -> MetricR
     # The eval sources are encoded once, as one pack, for all three uses.
     sources = [p.source_tokens for p in eval_pairs]
     posts = model.encode(sources)
-    ppl = perplexity(model, eval_pairs, db=db, k=k, posts=posts)
+    ppl = perplexity(model, eval_pairs, posts, db=db, k=k)
     au = active_units(model, eval_pairs, posts=posts)
     latents = mixture_mean_latents(model, sources, db, k, posts=posts)
     generations = []

@@ -129,6 +129,13 @@ class TestOpGradients:
         targets = [1, 0, 3]
         check_grad(lambda lg: ag.cross_entropy_with_logits(lg, targets), (3, 4))
 
+    def test_cross_entropy_without_offsets_is_one_segment(self):
+        logits = Tensor(RNG.uniform(-2, 2, (5, 4)))
+        one = ag.cross_entropy_with_logits(logits, [1, 0, 3, 3, 2])
+        assert one.shape == (1,)
+        assert one.data.tobytes() == ag.cross_entropy_with_logits(
+            logits, [1, 0, 3, 3, 2], [0, 5]).data.tobytes()
+
     def test_matmul_shape_error_names_shapes(self):
         a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2)))
         with pytest.raises(DimensionError) as exc:
@@ -186,16 +193,15 @@ def fused_run(x, w, b, c, twice):
 
 def numpy_run(x, w, b, c, twice):
     """What `fused_run` computes, in numpy: y = x @ w.T + b, whose grads for
-    an upstream grad g are g @ w, (x.T @ g).T and the column sums of g. A 1-D
-    x is one row. The loss hands y the grad c; backward reaches the second
-    application first, so its w and b grads come first in each sum."""
+    an upstream grad g are g @ w, (x.T @ g).T and the column sums of g. The
+    loss hands y the grad c; backward reaches the second application first,
+    so its w and b grads come first in each sum."""
     def forward(x):
-        y = (np.atleast_2d(x) @ w.T).reshape(x.shape)
+        y = x @ w.T
         return y if b is None else y + b
 
     def grads(x, g):
-        x2, g2 = np.atleast_2d(x), np.atleast_2d(g)
-        return (g2 @ w).reshape(x.shape), np.ascontiguousarray((x2.T @ g2).T), g2.sum(axis=0)
+        return g @ w, np.ascontiguousarray((x.T @ g).T), g.sum(axis=0)
 
     if not twice:
         gx, gw, gb = grads(x, c)
@@ -211,7 +217,7 @@ def same_bytes(a, b):
 
 
 class TestLinear:
-    @pytest.mark.parametrize("x_shape", [(5,), (3, 5)])
+    @pytest.mark.parametrize("x_shape", [(1, 5), (3, 5)])  # one row: a lone vector
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("twice", [False, True])
     def test_bitwise_equal_to_composition(self, x_shape, bias, twice):
@@ -226,7 +232,7 @@ class TestLinear:
     def test_matches_finite_differences(self):
         check_grad(lambda x, w, b: ag.tensor_sum(ag.tanh(ag.linear(x, w, b))), (3, 4),
                    (2, 4), (2,))
-        check_grad(lambda x, w: ag.tensor_sum(ag.linear(x, w) * ag.linear(x, w)), (4,), (3, 4))
+        check_grad(lambda x, w: ag.tensor_sum(ag.linear(x, w) * ag.linear(x, w)), (1, 4), (3, 4))
 
     def test_first_grad_is_a_c_ordered_copy(self):
         # dW is the transpose of a product, an F-ordered view; the stored grad
@@ -243,7 +249,7 @@ class TestLinear:
         assert y.grad is None  # spent once passed on
         np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
 
-    @pytest.mark.parametrize("x_shape", [(5,), (4, 5)])
+    @pytest.mark.parametrize("x_shape", [(1, 5), (4, 5)])
     def test_clip_grad_norm_bitwise_equal_to_composition(self, x_shape):
         case = linear_case(x_shape, True, seed=11)
         _, x_grad, w_grad, _ = fused_run(*case, True)
@@ -261,11 +267,11 @@ class TestLinear:
         w = Tensor(np.array([[1e200]]), requires_grad=True)
         with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericOverflowError):
             with Tape():
-                ag.linear(Tensor(np.array([1e200])), w)
+                ag.linear(Tensor(np.array([[1e200]])), w)
         # The product is finite; the bias add overflows.
         with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericOverflowError):
             with Tape():
-                ag.linear(Tensor(np.array([1.5e308])), Tensor(np.array([[1.0]])),
+                ag.linear(Tensor(np.array([[1.5e308]])), Tensor(np.array([[1.0]])),
                           Tensor(np.array([1e308])))
 
     @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
@@ -276,6 +282,11 @@ class TestLinear:
         b = None if b_shape is None else Tensor(np.zeros(b_shape))
         with pytest.raises(DimensionError):
             ag.linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), b)
+
+    def test_lone_vector_rejected(self):
+        # A lone vector goes in as a (1, in) row stack.
+        with pytest.raises(DimensionError, match=r"2-D x and w, got \(4,\)"):
+            ag.linear(Tensor(np.zeros(4)), Tensor(np.zeros((3, 4))))
 
     def test_one_document_tape_length_on_bundled_config(self):
         # Pinned: a change here changes the per-op overhead of every step.

@@ -260,6 +260,23 @@ class TestCheckpoint:
             assert back.params[name].shape == t.shape
             assert back.params[name].data.tobytes() == t.data.tobytes()
 
+    def test_load_reads_the_block_once(self, tmp_path):
+        # The parameter block is read straight into the model's buffer: a load
+        # of a default-size checkpoint (16 MB) peaks near the file's size, not
+        # at twice it, and the buffer is an aligned, writable array.
+        cfg = ModelConfig(vocab_size=500)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, VaeModel(cfg, seed=0),
+                        SPECIALS + [f"w{i}" for i in range(cfg.vocab_size - len(SPECIALS))])
+        tracemalloc.start()
+        try:
+            back, _, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * path.stat().st_size
+        assert back.flat.flags.writeable and back.flat.flags.aligned
+
     def test_save_load_save_identical_bytes(self, tmp_path):
         m = self._model()
         vocab = SPECIALS + [f"w{i}" for i in range(16)]
@@ -985,6 +1002,22 @@ class TestBenchPairs:
         assert digest(trees["a"]) == digest(trees["b"])
         (trees["b"] / "src" / "pkg" / "extra.py").write_bytes(b"y = 1\nz = 2\n")
         assert lines(trees["b"]) == 4
+
+
+class TestArtifactDigest:
+    """scripts/artifact_digest.py's comparison of digest lines."""
+
+    def test_differing_names_each_changed_or_unmatched_artifact(self):
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location("artifact_digest",
+                                                      root / "scripts" / "artifact_digest.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        expected = ["5 stage1.ckpt aa", "5 retrieval.db bb", "0 stage3.ckpt cc"]
+        assert module.differing(expected, expected) == []
+        got = ["5 stage1.ckpt aa", "5 retrieval.db bx", "0 metrics.json dd"]
+        assert module.differing(got, expected) == ["5 retrieval.db", "0 stage3.ckpt",
+                                                   "0 metrics.json"]
 
 
 class TestStageFaults:

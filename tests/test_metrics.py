@@ -197,17 +197,18 @@ class TestPerplexity:
 
     def test_fresh_model_near_uniform(self, model):
         data = [CorpusPair([4, 5], [6, 7]), CorpusPair([8, 9], [10, 11])]
-        ppl = perplexity(model, data)
+        ppl = perplexity(model, data, model.encode([p.source_tokens for p in data]))
         # Zero-init posteriors have zero KL, so ppl ~ vocab_size at init.
         assert 0.5 * model.config.vocab_size < ppl < 2.0 * model.config.vocab_size
 
     def test_deterministic(self, model):
         data = [CorpusPair([4, 5], [6, 7])]
-        assert perplexity(model, data) == perplexity(model, data)
+        posts = model.encode([[4, 5]])
+        assert perplexity(model, data, posts) == perplexity(model, data, posts)
 
     def test_empty_dataset_raises(self, model):
         with pytest.raises(InputError):
-            perplexity(model, [])
+            perplexity(model, [], [])
 
     def test_truncated_target_counts_only_the_tokens_decode_scores(self):
         # decode keeps max_seq_len - 2 = 6 target tokens and scores them and
@@ -217,9 +218,10 @@ class TestPerplexity:
                           r_rank=2, max_seq_len=8)
         model = VaeModel(cfg, seed=0)
         src, tgt = [4, 5], [6, 7, 8, 9, 10, 11]
-        ppl = perplexity(model, [CorpusPair(src, tgt)])
+        posts = model.encode([src])
+        ppl = perplexity(model, [CorpusPair(src, tgt)], posts)
         with pytest.warns(UserWarning, match="truncated from 11 to 6"):
-            assert perplexity(model, [CorpusPair(src, tgt + [12, 13, 14, 15, 16])]) == ppl
+            assert perplexity(model, [CorpusPair(src, tgt + [12, 13, 14, 15, 16])], posts) == ppl
 
     def test_heldout_kl_zero_with_zeroed_heads(self, model):
         # Zeroed mean heads give exactly the prior: KL is exactly 0.

@@ -195,12 +195,13 @@ class TestInjectLatent:
         return expect
 
     def test_matches_loop_oracle(self, model):
+        # One segment: a lone document's latent is a (1, d_z) stack.
         c = model.config
         rng = np.random.default_rng(2)
         v = rng.standard_normal((3, c.d_h))
-        z = rng.standard_normal(c.d_z)
-        out = model.inject_latent(Tensor(v), Tensor(z), 0).data
-        np.testing.assert_allclose(out, self._oracle(model, v, [z] * 3, 0), atol=1e-12)
+        z = rng.standard_normal((1, c.d_z))
+        out = model.inject_latent(Tensor(v), Tensor(z), 0, np.array([0, 3])).data
+        np.testing.assert_allclose(out, self._oracle(model, v, [z[0]] * 3, 0), atol=1e-12)
 
     def test_pack_matches_loop_oracle(self, model):
         # Three segments of 2, 1 and 3 rows, each with its own latent.
@@ -215,15 +216,17 @@ class TestInjectLatent:
 
     def test_layer_out_of_range(self, model):
         v = Tensor(np.zeros((2, model.config.d_h)))
-        z = Tensor(np.zeros(model.config.d_z))
+        z = Tensor(np.zeros((1, model.config.d_z)))
         with pytest.raises(ContractError):
-            model.inject_latent(v, z, model.config.n_layers)
+            model.inject_latent(v, z, model.config.n_layers, np.array([0, 2]))
 
 
 class TestDecode:
+    """Decoding one target, as a pack of one under (1, d_z) latents."""
+
     def _latents(self, model, rng=None):
         rng = rng or np.random.default_rng(0)
-        return [Tensor(rng.standard_normal(model.config.d_z))
+        return [Tensor(rng.standard_normal((1, model.config.d_z)))
                 for _ in range(model.config.n_layers)]
 
     def test_logit_shape_and_nll_near_uniform_at_init(self):
@@ -231,19 +234,25 @@ class TestDecode:
         # ln(vocab_size), well inside +-15%.
         m = VaeModel(tiny_config(), seed=9)
         z = self._latents(m)
-        logits, nll = m.decode(z, [4, 5, 6])
+        logits, nll = m.decode(z, [[4, 5, 6]])
         assert logits.shape == (4, m.config.vocab_size)  # +1 step for eos
+        assert nll.shape == (1,)
         uniform = np.log(m.config.vocab_size)
         assert abs(nll.item() - uniform) / uniform < 0.15
 
     def test_wrong_latent_count_raises(self, model):
         with pytest.raises(ContractError):
-            model.decode([Tensor(np.zeros(model.config.d_z))], [4, 5])
+            model.decode([Tensor(np.zeros((1, model.config.d_z)))], [[4, 5]])
+
+    def test_lone_document_rejected(self, model):
+        # Only regavae_loss wraps a lone target into a pack of one.
+        with pytest.raises(ContractError, match="pack of one"):
+            model.decode(self._latents(model), [4, 5])
 
     def test_nll_matches_manual_cross_entropy(self, model):
         z = self._latents(model)
         tokens = [4, 7, 9]
-        logits, nll = model.decode(z, tokens)
+        logits, nll = model.decode(z, [tokens])
         targets = tokens + [EOS]
         lg = logits.data
         man = 0.0
@@ -421,10 +430,16 @@ class TestGenerate:
             model.generate(z[:-1] + [Tensor(np.ones(model.config.d_z + 1))], 0)
 
 
+def _rows(z_layers):
+    """One document's (d_z,) latents as the (1, d_z) stacks the decoder takes."""
+    return [Tensor(z.data[None]) for z in z_layers]
+
+
 def _reference_generate(model, z_layers, max_len, strategy="greedy", rng=None, top_k=10):
     """Generation without a cache: every step re-decodes [bos] + prefix and
     keeps the last row of the logits."""
     c = model.config
+    z_layers = _rows(z_layers)
     out = []
     for _ in range(max_len):
         inputs = [BOS] + out
@@ -482,7 +497,7 @@ class TestCachedGenerate:
         for z, out, steps in runs:
             assert len(steps) in (len(out), len(out) + 1)  # +1: the step that drew EOS
             for t, got in enumerate(steps):
-                ref = any_model._decoder_logits(z, [BOS] + out[:t]).data[-1]
+                ref = any_model._decoder_logits(_rows(z), [BOS] + out[:t]).data[-1]
                 np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
 
     def test_greedy_matches_reference(self, any_model):
