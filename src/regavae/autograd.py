@@ -237,7 +237,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise DimensionError(f"linear inner dimensions differ: {x.shape} x {w.shape}.T")
     if b is not None and b.shape != (w.shape[0],):
         raise DimensionError(f"linear bias must have shape ({w.shape[0]},), got {b.shape}")
-    out_data = x.data @ w.data.T
+    wd = w.data
+    out_data = x.data @ wd.T
     _check_finite(out_data, "linear product")
     if b is not None:
         out_data = out_data + b.data
@@ -248,7 +249,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b is not None and b.requires_grad:
             b._accum(_unbroadcast(g, b.shape))
         if x.requires_grad:
-            x._accum(g @ w.data)
+            x._accum(g @ wd)
         if w.requires_grad:
             w._accum((x.data.T @ g).T)
 
@@ -525,8 +526,9 @@ def cross_entropy_with_logits(logits: Tensor, targets, offsets=None) -> Tensor:
     rows. Without offsets all rows are one segment, shape (1,)."""
     tgt = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2 or tgt.ndim != 1 or logits.shape[0] != tgt.shape[0]:
-        raise DimensionError(f"cross_entropy expects (n, V) logits and (n,) targets, "
-                             f"got {logits.shape} and {tgt.shape}")
+        raise DimensionError(
+            f"cross_entropy expects (n, V) logits and (n,) targets, got {logits.shape} and {tgt.shape}"
+        )
     z = logits.data
     m = z.max(axis=-1, keepdims=True)
     lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))

@@ -76,12 +76,12 @@ class ByteReader:
     `magic` and the u32 format `version`; another version raises InputError
     naming `rerun`, the command that rewrites the file. A take that asks for
     more bytes than are left raises InputError ("<path>: <what> is truncated"),
-    so a corrupt size field costs a comparison, not an allocation."""
+    so a corrupt size field costs a comparison, not an allocation. A read that
+    ends early, as when the file shrank after it was opened, raises it too."""
 
     def __init__(self, f, what: str, magic: bytes, version: int, rerun: str):
         self._f = f
-        # The bytes not taken yet; saves replace a file by rename, so an open one keeps its size.
-        self.left = os.fstat(f.fileno()).st_size
+        self.left = os.fstat(f.fileno()).st_size  # the bytes not taken yet
         self._what = f"{f.name}: {what}"
         if self.take(4) != magic:
             raise InputError(f"{f.name} is not a {what} file")
@@ -94,7 +94,9 @@ class ByteReader:
         if n > self.left:
             raise InputError(f"{self._what} is truncated")
         self.left -= n
-        return self._f.read(n)
+        if len(data := self._f.read(n)) != n:
+            raise InputError(f"{self._what} is truncated")
+        return data
 
     def take_blocks(self, blocks) -> list[np.ndarray]:
         """All the bytes left, read into a new array per (count, dtype) of `blocks`;
@@ -105,7 +107,8 @@ class ByteReader:
                              else f"{self._what} has bytes after its last block")
         arrays = [np.empty(count, dtype) for count, dtype in blocks]
         for a in arrays:
-            self._f.readinto(a)
+            if self._f.readinto(a) != a.nbytes:
+                raise InputError(f"{self._what} is truncated")
         self.left = 0
         return arrays
 

@@ -317,21 +317,18 @@ class VaeModel:
             if z.shape != want:
                 raise ContractError(f"latent {l} has shape {z.shape}, expected {want}")
 
-    def _decoder_logits(self, z_layers: list[Tensor], inputs: list[int],
-                        cache: list[_LayerCache] | None = None, start: int = 0,
-                        offsets: np.ndarray | None = None) -> Tensor:
+    def _decoder_logits(self, z_layers: list[Tensor], inputs: list[int], offsets: np.ndarray,
+                        cache: list[_LayerCache] | None = None, start: int = 0) -> Tensor:
         """Causal decoder forward: embed, fuse each layer's latent, causal
         block, final layer norm, logits tied to the token embedding.
 
-        `inputs` are the rows of the segments that `offsets` cuts them into
-        (one segment when None), each at positions start, start+1, ...;
-        the (B, d_z) latent of each layer gives segment i its row i. Without
-        a cache they start at 0. With one (one `_LayerCache` per layer, one
-        segment), the earlier positions' keys and values and each layer's
-        latent gate come from it, and only the new rows are computed."""
+        `inputs` are the rows of the segments that `offsets` cuts them into,
+        each at positions start, start+1, ...; the (B, d_z) latent of each
+        layer gives segment i its row i. Without a cache they start at 0.
+        With one (one `_LayerCache` per layer, one segment), the earlier
+        positions' keys and values and each layer's latent gate come from
+        it, and only the new rows are computed."""
         c = self.config
-        if offsets is None:
-            offsets = np.array([0, len(inputs)])
         h = self._embed(inputs, offsets, start)
         for l in range(c.n_layers):
             layer_cache = None if cache is None else cache[l]
@@ -353,8 +350,10 @@ class VaeModel:
         self._check_latents(z_layers, len(targets))
         inputs = [[BOS] + t for t in targets]
         offsets = _offsets(inputs)
-        logits = self._decoder_logits(z_layers, [i for s in inputs for i in s], offsets=offsets)
-        nll = ag.cross_entropy_with_logits(logits, [i for t in targets for i in t + [EOS]], offsets)
+        logits = self._decoder_logits(z_layers, [i for s in inputs for i in s],
+                                      offsets)
+        nll = ag.cross_entropy_with_logits(logits, [i for t in targets for i in t + [EOS]],
+                                           offsets)
         return logits, nll
 
     def elbo_step(self, x_tokens: list[int], y_tokens: list[int], beta: float,
@@ -389,7 +388,7 @@ class VaeModel:
             if pos >= c.max_seq_len:
                 break
             last = out[-1] if out else BOS
-            logits = self._decoder_logits(z_layers, [last], cache, pos).data[-1]
+            logits = self._decoder_logits(z_layers, [last], np.array([0, 1]), cache, pos).data[-1]
             if strategy == "greedy":
                 nxt = int(np.argmax(logits))
             else:

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import os
+
 import pytest
 
 from regavae.mixture import regavae_loss
@@ -27,3 +29,21 @@ def sampled_latents(monkeypatch):
         return seen[0]
 
     return run
+
+
+@pytest.fixture
+def cut_after_sizing(monkeypatch):
+    """cut_after_sizing(path, n) makes each later `os.fstat` return the size
+    it finds and then cut `path` to n bytes: the file shrinks after a reader
+    has sized it and before it reads, as when it is rewritten in place."""
+    fstat = os.fstat
+
+    def arm(path, n):
+        def sized_then_cut(fd):
+            st = fstat(fd)
+            os.truncate(path, n)
+            return st
+
+        monkeypatch.setattr(os, "fstat", sized_then_cut)
+
+    return arm

@@ -322,6 +322,17 @@ class TestCheckpoint:
             with pytest.raises(InputError):
                 load_checkpoint(cut)
 
+    def test_file_cut_after_it_is_sized_raises(self, tmp_path, cut_after_sizing):
+        # Every read is counted, not only checked against the size at open:
+        # no cut leaves part of the header or of the block unread.
+        path = tmp_path / "m.ckpt"
+        data = self._small(path)
+        for n in range(len(data)):
+            path.write_bytes(data)
+            cut_after_sizing(path, n)
+            with pytest.raises(InputError, match="truncated"):
+                load_checkpoint(path)
+
     @staticmethod
     def _with_header(data, edit):
         """`data` with its JSON header replaced by edit(header bytes)."""
@@ -1002,22 +1013,6 @@ class TestBenchPairs:
         assert digest(trees["a"]) == digest(trees["b"])
         (trees["b"] / "src" / "pkg" / "extra.py").write_bytes(b"y = 1\nz = 2\n")
         assert lines(trees["b"]) == 4
-
-
-class TestArtifactDigest:
-    """scripts/artifact_digest.py's comparison of digest lines."""
-
-    def test_differing_names_each_changed_or_unmatched_artifact(self):
-        root = Path(__file__).resolve().parent.parent
-        spec = importlib.util.spec_from_file_location("artifact_digest",
-                                                      root / "scripts" / "artifact_digest.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        expected = ["5 stage1.ckpt aa", "5 retrieval.db bb", "0 stage3.ckpt cc"]
-        assert module.differing(expected, expected) == []
-        got = ["5 stage1.ckpt aa", "5 retrieval.db bx", "0 metrics.json dd"]
-        assert module.differing(got, expected) == ["5 retrieval.db", "0 stage3.ckpt",
-                                                   "0 metrics.json"]
 
 
 class TestStageFaults:

@@ -445,7 +445,7 @@ def _reference_generate(model, z_layers, max_len, strategy="greedy", rng=None, t
         inputs = [BOS] + out
         if len(inputs) > c.max_seq_len:
             break
-        logits = model._decoder_logits(z_layers, inputs).data[-1]
+        logits = model._decoder_logits(z_layers, inputs, np.array([0, len(inputs)])).data[-1]
         if strategy == "greedy":
             nxt = int(np.argmax(logits))
         else:
@@ -497,7 +497,8 @@ class TestCachedGenerate:
         for z, out, steps in runs:
             assert len(steps) in (len(out), len(out) + 1)  # +1: the step that drew EOS
             for t, got in enumerate(steps):
-                ref = any_model._decoder_logits(_rows(z), [BOS] + out[:t]).data[-1]
+                ref = any_model._decoder_logits(_rows(z), [BOS] + out[:t],
+                                                np.array([0, t + 1])).data[-1]
                 np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
 
     def test_greedy_matches_reference(self, any_model):

@@ -421,6 +421,16 @@ class TestDumpFormat:
             with pytest.raises(InputError):
                 load_database(cut)
 
+    def test_file_cut_after_it_is_sized_raises(self, tmp_path, cut_after_sizing):
+        path = tmp_path / "db.bin"
+        save_database(uneven_db(), path)
+        data = path.read_bytes()
+        for n in range(len(data)):
+            path.write_bytes(data)
+            cut_after_sizing(path, n)
+            with pytest.raises(InputError, match="truncated"):
+                load_database(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "db.bin"
         save_database(make_db([[1.0, 0.0], [0.0, 1.0]]), path)
