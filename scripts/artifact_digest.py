@@ -5,8 +5,10 @@ Runs `configs/synthetic.json` at seed 0 with full epochs on the bundled
 corpus (`make_synthetic_corpus(0)`), once at k_neighbors=5 and once at
 k_neighbors=0 (the plain VAE), with the regavae package from this checkout's
 `src/`. Prints one `k file sha256` line per checkpoint, database dump and
-metric report. Two checkouts make byte-identical artifacts when the outputs
-of
+metric report, and after the k=5 run one `5 generate sha256` line: the
+digest of what `regavae generate --n-samples 4` prints for the first
+held-out source with that run's checkpoint and database. Two checkouts make
+byte-identical artifacts when the outputs of
 
     python3 scripts/artifact_digest.py --out /tmp/a > a.txt
 
@@ -14,14 +16,17 @@ run in each have no `diff`. Takes under two minutes on two CPU cores.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from regavae.cli import main as cli_main  # noqa: E402
 from regavae.data import make_synthetic_corpus, write_jsonl  # noqa: E402
 from regavae.training import RunConfig, run_pipeline  # noqa: E402
 
@@ -50,6 +55,17 @@ def main() -> None:
             if os.path.exists(path):  # k=0 builds no database
                 with open(path, "rb") as f:
                     print(k, name, hashlib.sha256(f.read()).hexdigest(), flush=True)
+        if k == 5:
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                rc = cli_main(["--config", os.path.join(out, "config.json"), "--out", out,
+                               "generate", "--checkpoint", os.path.join(out, "stage3.ckpt"),
+                               "--database", os.path.join(out, "retrieval.db"),
+                               "--source", evals[0]["source"], "--n-samples", "4"])
+            if rc != 0:
+                raise SystemExit(f"regavae generate exited {rc}")
+            print(k, "generate", hashlib.sha256(printed.getvalue().encode()).hexdigest(),
+                  flush=True)
 
 
 if __name__ == "__main__":

@@ -6,12 +6,13 @@ model's parameter buffer `VaeModel.flat` as one little-endian float64 block,
 and nothing after it. The config alone decides each parameter's name, shape
 and place (`model.parameter_layout`), so the file stores none of them. A load
 checks the header and a vocabulary that begins with `data.SPECIALS`, then
-counts the config's floats against the bytes left, and only then reads the
-block straight into the buffer the model is built around: a load holds the
-block once, and a header that claims a huge model costs no more than the
-file's size. Round-trips are bit-exact, and saves replace the file
-atomically. Versions 1 and 2, which stored a name and shape per parameter,
-are rejected with a message to rerun training.
+compares the config's parameter count (`ModelConfig.n_params`, in closed
+form) against the bytes left, and only then reads the block straight into
+the buffer the model is built around: a load holds the block once, and a
+header that claims a huge model costs one comparison. Round-trips are
+bit-exact, and saves replace the file atomically. Versions 1 and 2, which
+stored a name and shape per parameter, are rejected with a message to rerun
+training.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .autograd import check_views
 from .data import SPECIALS
 from .errors import ConfigError, InputError
-from .model import ModelConfig, VaeModel, parameter_layout
+from .model import ModelConfig, VaeModel
 
 _MAGIC = b"RGVC"
 _VERSION = 3
@@ -144,9 +145,5 @@ def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
                 or vocab[:len(SPECIALS)] != SPECIALS or not all(isinstance(w, str) for w in vocab)):
             raise InputError(f"{path}: checkpoint vocabulary is not a list of "
                              f"vocab_size={config.vocab_size} words that begins with {SPECIALS}")
-        n = 0
-        for _, shape, _ in parameter_layout(config):  # counted only until past the bytes left
-            if (n := n + math.prod(shape)) * _F8.itemsize > r.left:
-                break
-        (flat,) = r.take_blocks([(n, _F8)])
+        (flat,) = r.take_blocks([(config.n_params, _F8)])
     return VaeModel(config, flat=flat), vocab, extra

@@ -12,6 +12,9 @@ import json
 import os
 import sys
 
+import numpy as np
+
+from .autograd import Tensor
 from .checkpoint import load_checkpoint
 from .data import Tokenizer
 from .errors import DivergenceError, InputError, NumericOverflowError, RegaVaeError
@@ -58,11 +61,12 @@ def _generate(cfg: RunConfig, args) -> None:
     source = tok.encode(args.source)
     db = load_database(args.database, model.config.d_z) if args.database else None
     k = cfg.k_neighbors if db is not None else 0
-    z_layers = mixture_mean_latents(model, source, db, k)
+    # The N samples decode as one pack of N copies of the source's latents.
+    z_layers = [Tensor(np.repeat(z.data[None], args.n_samples, axis=0))
+                for z in mixture_mean_latents(model, source, db, k)]
     strategy = "greedy" if args.strategy == "greedy" else "top_k"
-    for i in range(args.n_samples):
-        ids = model.generate(z_layers, cfg.max_gen_len, strategy=strategy,
-                             rng=generation_rng(cfg.seed, i), top_k=cfg.top_k_sample)
+    rngs = [generation_rng(cfg.seed, i) for i in range(args.n_samples)]
+    for ids in model.generate_pack(z_layers, cfg.max_gen_len, strategy, rngs, cfg.top_k_sample):
         print(tok.decode(ids))
 
 

@@ -29,21 +29,14 @@ def _ngrams(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _clipped_counts(candidate, references, n: int) -> tuple[int, int]:
-    cand = _ngrams(candidate, n)
-    total = sum(cand.values())
-    if total == 0:
-        return 0, 0
-    best = Counter()
-    for ref in references:
-        for gram, c in _ngrams(ref, n).items():
-            best[gram] = max(best[gram], c)
-    clipped = sum(min(c, best[gram]) for gram, c in cand.items())
-    return clipped, total
+def _clipped(cand: Counter, best) -> tuple[int, int]:
+    """Clipped matches and total of a candidate's n-gram counts `cand`, where
+    best[gram] is the gram's largest count in any reference."""
+    return sum(min(c, best[gram]) for gram, c in cand.items()), sum(cand.values())
 
 
-def _closest_ref_len(cand_len: int, references) -> int:
-    return min((len(r) for r in references), key=lambda rl: (abs(rl - cand_len), rl))
+def _closest_ref_len(cand_len: int, ref_lens) -> int:
+    return min(ref_lens, key=lambda rl: (abs(rl - cand_len), rl))
 
 
 _ORDERS = range(1, 5)  # BLEU-4: n-gram orders 1 to 4
@@ -68,21 +61,46 @@ def sentence_bleu(candidate, references) -> float:
     """Smoothed BLEU-4 of one candidate against multiple references, 0..100."""
     if not references:
         raise InputError("sentence_bleu needs at least one reference")
-    stats = [_clipped_counts(candidate, references, n) for n in _ORDERS]
+    stats = []
+    for n in _ORDERS:
+        best = Counter()
+        for ref in references:
+            best |= _ngrams(ref, n)  # union keeps each n-gram's largest count
+        stats.append(_clipped(_ngrams(candidate, n), best))
     clipped, totals = zip(*stats)
     return _bleu_from_stats(clipped, totals, len(candidate),
-                            _closest_ref_len(len(candidate), references))
+                            _closest_ref_len(len(candidate), [len(r) for r in references]))
 
 
 def self_bleu(generations) -> float:
-    """Mean BLEU-4 of each generation against all the others, 0..100."""
+    """Mean BLEU-4 of each generation against all the others, 0..100.
+
+    Each generation's n-grams are counted once. Among the others, an
+    n-gram's largest count is its largest count overall, except for the
+    generation that holds that one, which gets the runner-up count."""
     generations = list(generations)
     if len(generations) < 2:
         raise InputError("self_bleu needs at least 2 generations")
-    scores = [
-        sentence_bleu(g, generations[:i] + generations[i + 1:])
-        for i, g in enumerate(generations)
-    ]
+    lengths = [len(g) for g in generations]
+    counts = [[_ngrams(g, n) for g in generations] for n in _ORDERS]
+    tops = []  # per order: n-gram -> (largest count, its generation, runner-up count)
+    for per_gen in counts:
+        top = {}
+        for j, grams in enumerate(per_gen):
+            for gram, c in grams.items():
+                first, owner, second = top.get(gram, (0, -1, 0))
+                top[gram] = (c, j, first) if c > first else (first, owner, max(second, c))
+        tops.append(top)
+    scores = []
+    for i, cand_len in enumerate(lengths):
+        stats = []
+        for per_gen, top in zip(counts, tops):
+            best = {gram: second if owner == i else first
+                    for gram in per_gen[i] for first, owner, second in [top[gram]]}
+            stats.append(_clipped(per_gen[i], best))
+        clipped, totals = zip(*stats)
+        scores.append(_bleu_from_stats(clipped, totals, cand_len, _closest_ref_len(
+            cand_len, lengths[:i] + lengths[i + 1:])))
     return float(np.mean(scores))
 
 
@@ -98,16 +116,13 @@ def corpus_bleu(candidates, references) -> float:
         raise InputError("corpus_bleu needs a nonempty corpus")
     clipped = [0] * len(_ORDERS)
     totals = [0] * len(_ORDERS)
-    cand_len = 0
-    ref_len = 0
     for cand, ref in zip(candidates, references):
         for n in _ORDERS:
-            c, t = _clipped_counts(cand, [ref], n)
+            c, t = _clipped(_ngrams(cand, n), _ngrams(ref, n))
             clipped[n - 1] += c
             totals[n - 1] += t
-        cand_len += len(cand)
-        ref_len += _closest_ref_len(len(cand), [ref])
-    return _bleu_from_stats(clipped, totals, cand_len, ref_len)
+    return _bleu_from_stats(clipped, totals, sum(map(len, candidates)),
+                            sum(map(len, references)))
 
 
 def dist_n(generations, n: int = 2) -> float:

@@ -14,6 +14,11 @@ padding: attention never crosses a document boundary, pooling is a
 per-document mean and each row's latent gate is its own document's. `decode`
 and `inject_latent` take packs and (B, d_z) latents only; `encode` also
 takes a lone document, returning (d_z,) vectors, as `generate` takes.
+
+Generation decodes a pack too: `generate_pack` samples B rows under (B, d_z)
+latents with one cached decoder step per position over the rows still alive,
+each row from its own generator, and a row that draws EOS leaves the pack
+with its cached keys, values and gate. `generate` is its pack of one.
 """
 
 from __future__ import annotations
@@ -51,6 +56,18 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.d_h % self.n_heads != 0:
             raise ConfigError(f"d_h={self.d_h} not divisible by n_heads={self.n_heads}")
+        # Checked before any layout list or array exists.
+        if self.n_params * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+            raise ConfigError(f"a model of {self.n_params} float64 parameters is too large "
+                              f"to index")
+
+    @property
+    def n_params(self) -> int:
+        """The number of floats in `parameter_layout`, in closed form (Python ints)."""
+        h, f, z, L = self.d_h, self.d_ff, self.d_z, self.n_layers
+        block = 4 * h * h + 2 * f * h + f + 8 * h  # one encoder or decoder layer
+        return ((self.vocab_size + self.max_seq_len + 1) * h + 2 * (L * block + 2 * h)
+                + L * (2 * z * (h + 1) + self.r_rank * h * (h + z)))
 
     @property
     def d_ff(self) -> int:
@@ -190,8 +207,9 @@ def _offsets(seqs) -> np.ndarray:
 
 @dataclass
 class _LayerCache:
-    """One decoder layer's state during incremental decoding: its latent gate and
-    the attention keys/values of every position so far, as arrays (no tape runs)."""
+    """One decoder layer's state during incremental decoding of B rows: their
+    (B, r*d_h) latent gates and the attention keys/values of every position so
+    far, as (B, positions, d_h) arrays (no tape runs)."""
 
     gate: Tensor
     keys: np.ndarray
@@ -204,13 +222,14 @@ class VaeModel:
 
     def __init__(self, config: ModelConfig, seed: int = 0, flat: np.ndarray | None = None):
         self.config = config
-        layout = list(parameter_layout(config))
-        ends = np.cumsum([math.prod(shape) for _, shape, _ in layout])
-        self.flat = np.empty(ends[-1]) if flat is None else flat
+        self.flat = np.empty(config.n_params) if flat is None else flat
         rng = np.random.default_rng(seed) if flat is None else None
         self.params: dict[str, Tensor] = {}
-        for (name, shape, init), v in zip(layout, np.split(self.flat, ends[:-1])):
-            self.params[name] = Tensor(v.reshape(shape), requires_grad=True)
+        lo = 0
+        for name, shape, init in parameter_layout(config):
+            hi = lo + math.prod(shape)
+            self.params[name] = Tensor(self.flat[lo:hi].reshape(shape), requires_grad=True)
+            lo = hi
             if rng is not None:  # each draw goes straight into its slice
                 self.params[name].data[...] = init(rng, shape)
 
@@ -228,16 +247,19 @@ class VaeModel:
                    cache: _LayerCache | None = None, start: int = 0) -> Tensor:
         """Multi-head self-attention within each segment of the rows of `h`
         (`offsets`), whose rows sit at positions start, start+1, ... With a
-        cache (one segment), the keys and values of the positions before
-        `start` come from it, and this call's are appended."""
+        cache (one row of it per segment, all segments of one length), the
+        keys and values of the positions before `start` come from it, and
+        this call's are appended along its position axis."""
         p = self.params
         q = ag.linear(h, p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.wq_b"])
         k = ag.linear(h, p[f"{prefix}.attn.wk"])
         v = ag.linear(h, p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wv_b"])
         if cache is not None:
-            cache.keys = np.concatenate([cache.keys, k.data])
-            cache.values = np.concatenate([cache.values, v.data])
-            k, v = Tensor(cache.keys), Tensor(cache.values)
+            b, d = cache.keys.shape[0], self.config.d_h
+            cache.keys = np.concatenate([cache.keys, k.data.reshape(b, -1, d)], axis=1)
+            cache.values = np.concatenate([cache.values, v.data.reshape(b, -1, d)], axis=1)
+            # Segment by segment, as attention takes cached keys.
+            k, v = Tensor(cache.keys.reshape(-1, d)), Tensor(cache.values.reshape(-1, d))
         o = ag.attention(q, k, v, offsets, causal, start, self.config.n_heads)
         return ag.linear(o, p[f"{prefix}.attn.wo"], p[f"{prefix}.attn.wo_b"])
 
@@ -325,9 +347,10 @@ class VaeModel:
         `inputs` are the rows of the segments that `offsets` cuts them into,
         each at positions start, start+1, ...; the (B, d_z) latent of each
         layer gives segment i its row i. Without a cache they start at 0.
-        With one (one `_LayerCache` per layer, one segment), the earlier
-        positions' keys and values and each layer's latent gate come from
-        it, and only the new rows are computed."""
+        With one (one `_LayerCache` per layer, row i for segment i), the
+        earlier positions' keys and values and each layer's latent gate
+        come from it, z_layers is not read, and only the new rows are
+        computed."""
         c = self.config
         h = self._embed(inputs, offsets, start)
         for l in range(c.n_layers):
@@ -368,37 +391,68 @@ class VaeModel:
 
     def generate(self, z_layers: list[Tensor], max_len: int, strategy: str = "greedy",
                  rng: np.random.Generator | None = None, top_k: int = 10) -> list[int]:
-        """Autoregressive decoding until EOS or max_len tokens. Each step
-        decodes only the newest token, attending over cached keys/values."""
+        """One document's tokens under its (d_z,) latents: the pack of one of
+        `generate_pack`, drawing from `rng`."""
+        self._check_latents(z_layers)
+        return self.generate_pack([Tensor(z.data[None]) for z in z_layers], max_len, strategy,
+                                  None if rng is None else [rng], top_k)[0]
+
+    def generate_pack(self, z_layers: list[Tensor], max_len: int, strategy: str = "greedy",
+                      rngs: list[np.random.Generator] | None = None,
+                      top_k: int = 10) -> list[list[int]]:
+        """Autoregressive decoding of B rows under (B, d_z) latents, each
+        until it draws EOS or has max_len tokens (at most max_seq_len).
+
+        A step decodes only the newest token of every row still alive, as
+        one pack, attending over its cached keys/values; top-k sampling
+        draws row i's token from rngs[i]. A row that draws EOS leaves the
+        pack, with its cache and gate rows, and its generator is not drawn
+        again. Returns each row's tokens, in latent row order."""
         c = self.config
         if strategy not in ("greedy", "top_k"):
             raise ContractError(f"unknown decoding strategy {strategy!r}")
-        if strategy == "top_k" and rng is None:
-            raise ContractError("top_k sampling requires an rng")
+        if strategy == "top_k" and rngs is None:
+            raise ContractError("top_k sampling requires an rng per row")
         if strategy == "top_k" and top_k < 1:
             raise ContractError(f"top_k must be >= 1, got {top_k}")
-        self._check_latents(z_layers)
+        if not z_layers or z_layers[0].ndim != 2:
+            raise ContractError(f"generate_pack takes {c.n_layers} (B, d_z) latents")
+        batch = z_layers[0].shape[0]
+        self._check_latents(z_layers, batch)
+        if rngs is not None and len(rngs) != batch:
+            raise ContractError(f"{len(rngs)} rngs for {batch} latent rows")
         # z is fixed for the whole call, so each layer's gate is computed once.
-        cache = [_LayerCache(ag.linear(Tensor(z.data[None]), self.params[f"inj.{l}.w_z"]),
-                             np.empty((0, c.d_h)), np.empty((0, c.d_h)))
+        cache = [_LayerCache(ag.linear(z, self.params[f"inj.{l}.w_z"]),
+                             np.empty((batch, 0, c.d_h)), np.empty((batch, 0, c.d_h)))
                  for l, z in enumerate(z_layers)]
-        out: list[int] = []
-        for _ in range(max_len):
-            pos = len(out)  # position of the newest input, bos at 0
-            if pos >= c.max_seq_len:
+        outs: list[list[int]] = [[] for _ in range(batch)]
+        alive = list(range(batch))  # the rows still decoding, in pack order
+        for pos in range(min(max_len, c.max_seq_len)):  # pos: the newest input's, bos at 0
+            if not alive:
                 break
-            last = out[-1] if out else BOS
-            logits = self._decoder_logits(z_layers, [last], np.array([0, 1]), cache, pos).data[-1]
-            if strategy == "greedy":
-                nxt = int(np.argmax(logits))
-            else:
-                k = min(top_k, logits.size)
-                cand = np.argsort(-logits, kind="stable")[:k]
-                probs = np.exp(logits[cand] - logits[cand].max())
-                probs /= probs.sum()
-                nxt = int(rng.choice(cand, p=probs))
-            if nxt == EOS:
-                break
-            out.append(nxt)
-        return out
+            last = [outs[i][-1] if outs[i] else BOS for i in alive]
+            logits = self._decoder_logits(None, last, np.arange(len(alive) + 1), cache, pos).data
+            stay = []
+            for j, i in enumerate(alive):
+                nxt = _next_token(logits[j], strategy, None if rngs is None else rngs[i], top_k)
+                if nxt != EOS:
+                    outs[i].append(nxt)
+                    stay.append(j)
+            if len(stay) < len(alive):  # rows that drew EOS leave with their cache rows
+                for lc in cache:
+                    lc.gate = Tensor(lc.gate.data[stay])
+                    lc.keys, lc.values = lc.keys[stay], lc.values[stay]
+                alive = [alive[j] for j in stay]
+        return outs
 
+
+def _next_token(logits: np.ndarray, strategy: str, rng: np.random.Generator | None,
+                top_k: int) -> int:
+    """Greedy argmax, or a draw from the softmax over the top_k logits."""
+    if strategy == "greedy":
+        return int(np.argmax(logits))
+    k = min(top_k, logits.size)
+    cand = np.argsort(-logits, kind="stable")[:k]
+    probs = np.exp(logits[cand] - logits[cand].max())
+    probs /= probs.sum()
+    return int(rng.choice(cand, p=probs))

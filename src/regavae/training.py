@@ -17,7 +17,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .autograd import Adam, Tape, Tensor, backward, clip_grad_norm, zero_grads
+from .autograd import Adam, Tape, backward, clip_grad_norm, zero_grads
 from .checkpoint import atomic_write, check_json_fields, load_checkpoint, save_checkpoint
 from .data import SPECIALS, CorpusPair, Tokenizer, ingest
 from .errors import ConfigError, DivergenceError, InputError
@@ -294,12 +294,10 @@ def run_eval(cfg: RunConfig, checkpoint_path, database_path, out_dir) -> MetricR
     ppl = perplexity(model, eval_pairs, posts, db=db, k=k)
     au = active_units(model, eval_pairs, posts=posts)
     latents = mixture_mean_latents(model, sources, db, k, posts=posts)
-    generations = []
-    for i in range(len(eval_pairs)):
-        gen = model.generate([Tensor(z.data[i]) for z in latents], cfg.max_gen_len,
-                             strategy="top_k", rng=generation_rng(cfg.seed, i),
-                             top_k=cfg.top_k_sample)
-        generations.append(gen if gen else [0])
+    # One generation per pair, all decoded as one pack; pair i draws from its own stream.
+    rngs = [generation_rng(cfg.seed, i) for i in range(len(eval_pairs))]
+    generations = [gen if gen else [0] for gen in model.generate_pack(
+        latents, cfg.max_gen_len, "top_k", rngs, cfg.top_k_sample)]
     report = MetricReport(
         ppl=ppl,
         self_bleu=self_bleu(generations),

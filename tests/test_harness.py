@@ -556,6 +556,30 @@ class TestPipelinePlumbing:
             assert sorted(e for _, excl, _, _ in epoch for e in excl) == list(range(len(pairs)))
         assert result.database.snapshot_step == result.global_step - 1
 
+    def test_eval_generations_are_the_lone_generations(self, tmp_path, monkeypatch):
+        from regavae.mixture import mixture_mean_latents
+        from regavae.autograd import Tensor
+        from regavae.training import generation_rng
+
+        cfg = tiny_cfg(tmp_path, k_neighbors=0)
+        ckpt, _ = run_stage1(cfg, tmp_path / "out")
+        packed, generate_pack = [], VaeModel.generate_pack
+
+        def spy(self, *args, **kw):
+            packed.append(generate_pack(self, *args, **kw))
+            return packed[-1]
+
+        monkeypatch.setattr(VaeModel, "generate_pack", spy)
+        run_eval(cfg, ckpt, None, tmp_path / "out")
+        monkeypatch.undo()
+        model, vocab, _ = load_checkpoint(ckpt)
+        pairs, _ = ingest(cfg.eval_corpus, tokenizer=Tokenizer(vocab))
+        latents = mixture_mean_latents(model, [p.source_tokens for p in pairs], None, 0)
+        lone = [model.generate([Tensor(z.data[i]) for z in latents], cfg.max_gen_len, "top_k",
+                               generation_rng(cfg.seed, i), cfg.top_k_sample)
+                for i in range(len(pairs))]
+        assert packed == [lone]
+
     def test_failed_metrics_write_keeps_previous_file(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(tmp_path, k_neighbors=0, stage1_epochs=1)
         out = tmp_path / "out"
@@ -696,6 +720,15 @@ class TestCli:
         rc = cli_main(["--config", str(p), "--out", str(tmp_path / "o"),
                        "train-vae"])
         assert rc == 1
+
+    def test_model_too_large_to_index_exit_one(self, tmp_path, capsys):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"max_seq_len": 2**62}))
+        rc = cli_main(["--config", str(p), "--out", str(tmp_path / "o"), "train-vae"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "too large" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "o" / "stage1.ckpt")
 
     def test_zero_batch_size_exit_one(self, tmp_path, capsys):
         p = self._write_cfg(tmp_path)
@@ -869,6 +902,25 @@ class TestCli:
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
+
+    def test_generate_samples_are_lone_generations(self, tmp_path, capsys):
+        from regavae.mixture import mixture_mean_latents
+        from regavae.training import generation_rng
+
+        cfgp = self._write_cfg(tmp_path)
+        out = str(tmp_path / "o")
+        cli_main(["--config", str(cfgp), "--out", out, "train-vae"])
+        ckpt, source = os.path.join(out, "stage1.ckpt"), "s00x0 s00x1 s00x2"
+        model, vocab, _ = load_checkpoint(ckpt)
+        tok, cfg = Tokenizer(vocab), RunConfig.from_file(cfgp)
+        z = mixture_mean_latents(model, tok.encode(source), None, 0)
+        for n in (1, 4):
+            capsys.readouterr()
+            assert cli_main(["--config", str(cfgp), "--out", out, "generate", "--checkpoint",
+                             ckpt, "--source", source, "--n-samples", str(n)]) == 0
+            assert capsys.readouterr().out.splitlines() == [
+                tok.decode(model.generate(z, cfg.max_gen_len, "top_k", generation_rng(cfg.seed, i),
+                                          cfg.top_k_sample)) for i in range(n)]
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_generate_rejects_fewer_than_one_sample(self, tmp_path, capsys, n):

@@ -2,6 +2,8 @@
 Rouge-L, constructed-posterior oracles for active units, perplexity sanity,
 and MetricReport serialization."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from regavae.data import CorpusPair
 from regavae.errors import InputError
-from regavae.metrics import (MetricReport, active_units, corpus_bleu,
+from regavae.metrics import (MetricReport, _bleu_from_stats, active_units, corpus_bleu,
                              count_active_units, dist_n, heldout_kl,
                              perplexity, rouge_l, self_bleu, sentence_bleu)
 from regavae.model import ModelConfig, VaeModel
@@ -64,6 +66,65 @@ class TestSelfBleu:
     def test_needs_two(self):
         with pytest.raises(InputError):
             self_bleu([["a", "b"]])
+
+
+def _ref_ngrams(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _ref_sentence_stats(candidate, references):
+    """Per order, (clipped, total) with every reference's n-grams recounted:
+    the Self-BLEU formula before each generation's n-grams were counted once."""
+    stats = []
+    for n in range(1, 5):
+        cand = _ref_ngrams(candidate, n)
+        best = Counter()
+        for ref in references:
+            for gram, c in _ref_ngrams(ref, n).items():
+                best[gram] = max(best[gram], c)
+        stats.append((sum(min(c, best[g]) for g, c in cand.items()), sum(cand.values())))
+    return stats
+
+
+def _ref_self_bleu(gens):
+    scores = []
+    for i, g in enumerate(gens):
+        others = gens[:i] + gens[i + 1:]
+        clipped, totals = zip(*_ref_sentence_stats(g, others))
+        ref_len = min((len(r) for r in others), key=lambda rl: (abs(rl - len(g)), rl))
+        scores.append(_bleu_from_stats(clipped, totals, len(g), ref_len))
+    return float(np.mean(scores))
+
+
+def _ref_corpus_bleu(cands, refs):
+    clipped, totals = [0] * 4, [0] * 4
+    for cand, ref in zip(cands, refs):
+        for n, (c, t) in enumerate(_ref_sentence_stats(cand, [ref])):
+            clipped[n] += c
+            totals[n] += t
+    return _bleu_from_stats(clipped, totals, sum(map(len, cands)), sum(map(len, refs)))
+
+
+def _seeded_generations(seed):
+    """Token lists with empty ones, ones shorter than 4 tokens and duplicates."""
+    rng = np.random.default_rng(seed)
+    gens = [rng.integers(0, 6, rng.integers(0, 9)).tolist() for _ in range(12)]
+    return gens + [[], [1, 2], gens[0], gens[3], [4, 4, 4, 4, 4]]
+
+
+class TestBleuAgainstReference:
+    """Self-BLEU and corpus BLEU equal the recount-every-reference formula exactly."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_self_bleu(self, seed):
+        gens = _seeded_generations(seed)
+        assert self_bleu(gens) == _ref_self_bleu(gens)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corpus_bleu(self, seed):
+        cands = _seeded_generations(seed)
+        refs = _seeded_generations(seed + 100)
+        assert corpus_bleu(cands, refs) == _ref_corpus_bleu(cands, refs)
 
 
 class TestCorpusBleu:

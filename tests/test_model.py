@@ -2,8 +2,9 @@
 and init behavior, reparameterization statistics of `regavae_loss`'s
 latents, latent-injection loop oracle, decode NLL oracles, ELBO gradient
 check, overfit smoke test, attention head layout against a per-head
-reference, generation contracts, and cached generation against a full
-re-decode of every prefix."""
+reference, generation contracts, cached generation against a full
+re-decode of every prefix, and packed generation against each row decoded
+alone."""
 
 import numpy as np
 import pytest
@@ -45,6 +46,22 @@ class TestConfig:
 
     def test_d_ff_default(self):
         assert tiny_config().d_ff == 4 * 16
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"n_layers": 1, "d_h": 1, "n_heads": 1, "d_z": 1, "r_rank": 1, "max_seq_len": 3},
+        {"n_layers": 3, "d_h": 12, "n_heads": 3, "d_z": 5, "r_rank": 3, "max_seq_len": 9},
+        {"vocab_size": 60, "n_layers": 4, "d_h": 128, "n_heads": 4, "d_z": 32, "r_rank": 4,
+         "max_seq_len": 128},
+    ])
+    def test_parameter_count_is_the_layout_sum(self, kw):
+        c = tiny_config(**kw)
+        assert c.n_params == sum(int(np.prod(shape)) for _, shape, _ in parameter_layout(c))
+
+    @pytest.mark.parametrize("kw", [{"max_seq_len": 2**62}, {"d_h": 2**31, "n_heads": 1},
+                                    {"n_layers": 10**18}])
+    def test_rejects_a_model_too_large_to_index(self, kw):
+        with pytest.raises(ConfigError, match="too large"):
+            tiny_config(**kw)
 
 
 def assert_views_of_flat(m):
@@ -376,13 +393,13 @@ class TestAttentionHeadLayout:
     def test_cached_one_row(self, model4):
         rng = np.random.default_rng(8)
         prefix, new = rng.standard_normal((4, 16)), rng.standard_normal((1, 16))
-        cache = _LayerCache(None, np.empty((0, 16)), np.empty((0, 16)))
+        cache = _LayerCache(None, np.empty((1, 0, 16)), np.empty((1, 0, 16)))
         model4._attention(Tensor(prefix), "dec.0", True, np.array([0, 4]), cache, 0)
-        past = (cache.keys.copy(), cache.values.copy())
+        past = (cache.keys[0].copy(), cache.values[0].copy())
         got = model4._attention(Tensor(new), "dec.0", True, np.array([0, 1]), cache, 4).data
         ref = _reference_attention(model4, new, "dec.0", causal=True, past=past)
         np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
-        assert cache.keys.shape == cache.values.shape == (5, 16)
+        assert cache.keys.shape == cache.values.shape == (1, 5, 16)
 
 
 class TestGenerate:
@@ -459,16 +476,17 @@ def _reference_generate(model, z_layers, max_len, strategy="greedy", rng=None, t
     return out
 
 
+@pytest.fixture(scope="module", params=["tiny", "default"])
+def any_model(request):
+    if request.param == "tiny":
+        return VaeModel(tiny_config(), seed=0)
+    return VaeModel(ModelConfig(vocab_size=60), seed=1)
+
+
 class TestCachedGenerate:
     """Incremental decoding against the full re-decode of every prefix."""
 
     ATOL = 1e-12
-
-    @pytest.fixture(scope="class", params=["tiny", "default"])
-    def any_model(self, request):
-        if request.param == "tiny":
-            return VaeModel(tiny_config(), seed=0)
-        return VaeModel(ModelConfig(vocab_size=60), seed=1)
 
     def _latent_sets(self, model, n=4):
         rng = np.random.default_rng(11)
@@ -521,3 +539,120 @@ class TestCachedGenerate:
             assert out == _reference_generate(m, z, 50)
             lengths.append(len(out))
         assert max(lengths) == m.config.max_seq_len
+
+
+class _CountingRng:
+    """A generator that counts its draws."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def choice(self, *args, **kw):
+        self.draws += 1
+        return self.rng.choice(*args, **kw)
+
+
+class TestGeneratePack:
+    """B rows decoded together against each row decoded alone."""
+
+    ATOL = TestCachedGenerate.ATOL
+    ROWS, MAX_LEN = 8, 12
+
+    def _pack(self, model, rows=ROWS):
+        rng = np.random.default_rng(12)
+        return [Tensor(rng.standard_normal((rows, model.config.d_z)))
+                for _ in range(model.config.n_layers)]
+
+    def _run(self, model, z, rngs, monkeypatch, **kw):
+        """generate_pack's output, and per step its inputs, the layer-0 cache
+        shape it met and its logits."""
+        real, steps = model._decoder_logits, []
+
+        def spy(z_layers, inputs, offsets, cache, start):
+            shape = cache[0].keys.shape
+            logits = real(z_layers, inputs, offsets, cache, start)
+            steps.append((list(inputs), shape, logits.data.copy()))
+            return logits
+
+        with monkeypatch.context() as m:
+            m.setattr(model, "_decoder_logits", spy)
+            out = model.generate_pack(z, self.MAX_LEN, "top_k", rngs, top_k=5, **kw)
+        return out, steps
+
+    def _lone(self, model, z, i, monkeypatch):
+        """Row i decoded alone: its tokens and the logits of each step."""
+        real, rows = model._decoder_logits, []
+
+        def spy(*args):
+            logits = real(*args)
+            rows.append(logits.data[0].copy())
+            return logits
+
+        with monkeypatch.context() as m:
+            m.setattr(model, "_decoder_logits", spy)
+            out = model.generate([Tensor(l.data[i]) for l in z], self.MAX_LEN, "top_k",
+                                 np.random.default_rng(i), top_k=5)
+        return out, rows
+
+    def test_step_logits_match_lone_runs(self, any_model, monkeypatch):
+        z = self._pack(any_model)
+        out, steps = self._run(any_model, z, [np.random.default_rng(i)
+                                              for i in range(self.ROWS)], monkeypatch)
+        lone = [self._lone(any_model, z, i, monkeypatch) for i in range(self.ROWS)]
+        assert out == [tokens for tokens, _ in lone]
+        for t, (_, _, logits) in enumerate(steps):
+            alive = [i for i in range(self.ROWS) if len(lone[i][1]) > t]
+            assert len(alive) == logits.shape[0]
+            for j, i in enumerate(alive):
+                np.testing.assert_allclose(logits[j], lone[i][1][t], rtol=0, atol=self.ATOL)
+
+    def test_rows_leave_at_eos(self, monkeypatch):
+        model = VaeModel(tiny_config(), seed=0)
+        z, rngs = self._pack(model), [_CountingRng(i) for i in range(self.ROWS)]
+        out, steps = self._run(model, z, rngs, monkeypatch)
+        for pos, (inputs, shape, _) in enumerate(steps):
+            alive = [i for i in range(self.ROWS)
+                     if len(out[i]) > pos or (len(out[i]) == pos and pos < self.MAX_LEN)]
+            assert shape == (len(alive), pos, model.config.d_h)
+            assert inputs == [out[i][pos - 1] if pos else BOS for i in alive]
+        ended = [len(o) < self.MAX_LEN for o in out]
+        assert any(ended) and not all(ended)  # some rows drew EOS, some ran to max_len
+        for o, r, e in zip(out, rngs, ended):
+            assert EOS not in o and r.draws == len(o) + e  # +1: the draw of EOS
+
+    def test_rows_stop_at_max_seq_len(self):
+        m = VaeModel(tiny_config(max_seq_len=6), seed=0)
+        z = self._pack(m)
+        out = m.generate_pack(z, 50)
+        assert out == [m.generate([Tensor(l.data[i]) for l in z], 50) for i in range(self.ROWS)]
+        assert max(map(len, out)) == m.config.max_seq_len
+
+    def test_pack_of_one_is_generate(self, any_model):
+        z = self._pack(any_model, rows=1)
+        lone = [Tensor(l.data[0]) for l in z]
+        assert any_model.generate(lone, 16) == any_model.generate_pack(z, 16)[0]
+        for seed in range(4):
+            got = any_model.generate(lone, 16, "top_k", np.random.default_rng(seed), top_k=5)
+            assert got == any_model.generate_pack(z, 16, "top_k", [np.random.default_rng(seed)],
+                                                  top_k=5)[0]
+
+    def test_bad_calls_raise_before_decoding(self, monkeypatch):
+        model = VaeModel(tiny_config(), seed=0)
+        z = self._pack(model, rows=3)
+        rngs = [np.random.default_rng(i) for i in range(3)]
+
+        def never(*args):
+            raise AssertionError("decoded")
+
+        monkeypatch.setattr(model, "_decoder_logits", never)
+        bad = [
+            (z, dict(strategy="top_k", rngs=rngs[:2])),  # an rng count other than B
+            (z, dict(strategy="top_k")),  # top_k without rngs
+            (z[:-1], {}),  # a latent missing
+            ([Tensor(l.data[0]) for l in z], {}),  # (d_z,) latents
+            (z[:-1] + [Tensor(np.ones((3, model.config.d_z + 1)))], {}),
+            (z[:-1] + [Tensor(np.ones((2, model.config.d_z)))], {}),  # rows differ by layer
+        ]
+        for latents, kw in bad:
+            with pytest.raises(ContractError):
+                model.generate_pack(latents, 5, **kw)
