@@ -45,7 +45,8 @@ __all__ = [
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    # The ufunc reduction itself: ndarray.all goes through numpy's Python wrapper.
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericOverflowError(f"{op} produced non-finite values")
 
 
@@ -76,9 +77,10 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # A C-ordered copy: a transposed view of g would keep F order,
-            # and clip_grad_norm's sum would then add in a different order.
-            # The copy also keeps two tensors from sharing one buffer.
+            # A copy keeps two tensors off one buffer (add hands the same g
+            # to both inputs). Its C order no longer matters to the clip's
+            # sum, which reads the grads after Adam.stage copied them into
+            # its C-ordered buffer.
             self.grad = np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
@@ -160,11 +162,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    # np.add.reduce is what ndarray.sum runs, without its Python wrapper.
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for i, s in enumerate(shape):
         if s == 1 and g.shape[i] != 1:
-            g = g.sum(axis=i, keepdims=True)
+            g = np.add.reduce(g, axis=i, keepdims=True)
     return g
 
 
@@ -239,10 +242,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise DimensionError(f"linear bias must have shape ({w.shape[0]},), got {b.shape}")
     wd = w.data
     out_data = x.data @ wd.T
-    _check_finite(out_data, "linear product")
     if b is not None:
-        out_data = out_data + b.data
-        _check_finite(out_data, "linear bias add")
+        out_data += b.data
+    # One check covers both: a non-finite product stays non-finite after the add.
+    _check_finite(out_data, "linear")
     out = Tensor(out_data)
 
     def bwd(g):
@@ -310,19 +313,42 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU."""
+    """tanh-approximation GELU, 0.5*x*(1 + tanh(c*(x + 0.044715*x*x*x))).
+
+    Forward and backward are in-place ufunc chains that evaluate each
+    element's expression in the order written in the comments, so they give
+    the bits of those numpy expressions with fewer temporaries."""
     xd = x.data
-    # xd * xd * xd, not xd**3: numpy's power has no fast path for a cube.
-    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(inner)
-    out = Tensor(0.5 * xd * (1.0 + t))
+    # t = tanh(c * (xd + 0.044715 * (xd * xd * xd)))
+    t = np.multiply(xd, xd)
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    # out = (0.5 * xd) * (1.0 + t)
+    out = np.multiply(xd, 0.5)
+    out *= np.add(t, 1.0)
 
     def bwd(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
-        x._accum(g * dx)
+        # dinner = c * (1.0 + 3 * 0.044715 * xd**2)
+        dinner = np.multiply(xd, xd)
+        dinner *= 3 * 0.044715
+        dinner += 1.0
+        dinner *= _GELU_C
+        # dx = 0.5 * (1.0 + t) + ((0.5 * xd) * (1.0 - t * t)) * dinner
+        tail = np.multiply(t, t)
+        np.subtract(1.0, tail, out=tail)
+        dx = np.multiply(xd, 0.5)
+        dx *= tail
+        dx *= dinner
+        head = np.add(t, 1.0, out=tail)
+        head *= 0.5
+        dx += head
+        dx *= g
+        x._accum(dx)
 
-    return _record(out, (x,), bwd)
+    return _record(Tensor(out), (x,), bwd)
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -402,26 +428,48 @@ def segment_mean(x: Tensor, offsets) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis (variance plus 1e-5), then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data)
-    _check_finite(out.data, "layer_norm")
+    """Normalize over the last axis (variance plus 1e-5), then scale and shift.
+
+    The row means are numpy's own `mean`/`var` steps (an add.reduce, then a
+    true_divide by the row length) without their Python wrappers, and
+    x - mean is computed once for the variance and the output."""
+    n = x.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= n
+    xhat = np.subtract(x.data, mu)
+    sq = np.multiply(xhat, xhat)
+    var = np.add.reduce(sq, axis=-1, keepdims=True)
+    var /= n
+    # inv = 1.0 / sqrt(var + 1e-5)
+    var += 1e-5
+    np.sqrt(var, out=var)
+    inv = np.divide(1.0, var, out=var)
+    xhat *= inv
+    out = np.multiply(xhat, gain.data, out=sq)
+    out += bias.data
+    _check_finite(out, "layer_norm")
 
     def bwd(g):
         if bias.requires_grad:
             bias._accum(_unbroadcast(g, bias.shape))
+        gx = np.multiply(g, xhat)
         if gain.requires_grad:
-            gain._accum(_unbroadcast(g * xhat, gain.shape))
+            gain._accum(_unbroadcast(gx, gain.shape))
         if x.requires_grad:
-            dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accum(inv * (dxhat - m1 - xhat * m2))
+            # dx = inv * ((dxhat - mean(dxhat)) - xhat * mean(dxhat * xhat))
+            dxhat = np.multiply(g, gain.data)
+            m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+            m1 /= n
+            np.multiply(dxhat, xhat, out=gx)
+            m2 = np.add.reduce(gx, axis=-1, keepdims=True)
+            m2 /= n
+            np.multiply(xhat, m2, out=gx)
+            dxhat -= m1
+            dxhat -= gx
+            dxhat *= inv
+            x._accum(dxhat)
 
-    return _record(out, (x, gain, bias), bwd)
+    return _record(Tensor(out), (x, gain, bias), bwd)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, offsets, causal: bool = False,
@@ -555,18 +603,22 @@ def zero_grads(params: dict[str, Tensor]) -> None:
         p.grad = None
 
 
-def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all grads so their global L2 norm is at most max_norm."""
+def clip_grad_norm(optimizer: "Adam", max_norm: float) -> float:
+    """Scale the grads `optimizer` has staged so their global L2 norm is at
+    most max_norm, and return the norm before clipping.
+
+    Each parameter's slice of the staging buffer is squared into one scratch
+    array and summed on its own, in dict order, as `(p.grad**2).sum()` summed
+    it; one ufunc call then scales the whole buffer."""
+    optimizer._check_staged()
     sq = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            sq += float((p.grad**2).sum())
+    for g in optimizer._slices:
+        square = optimizer._square[:g.size]
+        np.multiply(g, g, out=square)
+        sq += float(np.add.reduce(square))
     norm = np.sqrt(sq)
     if norm > max_norm > 0:
-        scale = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+        np.multiply(optimizer.grad, max_norm / norm, out=optimizer.grad)
     return float(norm)
 
 
@@ -587,11 +639,16 @@ _B1, _B2, _EPS = 0.9, 0.999, 1e-8
 class Adam:
     """Adam (beta1 0.9, beta2 0.999, eps 1e-8) over a named parameter dict whose
     values are C-ordered views of `flat` in dict order, as `VaeModel` lays them
-    out. `step` first checks that no parameter was rebound and that every one
-    holds a grad, raising ContractError before it changes anything. It then
-    copies the grads into a staging buffer laid out like `flat` and the moments
-    `m` and `v`, and updates all three in place, chunk by chunk with ufuncs, in
-    the per-element order `m = b1*m + (1-b1)*g`, `v = b2*v + ((1-b2)*g)*g`,
+    out.
+
+    A training step calls `stage`, which copies every parameter's grad into
+    `grad`, a buffer laid out like `flat`; `clip_grad_norm` may scale that
+    buffer; `step` updates from it. Before they change anything, `stage`
+    raises ContractError when a parameter holds no grad, and `step` when no
+    grads were staged since the last step or a parameter was rebound off
+    `flat`. `step` updates `flat` and the moments `m` and `v` in place,
+    chunk by chunk with ufuncs, in the per-element order
+    `m = b1*m + (1-b1)*g`, `v = b2*v + ((1-b2)*g)*g`,
     `p -= (lr*(m/b1c)) / (sqrt(v/b2c)+eps)`."""
 
     def __init__(self, params: dict[str, Tensor], flat: np.ndarray, lr: float):
@@ -603,25 +660,38 @@ class Adam:
         n = bounds[-1]
         self.m = np.zeros(n)
         self.v = np.zeros(n)
-        self._grad = np.empty(n)
-        self._grads = [self._grad[lo:hi].reshape(p.data.shape)
-                       for p, lo, hi in zip(params.values(), bounds, bounds[1:])]
+        self.grad = np.empty(n)
+        self._slices = [self.grad[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        self._views = [g.reshape(p.data.shape)
+                       for g, p in zip(self._slices, params.values())]
+        # clip_grad_norm squares one slice at a time into this.
+        self._square = np.empty(max((p.data.size for p in params.values()), default=0))
         self._scratch = np.empty((2, min(n, _CHUNK)))
+        self._staged = False
 
-    def step(self) -> None:
-        check_views(self.params, self.flat)
+    def stage(self) -> None:
         missing = [name for name, p in self.params.items() if p.grad is None]
         if missing:
             raise ContractError(f"parameters without a grad: {missing}")
-        for g, p in zip(self._grads, self.params.values()):
+        for g, p in zip(self._views, self.params.values()):
             np.copyto(g, p.grad)
+        self._staged = True
+
+    def _check_staged(self) -> None:
+        if not self._staged:
+            raise ContractError("no grads staged since the last Adam step")
+
+    def step(self) -> None:
+        self._check_staged()
+        check_views(self.params, self.flat)
+        self._staged = False
         self.t += 1
         b1c = 1.0 - _B1**self.t
         b2c = 1.0 - _B2**self.t
-        n = self._grad.size
+        n = self.grad.size
         for c in range(0, n, _CHUNK):
             e = min(c + _CHUNK, n)
-            m, v, g, p = self.m[c:e], self.v[c:e], self._grad[c:e], self.flat[c:e]
+            m, v, g, p = self.m[c:e], self.v[c:e], self.grad[c:e], self.flat[c:e]
             a, b = self._scratch[:, :e - c]
             np.multiply(m, _B1, out=m)
             np.multiply(g, 1.0 - _B1, out=a)

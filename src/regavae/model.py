@@ -75,21 +75,25 @@ class ModelConfig:
 
 
 def parameter_layout(config: ModelConfig):
-    """Every parameter as (name, shape, init(rng, shape) -> starting value), in the
-    order a new model draws them; lazy, so a caller sizing them can stop early."""
+    """Every parameter as (name, shape, init(rng, out)), in the order a new model
+    draws them; init writes the starting value into the C-ordered array `out` of
+    that shape. Lazy, so a caller sizing them can stop early."""
     c = config
 
-    def normal(rng, shape, scale=0.02):
-        return rng.standard_normal(shape) * scale
+    def normal(rng, out, scale=0.02):
+        rng.standard_normal(out=out)  # the draws of standard_normal(out.shape)
+        out *= scale
 
     def const(value):
-        return lambda rng, shape: np.full(shape, value)
+        return lambda rng, out: out.fill(value)
 
-    def near_identity(rng, shape):
-        return np.tile(np.eye(c.d_h) / c.r_rank, (c.r_rank, 1)) + normal(rng, shape)
+    def near_identity(rng, out):
+        normal(rng, out)
+        out += np.tile(np.eye(c.d_h) / c.r_rank, (c.r_rank, 1))
 
-    def unit_gate(rng, shape):
-        return rng.standard_normal(shape) / np.sqrt(c.d_z)
+    def unit_gate(rng, out):
+        rng.standard_normal(out=out)
+        out /= np.sqrt(c.d_z)
 
     zeros, ones = const(0.0), const(1.0)
 
@@ -118,7 +122,7 @@ def parameter_layout(config: ModelConfig):
         # the latent no input signal, and the decoder gate can absorb any
         # rescaling of the latent, so training largely keeps the scale that
         # initialization sets: O(0.3) keeps posterior means measurable.
-        yield f"post.{l}.w_mu", (c.d_z, c.d_h), lambda rng, shape: normal(rng, shape, 0.3)
+        yield f"post.{l}.w_mu", (c.d_z, c.d_h), lambda rng, out: normal(rng, out, 0.3)
         yield f"post.{l}.b_mu", (c.d_z,), zeros
         yield f"post.{l}.w_lv", (c.d_z, c.d_h), zeros
         yield f"post.{l}.b_lv", (c.d_z,), zeros
@@ -231,7 +235,7 @@ class VaeModel:
             self.params[name] = Tensor(self.flat[lo:hi].reshape(shape), requires_grad=True)
             lo = hi
             if rng is not None:  # each draw goes straight into its slice
-                self.params[name].data[...] = init(rng, shape)
+                init(rng, self.params[name].data)
 
     # -- transformer pieces --------------------------------------------------
 

@@ -162,7 +162,8 @@ def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig,
                 if not np.isfinite(total.item()):
                     raise DivergenceError(f"non-finite loss at step {step}")
                 backward(total, tape)
-            clip_grad_norm(model.params, cfg.grad_clip)
+            optimizer.stage()
+            clip_grad_norm(optimizer, cfg.grad_clip)
             optimizer.step()
             result.step_losses.append(bd)
             step += 1

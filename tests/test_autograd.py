@@ -14,7 +14,7 @@ from regavae.autograd import Adam, Tape, Tensor, backward, clip_grad_norm, zero_
 from regavae.data import CorpusPair
 from regavae.errors import ContractError, DimensionError, NumericOverflowError
 from regavae.mixture import regavae_loss
-from regavae.model import VaeModel
+from regavae.model import ModelConfig, VaeModel
 from regavae.retrieval import build_database
 from regavae.training import RunConfig
 
@@ -169,6 +169,11 @@ class TestSoftmaxProperties:
         assert abs(out.sum() - 1.0) < 1e-12
 
 
+# A lone row, the bundled config's widths (d_h 32, d_ff 128) and the default
+# model's feed-forward width (d_ff 512).
+KERNEL_SHAPES = [(1, 32), (1, 512), (37, 32), (41, 128), (29, 512)]
+
+
 def linear_case(x_shape, bias, seed=5):
     """Seeded x, a square w, b (or None) and c: the inputs of sum(y * c)."""
     rng = np.random.default_rng(seed)
@@ -217,7 +222,8 @@ def same_bytes(a, b):
 
 
 class TestLinear:
-    @pytest.mark.parametrize("x_shape", [(1, 5), (3, 5)])  # one row: a lone vector
+    # (1, 5) is one row: a lone vector.
+    @pytest.mark.parametrize("x_shape", [(1, 5), (3, 5), *KERNEL_SHAPES])
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("twice", [False, True])
     def test_bitwise_equal_to_composition(self, x_shape, bias, twice):
@@ -236,7 +242,7 @@ class TestLinear:
 
     def test_first_grad_is_a_c_ordered_copy(self):
         # dW is the transpose of a product, an F-ordered view; the stored grad
-        # must not keep that layout (clip_grad_norm sums it in memory order).
+        # is a C-ordered copy all the same.
         _, _, w_grad, _ = fused_run(*linear_case((3, 5), True), False)
         assert w_grad.flags["C_CONTIGUOUS"]
         # add passes one g to both inputs; each keeps its own buffer.
@@ -253,15 +259,18 @@ class TestLinear:
     def test_clip_grad_norm_bitwise_equal_to_composition(self, x_shape):
         case = linear_case(x_shape, True, seed=11)
         _, x_grad, w_grad, _ = fused_run(*case, True)
-        params = {"x": Tensor(np.zeros(x_shape)), "w": Tensor(np.zeros((5, 5)))}
+        params, flat = flat_params({"x": np.zeros(x_shape), "w": np.zeros((5, 5))})
         params["x"].grad, params["w"].grad = x_grad, w_grad
-        norm = clip_grad_norm(params, 1e-3)
+        opt = Adam(params, flat, lr=0.1)
+        opt.stage()
+        norm = clip_grad_norm(opt, 1e-3)
         # The reference sums each C-ordered grad's squares, in dict order.
         _, x_ref, w_ref, _ = numpy_run(*case, True)
         ref_norm = np.sqrt(float((x_ref**2).sum()) + float((w_ref**2).sum()))
         assert norm == ref_norm and norm > 1e-3
         scale = 1e-3 / ref_norm
-        assert same_bytes(x_grad, x_ref * scale) and same_bytes(w_grad, w_ref * scale)
+        staged = np.concatenate([(x_ref * scale).ravel(), (w_ref * scale).ravel()])
+        assert opt.grad.tobytes() == staged.tobytes()
 
     def test_overflow_raises(self):
         w = Tensor(np.array([[1e200]]), requires_grad=True)
@@ -273,6 +282,20 @@ class TestLinear:
             with Tape():
                 ag.linear(Tensor(np.array([[1.5e308]])), Tensor(np.array([[1.0]])),
                           Tensor(np.array([1e308])))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("source", ["product", "product with bias", "bias add"])
+    def test_non_finite_raises(self, value, source):
+        # One check after the bias add catches a non-finite product as well.
+        x, w, b = np.ones((2, 3)), np.full((4, 3), 0.5), np.zeros(4)
+        if source == "bias add":
+            b[1] = value
+        else:
+            x[1, 2] = value
+        bias = None if source == "product" else Tensor(b)
+        with np.errstate(all="ignore"), pytest.raises(NumericOverflowError):
+            with Tape():
+                ag.linear(Tensor(x), Tensor(w, requires_grad=True), bias)
 
     @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
         ((2, 3, 4), (5, 4), None), ((4,), (4,), None), ((2, 4), (5, 3), None),
@@ -297,6 +320,62 @@ class TestLinear:
             regavae_loss(model, [5, 6, 7], [8, 9, 10, 11], None, 0, 0.5,
                          np.random.default_rng(0), kl_floor=cfg.kl_floor)
         assert len(tape.nodes) == 106
+
+
+# gelu and layer_norm as plain numpy expressions. The ops' in-place ufunc
+# chains must give the same bits.
+GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def gelu_reference(xd, g):
+    """(output, input grad for upstream grad g)."""
+    inner = GELU_C * (xd + 0.044715 * (xd * xd * xd))
+    t = np.tanh(inner)
+    out = 0.5 * xd * (1.0 + t)
+    dinner = GELU_C * (1.0 + 3 * 0.044715 * xd**2)
+    dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
+    return out, g * dx
+
+
+def layer_norm_reference(x, gain, bias, g):
+    """(output, x grad, gain grad, bias grad for upstream grad g)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mu) * inv
+    out = xhat * gain + bias
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return out, inv * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+class TestSameBitsKernels:
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_gelu(self, shape):
+        rng = np.random.default_rng(shape)
+        x, c = rng.standard_normal(shape) * 3.0, rng.standard_normal(shape)
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            y = ag.gelu(xt)
+            backward(ag.tensor_sum(y * Tensor(c)), tape)
+        out, gx = gelu_reference(x, c)
+        assert same_bytes(y.data, out) and same_bytes(xt.grad, gx)
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_layer_norm(self, shape):
+        rng = np.random.default_rng(shape)
+        x = rng.standard_normal(shape) * 2.0 + 0.7
+        gain, bias = 1.0 + 0.1 * rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+        c = rng.standard_normal(shape)
+        ts = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+        with Tape() as tape:
+            y = ag.layer_norm(*ts)
+            backward(ag.tensor_sum(y * Tensor(c)), tape)
+        ref = layer_norm_reference(x, gain, bias, c)
+        for name, a, b in zip(("out", "x.grad", "gain.grad", "bias.grad"),
+                              (y.data, *(t.grad for t in ts)), ref):
+            assert same_bytes(a, b), name
 
 
 class TestTapeContract:
@@ -365,6 +444,7 @@ class TestTapeContract:
                 backward(total, tape)
             assert all(node.out.grad is None for node in tape.nodes)
             assert [n for n, p in model.params.items() if p.grad is None] == [], k
+            opt.stage()
             opt.step()
         assert opt.t == 2 and any(c > 0 for c in drawn)  # some latent came from a key
 
@@ -411,6 +491,7 @@ class TestOptimizer:
         p = params["p"]
         p.grad = np.array([0.5, -3.0])
         opt = Adam(params, flat, lr=0.1)
+        opt.stage()
         opt.step()
         np.testing.assert_allclose(p.data, [1.0 - 0.1, -2.0 + 0.1], atol=1e-6)
 
@@ -422,6 +503,7 @@ class TestOptimizer:
             zero_grads(params)
             with Tape() as tape:
                 backward(ag.tensor_sum((p - 3.0) * (p - 3.0)), tape)
+            opt.stage()
             opt.step()
         assert abs(p.data[0] - 3.0) < 1e-3
 
@@ -447,6 +529,7 @@ class TestOptimizer:
             grads["w"] = np.asfortranarray(grads["w"])  # a transposed grad copies in too
             for k, p in params.items():
                 p.grad = grads[k].copy()
+            opt.stage()
             opt.step()
             b1c, b2c = 1.0 - b1**t, 1.0 - b2**t
             for k, g in grads.items():  # the per-parameter update Adam used to run
@@ -470,6 +553,7 @@ class TestOptimizer:
         before = self._state(opt)
         p.data = np.ones(3)  # no longer a view of the buffer: updates would be lost
         p.grad = np.ones(3)
+        opt.stage()
         with pytest.raises(ContractError, match="rebound"):
             opt.step()
         assert self._state(opt) == before and opt.t == 0  # raised before any update
@@ -479,28 +563,86 @@ class TestOptimizer:
         opt = Adam(params, flat, lr=0.1)
         for p in params.values():
             p.grad = np.ones(p.shape)
+        opt.stage()
         opt.step()
-        before = self._state(opt)
+        before, staged = self._state(opt), opt.grad.tobytes()
         params["b"].grad = None
         with pytest.raises(ContractError, match=r"without a grad: \['b'\]$"):
+            opt.stage()
+        with pytest.raises(ContractError, match="no grads staged"):
             opt.step()
-        assert self._state(opt) == before  # t, m, v and the buffer untouched
+        # t, m, v, the parameters and the staged grads untouched
+        assert self._state(opt) == before and opt.grad.tobytes() == staged
+
+    def test_step_without_fresh_staging_rejected(self):
+        # A second step on the grads the first one used would apply them twice.
+        params, flat = flat_params({"a": np.ones(3), "b": np.ones(2)})
+        opt = Adam(params, flat, lr=0.1)
+        for p in params.values():
+            p.grad = np.full(p.shape, 0.5)
+        with pytest.raises(ContractError, match="no grads staged"):
+            opt.step()  # nothing staged yet
+        assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+        opt.stage()
+        opt.step()
+        before = self._state(opt)
+        with pytest.raises(ContractError, match="no grads staged"):
+            opt.step()  # the grads are still there, but not staged again
+        with pytest.raises(ContractError, match="no grads staged"):
+            clip_grad_norm(opt, 1.0)
+        assert self._state(opt) == before
+        opt.stage()
+        opt.step()
+        assert opt.t == 2
 
     def test_clip_grad_norm(self):
-        a = Tensor(np.zeros(2), requires_grad=True)
-        b = Tensor(np.zeros(2), requires_grad=True)
-        a.grad = np.array([3.0, 0.0])
-        b.grad = np.array([0.0, 4.0])
-        clip_grad_norm({"a": a, "b": b}, 1.0)  # global norm was 5
-        total = np.sqrt(np.sum(a.grad ** 2) + np.sum(b.grad ** 2))
-        assert abs(total - 1.0) < 1e-12
-        np.testing.assert_allclose(a.grad, [0.6, 0.0])
+        params, flat = flat_params({"a": np.zeros(2), "b": np.zeros(2)})
+        params["a"].grad = np.array([3.0, 0.0])
+        params["b"].grad = np.array([0.0, 4.0])
+        opt = Adam(params, flat, lr=0.1)
+        opt.stage()
+        assert clip_grad_norm(opt, 1.0) == 5.0  # the norm before clipping
+        assert abs(np.sqrt(np.sum(opt.grad ** 2)) - 1.0) < 1e-12
+        np.testing.assert_allclose(opt.grad, [0.6, 0.0, 0.0, 0.8])
+        np.testing.assert_array_equal(params["a"].grad, [3.0, 0.0])  # scaled where staged
 
     def test_clip_noop_below_threshold(self):
-        a = Tensor(np.zeros(2), requires_grad=True)
-        a.grad = np.array([0.3, 0.4])
-        clip_grad_norm({"a": a}, 1.0)
-        np.testing.assert_allclose(a.grad, [0.3, 0.4])
+        params, flat = flat_params({"a": np.zeros(2)})
+        params["a"].grad = np.array([0.3, 0.4])
+        opt = Adam(params, flat, lr=0.1)
+        opt.stage()
+        staged = opt.grad.tobytes()
+        assert clip_grad_norm(opt, 1.0) == np.sqrt(0.3**2 + 0.4**2)
+        assert opt.grad.tobytes() == staged
+
+    @pytest.mark.parametrize("config", ["bundled", "default"])
+    def test_staged_clip_bit_equal_to_per_parameter_clip(self, config):
+        # Every parameter shape of the model, a transposed grad among them:
+        # the staged clip gives the norm and scaled grads of the loop over
+        # p.grad it replaced (which Adam then copied into its buffer).
+        if config == "bundled":
+            cfg = RunConfig.from_file(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                                   "synthetic.json")).model_config(50)
+        else:
+            cfg = ModelConfig(vocab_size=500)
+        model = VaeModel(cfg, seed=0)
+        rng = np.random.default_rng(8)
+        grads = {k: rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-4, 1)
+                 for k, p in model.params.items()}
+        for k, p in model.params.items():
+            p.grad = grads[k]
+        model.params["enc.0.ff.w1"].grad = np.asfortranarray(grads["enc.0.ff.w1"])
+        opt = Adam(model.params, model.flat, lr=0.1)
+        opt.stage()
+        norm = clip_grad_norm(opt, 1e-2)
+        sq = 0.0
+        for g in grads.values():  # C-ordered, as _accum stores a first grad
+            sq += float((g**2).sum())
+        ref_norm = np.sqrt(sq)
+        assert norm == float(ref_norm) and norm > 1e-2
+        scale = 1e-2 / ref_norm
+        ref = np.concatenate([np.ascontiguousarray(g * scale).ravel() for g in grads.values()])
+        assert opt.grad.tobytes() == ref.tobytes()
 
 
 class TestDeterminism:

@@ -6,6 +6,8 @@ reference, generation contracts, cached generation against a full
 re-decode of every prefix, and packed generation against each row decoded
 alone."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from regavae.errors import ConfigError, ContractError, InputError
 from regavae.mixture import regavae_loss
 from regavae.model import (LatentGaussian, ModelConfig, VaeModel, _LayerCache,
                            gaussian_kl_standard, parameter_layout)
+from regavae.training import RunConfig
 
 
 def tiny_config(**kw):
@@ -87,7 +90,37 @@ class TestParameterBuffer:
         m = VaeModel(tiny_config(), seed=3)
         rng = np.random.default_rng(3)
         for name, shape, init in parameter_layout(m.config):
-            assert m.params[name].data.tobytes() == init(rng, shape).tobytes(), name
+            out = np.empty(shape)
+            init(rng, out)
+            assert m.params[name].data.tobytes() == out.tobytes(), name
+
+    @pytest.mark.parametrize("config", ["tiny", "bundled", "default"])
+    def test_fresh_model_matches_fresh_arrays(self, config):
+        # The in-place draws give the bits of the fresh-array expressions they
+        # replaced, e.g. rng.standard_normal(shape) * scale.
+        c = {"tiny": tiny_config(),
+             "bundled": RunConfig.from_file(os.path.join(os.path.dirname(__file__), "..",
+                                                         "configs", "synthetic.json"))
+             .model_config(50),
+             "default": ModelConfig(vocab_size=500)}[config]
+        rng = np.random.default_rng(7)
+
+        def init(name, shape):
+            kind = name.split(".")[-1]
+            if kind in ("g", "b", "wq_b", "wv_b", "wo_b", "b1", "b2", "b_mu", "w_lv", "b_lv"):
+                return np.full(shape, 1.0 if kind == "g" else 0.0)
+            if kind == "w_mu":
+                return rng.standard_normal(shape) * 0.3
+            if kind == "w_v":
+                return (np.tile(np.eye(c.d_h) / c.r_rank, (c.r_rank, 1))
+                        + rng.standard_normal(shape) * 0.02)
+            if kind == "w_z":
+                return rng.standard_normal(shape) / np.sqrt(c.d_z)
+            return rng.standard_normal(shape) * 0.02
+
+        ref = np.concatenate([init(name, shape).ravel()
+                              for name, shape, _ in parameter_layout(c)])
+        assert VaeModel(c, seed=7).flat.tobytes() == ref.tobytes()
 
     def test_loaded_model_views_the_file_block(self, tmp_path):
         m = VaeModel(tiny_config(), seed=3)
@@ -334,6 +367,7 @@ class TestElbo:
                 bd, total = m.elbo_step([4, 5, 6], [7, 8, 9], 0.0,
                                         np.random.default_rng([3, step]))
                 backward(total, tape)
+            opt.stage()
             opt.step()
             if first is None:
                 first = bd.recon_nll
