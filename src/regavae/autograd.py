@@ -79,8 +79,8 @@ class Tensor:
         if self.grad is None:
             # A copy keeps two tensors off one buffer (add hands the same g
             # to both inputs). Its C order no longer matters to the clip's
-            # sum, which reads the grads after Adam.stage copied them into
-            # its C-ordered buffer.
+            # sum, which squares each grad after copying it into Adam's
+            # C-ordered grad buffer.
             self.grad = np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
@@ -103,19 +103,12 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-class _Node:
-    __slots__ = ("out", "bwd")
-
-    def __init__(self, out, bwd):
-        self.out = out
-        self.bwd = bwd
-
-
 class Tape:
-    """Ordered record of operations for one forward pass."""
+    """Ordered record of operations for one forward pass: one (out, bwd)
+    pair per recorded op."""
 
     def __init__(self):
-        self.nodes: list[_Node] = []
+        self.nodes: list[tuple[Tensor, object]] = []
         self.consumed = False
 
     def __enter__(self) -> "Tape":
@@ -135,7 +128,7 @@ def _record(out: Tensor, inputs: tuple, bwd) -> Tensor:
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
-                _TAPES[-1].nodes.append(_Node(out, bwd))
+                _TAPES[-1].nodes.append((out, bwd))
                 break
     return out
 
@@ -154,10 +147,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
     if tape.consumed:
         raise ContractError("tape already consumed by a previous backward call")
     loss._accum(np.ones_like(loss.data))
-    for node in reversed(tape.nodes):
-        if node.out.grad is not None:
-            node.bwd(node.out.grad)
-            node.out.grad = None
+    for out, bwd in reversed(tape.nodes):
+        if out.grad is not None:
+            bwd(out.grad)
+            out.grad = None
     tape.consumed = True
 
 
@@ -604,21 +597,28 @@ def zero_grads(params: dict[str, Tensor]) -> None:
 
 
 def clip_grad_norm(optimizer: "Adam", max_norm: float) -> float:
-    """Scale the grads `optimizer` has staged so their global L2 norm is at
-    most max_norm, and return the norm before clipping.
+    """Stage every parameter's grad in `optimizer`'s grad buffer, scale the
+    buffer so its global L2 norm is at most max_norm, and return the norm
+    before clipping.
 
-    Each parameter's slice of the staging buffer is squared into one scratch
-    array and summed on its own, in dict order, as `(p.grad**2).sum()` summed
-    it; one ufunc call then scales the whole buffer."""
-    optimizer._check_staged()
+    It raises ContractError, before it copies anything, when a parameter
+    holds no grad (so also after a step with no new backward). Each grad is
+    copied into its slice, squared into one scratch array and summed on its
+    own, in dict order, as `(p.grad**2).sum()` summed it; one ufunc call then
+    scales the whole buffer."""
+    missing = [name for name, p in optimizer.params.items() if p.grad is None]
+    if missing:
+        raise ContractError(f"parameters without a grad: {missing}")
     sq = 0.0
-    for g in optimizer._slices:
+    for g, view, p in zip(optimizer._slices, optimizer._views, optimizer.params.values()):
+        np.copyto(view, p.grad)
         square = optimizer._square[:g.size]
         np.multiply(g, g, out=square)
         sq += float(np.add.reduce(square))
     norm = np.sqrt(sq)
     if norm > max_norm > 0:
         np.multiply(optimizer.grad, max_norm / norm, out=optimizer.grad)
+    optimizer._staged = True
     return float(norm)
 
 
@@ -641,14 +641,14 @@ class Adam:
     values are C-ordered views of `flat` in dict order, as `VaeModel` lays them
     out.
 
-    A training step calls `stage`, which copies every parameter's grad into
-    `grad`, a buffer laid out like `flat`; `clip_grad_norm` may scale that
-    buffer; `step` updates from it. Before they change anything, `stage`
-    raises ContractError when a parameter holds no grad, and `step` when no
-    grads were staged since the last step or a parameter was rebound off
-    `flat`. `step` updates `flat` and the moments `m` and `v` in place,
-    chunk by chunk with ufuncs, in the per-element order
-    `m = b1*m + (1-b1)*g`, `v = b2*v + ((1-b2)*g)*g`,
+    A training step is backward, `clip_grad_norm`, `step`: the clip copies
+    every parameter's grad into `grad`, a buffer laid out like `flat`, and
+    scales it there; `step` updates from that buffer and then sets every
+    parameter's grad to None, so no grad is applied twice. Before it changes
+    anything, `step` raises ContractError when no clip staged grads since the
+    last step or a parameter was rebound off `flat`. It updates `flat` and
+    the moments `m` and `v` in place, chunk by chunk with ufuncs, in the
+    per-element order `m = b1*m + (1-b1)*g`, `v = b2*v + ((1-b2)*g)*g`,
     `p -= (lr*(m/b1c)) / (sqrt(v/b2c)+eps)`."""
 
     def __init__(self, params: dict[str, Tensor], flat: np.ndarray, lr: float):
@@ -669,20 +669,9 @@ class Adam:
         self._scratch = np.empty((2, min(n, _CHUNK)))
         self._staged = False
 
-    def stage(self) -> None:
-        missing = [name for name, p in self.params.items() if p.grad is None]
-        if missing:
-            raise ContractError(f"parameters without a grad: {missing}")
-        for g, p in zip(self._views, self.params.values()):
-            np.copyto(g, p.grad)
-        self._staged = True
-
-    def _check_staged(self) -> None:
+    def step(self) -> None:
         if not self._staged:
             raise ContractError("no grads staged since the last Adam step")
-
-    def step(self) -> None:
-        self._check_staged()
         check_views(self.params, self.flat)
         self._staged = False
         self.t += 1
@@ -707,3 +696,4 @@ class Adam:
             np.add(b, _EPS, out=b)
             np.divide(a, b, out=a)
             np.subtract(p, a, out=p)
+        zero_grads(self.params)

@@ -57,21 +57,6 @@ def _bleu_from_stats(clipped, totals, cand_len: int, ref_len: int) -> float:
     return 100.0 * bp * float(np.exp(log_p))
 
 
-def sentence_bleu(candidate, references) -> float:
-    """Smoothed BLEU-4 of one candidate against multiple references, 0..100."""
-    if not references:
-        raise InputError("sentence_bleu needs at least one reference")
-    stats = []
-    for n in _ORDERS:
-        best = Counter()
-        for ref in references:
-            best |= _ngrams(ref, n)  # union keeps each n-gram's largest count
-        stats.append(_clipped(_ngrams(candidate, n), best))
-    clipped, totals = zip(*stats)
-    return _bleu_from_stats(clipped, totals, len(candidate),
-                            _closest_ref_len(len(candidate), [len(r) for r in references]))
-
-
 def self_bleu(generations) -> float:
     """Mean BLEU-4 of each generation against all the others, 0..100.
 

@@ -17,7 +17,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .autograd import Adam, Tape, backward, clip_grad_norm, zero_grads
+from .autograd import Adam, Tape, backward, clip_grad_norm
 from .checkpoint import atomic_write, check_json_fields, load_checkpoint, save_checkpoint
 from .data import SPECIALS, CorpusPair, Tokenizer, ingest
 from .errors import ConfigError, DivergenceError, InputError
@@ -44,7 +44,7 @@ class RunConfig:
     stage1_epochs: int = 10
     stage3_epochs: int = 15
     beta_warmup_frac: float = 0.3
-    beta_cycles: int = 0  # 0 = one ramp; >0 = cyclical annealing over stage 1
+    beta_cycles: int = 0  # 0 = one ramp; >0 = cycles of 1/beta_cycles of stage 1, kept in stage 3
     kl_floor: float = 0.0  # free bits (nats/document); 0 disables
     grad_clip: float = 1.0
     seed: int = 0
@@ -153,7 +153,6 @@ def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig,
             if db is not None:
                 db = maybe_refresh(db, step, model)
             beta = beta_at(step, warmup_steps, cycle_steps)
-            zero_grads(model.params)
             with Tape() as tape:
                 bd, total = regavae_loss(model, [pairs[i].source_tokens for i in batch],
                                          [pairs[i].target_tokens for i in batch], db, k, beta,
@@ -162,7 +161,6 @@ def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig,
                 if not np.isfinite(total.item()):
                     raise DivergenceError(f"non-finite loss at step {step}")
                 backward(total, tape)
-            optimizer.stage()
             clip_grad_norm(optimizer, cfg.grad_clip)
             optimizer.step()
             result.step_losses.append(bd)
@@ -185,7 +183,8 @@ def _load_corpus(cfg: RunConfig, vocab: list[str] | None = None):
 def beta_schedule(cfg: RunConfig, n_pairs: int) -> tuple[int, int]:
     """(warmup_steps, cycle_steps) for this run, derived from the stage-1
     length: one ramp over beta_warmup_frac of stage 1, or beta_cycles cycles
-    each ramping over beta_warmup_frac of the cycle."""
+    each ramping over beta_warmup_frac of the cycle. The checkpoint carries
+    both, so stage 3 goes on with the same cycles past stage 1's end."""
     total = steps_per_epoch(n_pairs, cfg.batch_size) * cfg.stage1_epochs
     if cfg.beta_cycles > 0:
         cycle = math.ceil(total / cfg.beta_cycles)
@@ -219,6 +218,11 @@ def _train_stage(cfg: RunConfig, out_dir, checkpoint_path, database_path, k: int
                            != token_digest(*corpus_tokens(pairs))):
         raise InputError(f"{database_path}: not a database of the training corpus ({len(db)} "
                          f"entries for {len(pairs)} pairs; row i must hold pair i)")
+    # The dump carries the interval maybe_refresh follows; it must be the config's.
+    if db is not None and db.refresh_interval != cfg.refresh_interval:
+        raise InputError(f"{database_path}: database refresh_interval {db.refresh_interval} "
+                         f"differs from the config's {cfg.refresh_interval}; rerun build-db "
+                         "with this config")
     start = extra.get("global_step", 0)
     # Stage 3 rewrites its database at its last step: a rerun on it meets this.
     if db is not None and db.snapshot_step > start:

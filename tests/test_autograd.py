@@ -262,7 +262,6 @@ class TestLinear:
         params, flat = flat_params({"x": np.zeros(x_shape), "w": np.zeros((5, 5))})
         params["x"].grad, params["w"].grad = x_grad, w_grad
         opt = Adam(params, flat, lr=0.1)
-        opt.stage()
         norm = clip_grad_norm(opt, 1e-3)
         # The reference sums each C-ordered grad's squares, in dict order.
         _, x_ref, w_ref, _ = numpy_run(*case, True)
@@ -423,9 +422,10 @@ class TestTapeContract:
     def test_backward_releases_intermediate_grads(self, monkeypatch):
         # A packed stage-1 step (k=0) and a stage-3 step (k=5): once backward
         # is done only the parameters hold grads, and every one holds one, as
-        # Adam.step requires. At k=5 some latents are drawn from retrieved
-        # keys and reach the decoder as `z * keep + fixed`, which still passes
-        # (zero) grads to the posterior heads.
+        # clip_grad_norm requires; the step then releases them. At k=5 some
+        # latents are drawn from retrieved keys and reach the decoder as
+        # `z * keep + fixed`, which still passes (zero) grads to the posterior
+        # heads.
         cfg = RunConfig.from_file(os.path.join(os.path.dirname(__file__), "..", "configs",
                                                "synthetic.json"))
         model = VaeModel(cfg.model_config(50), seed=0)
@@ -436,16 +436,16 @@ class TestTapeContract:
                             lambda w, gen: drawn.append(draw(w, gen)) or drawn[-1])
         opt = Adam(model.params, model.flat, lr=cfg.learning_rate)
         for k in (0, 5):
-            zero_grads(model.params)
             with Tape() as tape:
                 _, total = regavae_loss(model, xs, ys, db if k else None, k, 0.5,
                                         [np.random.default_rng([k, b]) for b in range(3)],
                                         kl_floor=cfg.kl_floor)
                 backward(total, tape)
-            assert all(node.out.grad is None for node in tape.nodes)
+            assert all(out.grad is None for out, _ in tape.nodes)
             assert [n for n, p in model.params.items() if p.grad is None] == [], k
-            opt.stage()
+            clip_grad_norm(opt, cfg.grad_clip)
             opt.step()
+            assert all(p.grad is None for p in model.params.values())
         assert opt.t == 2 and any(c > 0 for c in drawn)  # some latent came from a key
 
     def test_zero_grads(self):
@@ -491,7 +491,7 @@ class TestOptimizer:
         p = params["p"]
         p.grad = np.array([0.5, -3.0])
         opt = Adam(params, flat, lr=0.1)
-        opt.stage()
+        clip_grad_norm(opt, 0.0)  # max_norm 0 stages without clipping
         opt.step()
         np.testing.assert_allclose(p.data, [1.0 - 0.1, -2.0 + 0.1], atol=1e-6)
 
@@ -500,10 +500,9 @@ class TestOptimizer:
         p = params["p"]
         opt = Adam(params, flat, lr=0.2)
         for _ in range(300):
-            zero_grads(params)
             with Tape() as tape:
                 backward(ag.tensor_sum((p - 3.0) * (p - 3.0)), tape)
-            opt.stage()
+            clip_grad_norm(opt, 0.0)
             opt.step()
         assert abs(p.data[0] - 3.0) < 1e-3
 
@@ -529,7 +528,7 @@ class TestOptimizer:
             grads["w"] = np.asfortranarray(grads["w"])  # a transposed grad copies in too
             for k, p in params.items():
                 p.grad = grads[k].copy()
-            opt.stage()
+            clip_grad_norm(opt, 0.0)
             opt.step()
             b1c, b2c = 1.0 - b1**t, 1.0 - b2**t
             for k, g in grads.items():  # the per-parameter update Adam used to run
@@ -544,16 +543,16 @@ class TestOptimizer:
 
     @staticmethod
     def _state(opt):
-        return opt.t, opt.m.tobytes(), opt.v.tobytes(), opt.flat.tobytes()
+        return opt.t, opt.m.tobytes(), opt.v.tobytes(), opt.flat.tobytes(), opt.grad.tobytes()
 
     def test_adam_rejects_a_rebound_parameter(self):
         params, flat = flat_params({"p": np.ones(3)})
         p = params["p"]
         opt = Adam(params, flat, lr=0.1)
-        before = self._state(opt)
         p.data = np.ones(3)  # no longer a view of the buffer: updates would be lost
         p.grad = np.ones(3)
-        opt.stage()
+        clip_grad_norm(opt, 1.0)
+        before = self._state(opt)
         with pytest.raises(ContractError, match="rebound"):
             opt.step()
         assert self._state(opt) == before and opt.t == 0  # raised before any update
@@ -563,35 +562,43 @@ class TestOptimizer:
         opt = Adam(params, flat, lr=0.1)
         for p in params.values():
             p.grad = np.ones(p.shape)
-        opt.stage()
+        clip_grad_norm(opt, 1.0)
         opt.step()
-        before, staged = self._state(opt), opt.grad.tobytes()
+        for p in params.values():
+            p.grad = np.full(p.shape, 2.0)
         params["b"].grad = None
+        before = self._state(opt)
         with pytest.raises(ContractError, match=r"without a grad: \['b'\]$"):
-            opt.stage()
+            clip_grad_norm(opt, 1.0)
+        # t, m, v, the parameters and the grad buffer untouched; nothing staged
+        assert self._state(opt) == before
         with pytest.raises(ContractError, match="no grads staged"):
             opt.step()
-        # t, m, v, the parameters and the staged grads untouched
-        assert self._state(opt) == before and opt.grad.tobytes() == staged
+        assert self._state(opt) == before
 
     def test_step_without_fresh_staging_rejected(self):
-        # A second step on the grads the first one used would apply them twice.
+        # A step needs a clip since the last step, and a clip needs grads from
+        # a backward since the last step, which released the ones it applied.
         params, flat = flat_params({"a": np.ones(3), "b": np.ones(2)})
         opt = Adam(params, flat, lr=0.1)
         for p in params.values():
             p.grad = np.full(p.shape, 0.5)
-        with pytest.raises(ContractError, match="no grads staged"):
-            opt.step()  # nothing staged yet
-        assert opt.t == 0 and not opt.m.any() and not opt.v.any()
-        opt.stage()
-        opt.step()
         before = self._state(opt)
         with pytest.raises(ContractError, match="no grads staged"):
-            opt.step()  # the grads are still there, but not staged again
-        with pytest.raises(ContractError, match="no grads staged"):
-            clip_grad_norm(opt, 1.0)
+            opt.step()  # grads present, but no clip staged them
         assert self._state(opt) == before
-        opt.stage()
+        clip_grad_norm(opt, 1.0)
+        opt.step()
+        assert all(p.grad is None for p in params.values())
+        before = self._state(opt)
+        with pytest.raises(ContractError, match="no grads staged"):
+            opt.step()  # a second step on the buffer the first one used
+        with pytest.raises(ContractError, match=r"without a grad: \['a', 'b'\]$"):
+            clip_grad_norm(opt, 1.0)  # a clip with no new backward
+        assert self._state(opt) == before
+        for p in params.values():
+            p.grad = np.full(p.shape, 0.5)
+        clip_grad_norm(opt, 1.0)
         opt.step()
         assert opt.t == 2
 
@@ -600,7 +607,6 @@ class TestOptimizer:
         params["a"].grad = np.array([3.0, 0.0])
         params["b"].grad = np.array([0.0, 4.0])
         opt = Adam(params, flat, lr=0.1)
-        opt.stage()
         assert clip_grad_norm(opt, 1.0) == 5.0  # the norm before clipping
         assert abs(np.sqrt(np.sum(opt.grad ** 2)) - 1.0) < 1e-12
         np.testing.assert_allclose(opt.grad, [0.6, 0.0, 0.0, 0.8])
@@ -610,10 +616,8 @@ class TestOptimizer:
         params, flat = flat_params({"a": np.zeros(2)})
         params["a"].grad = np.array([0.3, 0.4])
         opt = Adam(params, flat, lr=0.1)
-        opt.stage()
-        staged = opt.grad.tobytes()
         assert clip_grad_norm(opt, 1.0) == np.sqrt(0.3**2 + 0.4**2)
-        assert opt.grad.tobytes() == staged
+        assert opt.grad.tobytes() == np.array([0.3, 0.4]).tobytes()  # staged, unscaled
 
     @pytest.mark.parametrize("config", ["bundled", "default"])
     def test_staged_clip_bit_equal_to_per_parameter_clip(self, config):
@@ -633,7 +637,6 @@ class TestOptimizer:
             p.grad = grads[k]
         model.params["enc.0.ff.w1"].grad = np.asfortranarray(grads["enc.0.ff.w1"])
         opt = Adam(model.params, model.flat, lr=0.1)
-        opt.stage()
         norm = clip_grad_norm(opt, 1e-2)
         sq = 0.0
         for g in grads.values():  # C-ordered, as _accum stores a first grad

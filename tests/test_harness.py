@@ -630,6 +630,20 @@ class TestPipelinePlumbing:
                 run_stage3(cfg, ckpt, tmp_path / name, tmp_path / "o3")
 
 
+    def test_stage3_continues_the_stage1_beta_cycles(self, tmp_path):
+        # The checkpoint carries cycle_steps, so stage 3 ramps beta up from 0
+        # again at each cycle boundary after stage 1's 30 steps (12 pairs,
+        # batches of 4, 10 epochs; two cycles of 15, warmup round(4.5) = 4).
+        cfg = tiny_cfg(tmp_path, L=1, stage1_epochs=10, stage3_epochs=10, beta_cycles=2,
+                       k_neighbors=0)
+        assert beta_schedule(cfg, 12) == (4, 15)
+        ckpt, r1 = run_stage1(cfg, tmp_path / "out")
+        _, r3 = run_stage3(cfg, ckpt, None, tmp_path / "out")
+        cycle = [0.0, 0.25, 0.5, 0.75] + [1.0] * 11
+        assert [bd.beta for bd in r1.step_losses] == cycle * 2
+        assert r3.global_step == 60
+        assert [bd.beta for bd in r3.step_losses] == cycle * 2  # 0.0 at steps 30 and 45
+
     def test_eval_encodes_its_sources_once_as_one_pack(self, tmp_path, monkeypatch):
         import regavae.training as training
 
@@ -698,6 +712,24 @@ class TestCli:
         assert "rerun build-db" in err and "Traceback" not in err
         steps = re.search(r"snapshot step (\d+) is after the checkpoint's step (\d+)", err)
         assert steps and int(steps[1]) > int(steps[2])
+
+    def test_stage3_rejects_a_database_of_another_refresh_interval(self, tmp_path, capsys):
+        # The loop refreshes on the interval stored in the dump, so stage 3
+        # refuses a dump that build-db wrote under another refresh_interval.
+        out = tmp_path / "o"
+        ckpt, db = str(out / "stage1.ckpt"), str(out / "retrieval.db")
+        cfgp = self._write_cfg(tmp_path, L=1, refresh_interval=2)
+        for argv in (["train-vae"], ["build-db", "--checkpoint", ckpt]):
+            assert cli_main(["--config", str(cfgp), "--out", str(out)] + argv) == 0
+        cfgp = self._write_cfg(tmp_path, L=1, refresh_interval=1000)
+        capsys.readouterr()
+        rc = cli_main(["--config", str(cfgp), "--out", str(tmp_path / "o3"), "train-regavae",
+                       "--checkpoint", ckpt, "--database", db])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert "refresh_interval 2 differs from the config's 1000; rerun build-db" in err
+        assert not os.path.exists(tmp_path / "o3" / "stage3.ckpt")
 
     def test_train_vae_exit_zero(self, tmp_path, capsys):
         cfgp = self._write_cfg(tmp_path)
@@ -785,6 +817,39 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory (Unable to allocate") and "Traceback" not in err
+
+    def test_model_too_large_to_allocate_exit_one(self, tmp_path, capsys, monkeypatch):
+        # 7.4e10 parameters (551 GiB) can be indexed but not allocated. Any
+        # np.empty of 2**30 floats or more raises, as it would without memory
+        # overcommit, so the test allocates nothing real; the model must ask
+        # for its buffer before it walks the layout.
+        import regavae.model as model_mod
+
+        real_empty, real_layout = np.empty, model_mod.parameter_layout
+        requests, walked = [], []
+
+        def empty(shape, *args, **kwargs):
+            n = int(np.prod(shape, dtype=object))
+            if n >= 2**30:
+                requests.append(n)
+                raise MemoryError(f"Unable to allocate {n * 8 / 2**30:.0f} GiB for an array")
+            return real_empty(shape, *args, **kwargs)
+
+        def layout(config):
+            for entry in real_layout(config):
+                walked.append(entry[0])
+                yield entry
+
+        monkeypatch.setattr(np, "empty", empty)
+        monkeypatch.setattr(model_mod, "parameter_layout", layout)
+        cfgp = self._write_cfg(tmp_path, L=10**9, d_h=1, heads=1)
+        rc = cli_main(["--config", str(cfgp), "--out", str(tmp_path / "o"), "train-vae"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: out of memory (Unable to allocate 551 GiB")
+        assert requests == [74000000079] and walked == []
+        assert not os.path.exists(tmp_path / "o" / "stage1.ckpt")
 
     def test_divergence_exit_two(self, tmp_path, capsys, monkeypatch):
         import regavae.cli as cli_mod

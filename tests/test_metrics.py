@@ -13,43 +13,10 @@ from regavae.data import CorpusPair
 from regavae.errors import InputError
 from regavae.metrics import (MetricReport, _bleu_from_stats, active_units, corpus_bleu,
                              count_active_units, dist_n, heldout_kl,
-                             perplexity, rouge_l, self_bleu, sentence_bleu)
+                             perplexity, rouge_l, self_bleu)
 from regavae.model import ModelConfig, VaeModel
 
 tokens = st.lists(st.integers(0, 9), min_size=1, max_size=12)
-
-
-class TestSentenceBleu:
-    def test_identical_is_exactly_100(self):
-        s = ["the", "cat", "sat", "on", "the", "mat"]
-        assert sentence_bleu(s, [s]) == 100.0
-
-    def test_disjoint_is_zero(self):
-        assert sentence_bleu(["a", "b"], [["c", "d"]]) == 0.0
-
-    def test_hand_computed_partial(self):
-        # cand "a b c", ref "a b d": p1=2/3; clipped 2-grams: "a b" -> 1 of 2,
-        # smoothed (1+1)/(2+1); 3-grams: 0 of 1 -> 1/2; no 4-grams -> (0+1)/(0+1)=1.
-        # BP=1 (equal lengths). BLEU = 100 * (2/3 * 2/3 * 1/2 * 1)^(1/4).
-        got = sentence_bleu(["a", "b", "c"], [["a", "b", "d"]])
-        want = 100.0 * (2 / 3 * 2 / 3 * 1 / 2 * 1.0) ** 0.25
-        assert abs(got - want) < 1e-9
-
-    def test_brevity_penalty(self):
-        # cand "a b" vs ref "a b c d": p1=1, p2 smoothed (1+1)/(1+1)=1,
-        # p3/p4 have zero totals -> smoothed 1. BP = exp(1 - 4/2).
-        got = sentence_bleu(["a", "b"], [["a", "b", "c", "d"]])
-        want = 100.0 * np.exp(1 - 4 / 2)
-        assert abs(got - want) < 1e-9
-
-    def test_needs_reference(self):
-        with pytest.raises(InputError):
-            sentence_bleu(["a"], [])
-
-    @given(tokens)
-    @settings(max_examples=50, deadline=None)
-    def test_self_identity_property(self, toks):
-        assert sentence_bleu(toks, [toks]) == pytest.approx(100.0)
 
 
 class TestSelfBleu:
@@ -147,6 +114,30 @@ class TestCorpusBleu:
         refs = [["a", "b", "c"], ["p", "q", "r"]]
         score = corpus_bleu(cands, refs)
         assert 0.0 < score < 100.0
+
+    # One pair: the smoothing and brevity penalty by hand.
+    def test_disjoint_is_zero(self):
+        assert corpus_bleu([["a", "b"]], [["c", "d"]]) == 0.0
+
+    def test_hand_computed_partial(self):
+        # cand "a b c", ref "a b d": p1=2/3; clipped 2-grams: "a b" -> 1 of 2,
+        # smoothed (1+1)/(2+1); 3-grams: 0 of 1 -> 1/2; no 4-grams -> (0+1)/(0+1)=1.
+        # BP=1 (equal lengths). BLEU = 100 * (2/3 * 2/3 * 1/2 * 1)^(1/4).
+        got = corpus_bleu([["a", "b", "c"]], [["a", "b", "d"]])
+        want = 100.0 * (2 / 3 * 2 / 3 * 1 / 2 * 1.0) ** 0.25
+        assert abs(got - want) < 1e-9
+
+    def test_brevity_penalty(self):
+        # cand "a b" vs ref "a b c d": p1=1, p2 smoothed (1+1)/(1+1)=1,
+        # p3/p4 have zero totals -> smoothed 1. BP = exp(1 - 4/2).
+        got = corpus_bleu([["a", "b"]], [["a", "b", "c", "d"]])
+        want = 100.0 * np.exp(1 - 4 / 2)
+        assert abs(got - want) < 1e-9
+
+    @given(tokens)
+    @settings(max_examples=50, deadline=None)
+    def test_self_identity_property(self, toks):
+        assert corpus_bleu([toks], [toks]) == pytest.approx(100.0)
 
 
 class TestDistN:
