@@ -33,6 +33,7 @@ __all__ = [
     "tensor_sum",
     "tensor_mean",
     "segment_mean",
+    "segment_repeat",
     "layer_norm",
     "attention",
     "embedding_lookup",
@@ -77,11 +78,14 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # A copy keeps two tensors off one buffer (add hands the same g
-            # to both inputs). Its C order no longer matters to the clip's
-            # sum, which squares each grad after copying it into Adam's
-            # C-ordered grad buffer.
-            self.grad = np.array(g, dtype=np.float64, order="C")
+            # A first grad is taken over, not copied: every backward hands
+            # each input an array that no other tensor holds (add copies the
+            # one g it would give both inputs). Its memory order does not
+            # matter to the clip, which copies each grad into Adam's
+            # C-ordered grad buffer before it squares it. asarray copies
+            # nothing; it makes the numpy scalar of a reduction to shape ()
+            # a 0-d array.
+            self.grad = np.asarray(g)
         else:
             self.grad += g
 
@@ -176,7 +180,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accum(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accum(_unbroadcast(g, b.shape))
+            gb = _unbroadcast(g, b.shape)
+            # a took g itself (also when b is a): b gets its own buffer.
+            b._accum(gb.copy() if gb is g and a.grad is g else gb)
 
     return _record(out, (a, b), bwd)
 
@@ -373,7 +379,8 @@ def reshape(x: Tensor, shape) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def tensor_sum(x: Tensor, axis=None) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis))
+    # np.add.reduce is what ndarray.sum runs, without its Python wrapper.
+    out = Tensor(np.add.reduce(x.data, axis=axis))
 
     def bwd(g):
         gg = g if axis is None else np.expand_dims(g, axis)
@@ -416,6 +423,39 @@ def segment_mean(x: Tensor, offsets) -> Tensor:
     return _record(out, (x,), bwd)
 
 
+def segment_repeat(x: Tensor, offsets) -> Tensor:
+    """Row i of 2-D x once for every row of segment i of `offsets`:
+    (B, d) -> (rows, d), what an `embedding_lookup` of each row's segment
+    id gives.
+
+    The backward sums each segment's grad rows with one add.reduce over
+    its outer axis, which numpy runs row by row, in order, for a C-ordered
+    grad at least two columns wide (one column it sums pairwise), then adds
+    0.0. That is the embedding scatter's np.add.at into zeros, bit for bit:
+    the scatter starts each sum from +0.0, which differs from starting at
+    the first row only when every row is -0.0, and adding 0.0 turns such a
+    -0.0 sum into +0.0 (numpy 2.4's reduce already gives +0.0 there).
+    np.add.reduceat would not do: it does not sum a segment's rows in
+    order."""
+    off = np.asarray(offsets, dtype=np.int64)
+    if x.ndim != 2 or off.shape != (x.shape[0] + 1,):
+        raise DimensionError(f"segment_repeat needs (B, d) rows and B+1 offsets, got "
+                             f"{x.shape} and {off.tolist()}")
+    _, lengths = _segments(off, int(off[-1]))
+    out = Tensor(np.repeat(x.data, lengths, axis=0))
+    bounds = off.tolist()
+
+    def bwd(g):
+        g = np.ascontiguousarray(g)
+        gx = np.empty_like(x.data)
+        for row, a, b in zip(gx, bounds, bounds[1:]):
+            np.add.reduce(g[a:b], axis=0, out=row)
+        gx += 0.0
+        x._accum(gx)
+
+    return _record(out, (x,), bwd)
+
+
 # ---------------------------------------------------------------------------
 # Neural-net primitives
 # ---------------------------------------------------------------------------
@@ -443,24 +483,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     _check_finite(out, "layer_norm")
 
     def bwd(g):
-        if bias.requires_grad:
-            bias._accum(_unbroadcast(g, bias.shape))
-        gx = np.multiply(g, xhat)
-        if gain.requires_grad:
-            gain._accum(_unbroadcast(gx, gain.shape))
+        # Each input takes its grad once this op no longer writes or reads
+        # it: a 1-D x's gain takes the scratch array, its bias g itself.
+        tmp = None
         if x.requires_grad:
             # dx = inv * ((dxhat - mean(dxhat)) - xhat * mean(dxhat * xhat))
             dxhat = np.multiply(g, gain.data)
             m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
             m1 /= n
-            np.multiply(dxhat, xhat, out=gx)
-            m2 = np.add.reduce(gx, axis=-1, keepdims=True)
+            tmp = np.multiply(dxhat, xhat)
+            m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
             m2 /= n
-            np.multiply(xhat, m2, out=gx)
+            np.multiply(xhat, m2, out=tmp)
             dxhat -= m1
-            dxhat -= gx
+            dxhat -= tmp
             dxhat *= inv
             x._accum(dxhat)
+        if gain.requires_grad:
+            gain._accum(_unbroadcast(np.multiply(g, xhat, out=tmp), gain.shape))
+        if bias.requires_grad:
+            bias._accum(_unbroadcast(g, bias.shape))
 
     return _record(Tensor(out), (x, gain, bias), bwd)
 
@@ -538,9 +580,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets, causal: bool = False,
             go = split(g, qi, n)
             merge(p.transpose(0, 1, 3, 2) @ go, ki, gv)
             dp = go @ split(v.data, ki, m).transpose(0, 1, 3, 2)
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
-            merge(ds @ split(k.data, ki, m), qi, gq)
-            merge(ds.transpose(0, 1, 3, 2) @ split(q.data, qi, n), ki, gk)
+            # ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale, in dp
+            dp -= (dp * p).sum(axis=-1, keepdims=True)
+            dp *= p
+            dp *= scale
+            merge(dp @ split(k.data, ki, m), qi, gq)
+            merge(dp.transpose(0, 1, 3, 2) @ split(q.data, qi, n), ki, gk)
         for t, gt in ((q, gq), (k, gk), (v, gv)):
             if t.requires_grad:
                 t._accum(gt)
@@ -582,7 +627,8 @@ def cross_entropy_with_logits(logits: Tensor, targets, offsets=None) -> Tensor:
     def bwd(g):
         p = np.exp(logp)
         p[np.arange(n), tgt] -= 1.0
-        logits._accum(p * np.repeat(g / lengths, lengths)[:, None])
+        p *= np.repeat(g / lengths, lengths)[:, None]
+        logits._accum(p)
 
     return _record(out, (logits,), bwd)
 

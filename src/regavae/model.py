@@ -326,8 +326,7 @@ class VaeModel:
         if not 0 <= layer < c.n_layers:
             raise ContractError(f"layer {layer} out of range for {c.n_layers} layers")
         gate = ag.linear(z, self.params[f"inj.{layer}.w_z"])  # every W_z,j z, side by side
-        seg = np.repeat(np.arange(z.shape[0]), np.diff(offsets))
-        return self._fuse(v, ag.embedding_lookup(gate, seg), layer)
+        return self._fuse(v, ag.segment_repeat(gate, offsets), layer)
 
     def _fuse(self, v: Tensor, gate: Tensor, layer: int) -> Tensor:
         """The sum over ranks j of columns j*d_h:(j+1)*d_h of (W_v v) * gate."""

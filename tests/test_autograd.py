@@ -240,20 +240,17 @@ class TestLinear:
                    (2, 4), (2,))
         check_grad(lambda x, w: ag.tensor_sum(ag.linear(x, w) * ag.linear(x, w)), (1, 4), (3, 4))
 
-    def test_first_grad_is_a_c_ordered_copy(self):
-        # dW is the transpose of a product, an F-ordered view; the stored grad
-        # is a C-ordered copy all the same.
+    def test_first_grad_is_taken_over_not_copied(self):
+        # dW is the transpose of a fresh product, an F-ordered view that
+        # nothing else holds; w keeps that array as its grad.
         _, _, w_grad, _ = fused_run(*linear_case((3, 5), True), False)
-        assert w_grad.flags["C_CONTIGUOUS"]
-        # add passes one g to both inputs; each keeps its own buffer.
-        a = Tensor(np.ones((2, 3)), requires_grad=True)
-        b = Tensor(np.ones((2, 3)), requires_grad=True)
-        with Tape() as tape:
-            y = a + b
-            backward(ag.tensor_sum(y * y), tape)
-        assert not np.shares_memory(a.grad, b.grad)
-        assert y.grad is None  # spent once passed on
-        np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
+        assert w_grad.flags["F_CONTIGUOUS"] and not w_grad.flags["C_CONTIGUOUS"]
+        t = Tensor(np.zeros(3), requires_grad=True)
+        g = np.array([1.0, 2.0, 3.0])
+        t._accum(g)
+        assert t.grad is g
+        t._accum(np.ones(3))  # later grads are added into it
+        assert t.grad is g and g.tolist() == [2.0, 3.0, 4.0]
 
     @pytest.mark.parametrize("x_shape", [(1, 5), (4, 5)])
     def test_clip_grad_norm_bitwise_equal_to_composition(self, x_shape):
@@ -349,6 +346,59 @@ def layer_norm_reference(x, gain, bias, g):
     return out, inv * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
+def cross_entropy_reference(z, tgt, offsets, g):
+    """(per-segment mean NLL, logits grad for upstream grad g), with the
+    backward as one expression."""
+    m = z.max(axis=-1, keepdims=True)
+    logp = z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
+    n, lengths = len(tgt), np.diff(offsets)
+    out = np.add.reduceat(-logp[np.arange(n), tgt], offsets[:-1]) / lengths
+    p = np.exp(logp)
+    p[np.arange(n), tgt] -= 1.0
+    return out, p * np.repeat(g / lengths, lengths)[:, None]
+
+
+def attention_reference(q, k, v, offsets, causal, start, heads, g):
+    """(output, q, k and v grads for upstream grad g) of `ag.attention`,
+    segment lengths grouped as the op groups them, with ds as one
+    expression."""
+    rows, d = q.shape
+    dk, lengths = d // heads, np.diff(offsets)
+    scale = 1.0 / np.sqrt(dk)
+    if lengths.min() == lengths.max():
+        groups = [(None, None, int(lengths[0]))]
+    else:
+        key_starts = offsets[:-1] + start * np.arange(lengths.size)
+        groups = [(offsets[:-1][lengths == n, None] + np.arange(n),
+                   key_starts[lengths == n, None] + np.arange(n + start), int(n))
+                  for n in np.unique(lengths)]
+
+    def split(x, idx, n):
+        blocks = x.reshape(-1, n, d) if idx is None else x[idx]
+        return blocks.reshape(-1, n, heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(x, idx, out):
+        out[slice(None) if idx is None else idx.reshape(-1)] = \
+            x.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    out, gq, gk, gv = (np.empty_like(a) for a in (q, q, k, v))
+    for qi, ki, n in groups:
+        m = n + start
+        s = (split(q, qi, n) @ split(k, ki, m).transpose(0, 1, 3, 2)) * scale
+        if causal and n > 1:
+            s[..., np.triu(np.ones((n, m), dtype=bool), k=start + 1)] = -np.inf
+        s = np.exp(s - s.max(axis=-1, keepdims=True))
+        p = s / s.sum(axis=-1, keepdims=True)
+        merge(p @ split(v, ki, m), qi, out)
+        go = split(g, qi, n)
+        merge(p.transpose(0, 1, 3, 2) @ go, ki, gv)
+        dp = go @ split(v, ki, m).transpose(0, 1, 3, 2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        merge(ds @ split(k, ki, m), qi, gq)
+        merge(ds.transpose(0, 1, 3, 2) @ split(q, qi, n), ki, gk)
+    return out, gq, gk, gv
+
+
 class TestSameBitsKernels:
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     def test_gelu(self, shape):
@@ -375,6 +425,115 @@ class TestSameBitsKernels:
         for name, a, b in zip(("out", "x.grad", "gain.grad", "bias.grad"),
                               (y.data, *(t.grad for t in ts)), ref):
             assert same_bytes(a, b), name
+
+
+    # Segments of 1, 39, 5 and 95 rows; the 5-row one gets an all -0.0 grad.
+    @pytest.mark.parametrize("width", [2, 32, 128])
+    @pytest.mark.parametrize("upstream_order", ["C", "F"])
+    def test_segment_repeat(self, width, upstream_order):
+        # The gather and scatter of embedding_lookup with each row's segment
+        # id, whose backward is np.add.at into zeros.
+        offsets = np.array([0, 1, 40, 45, 140])
+        seg = np.repeat(np.arange(4), np.diff(offsets))
+        rng = np.random.default_rng(width)
+        x = rng.standard_normal((4, width))
+        g = rng.standard_normal((140, width)) * 10.0 ** rng.uniform(-6, 6, (140, width))
+        g[40:45] = -0.0
+        runs = []
+        for op in (lambda t: ag.segment_repeat(t, offsets), lambda t: ag.embedding_lookup(t, seg)):
+            t = Tensor(x, requires_grad=True)
+            with Tape() as tape:
+                y = op(t)
+            # The op's backward, handed g in either memory order.
+            (_, bwd), = tape.nodes
+            bwd(np.asarray(g, order=upstream_order))
+            runs.append((y.data, t.grad))
+        (out, grad), (ref_out, ref_grad) = runs
+        assert same_bytes(out, ref_out) and same_bytes(grad, ref_grad)
+        assert not np.signbit(grad[2]).any()  # +0.0, as the scatter gives
+
+    def test_segment_repeat_rejects_bad_offsets(self):
+        for x_shape, offsets in (((2, 3), [0, 4]), ((2, 3), [0, 0, 4]), ((3,), [0, 1, 2, 3])):
+            with pytest.raises(DimensionError):
+                ag.segment_repeat(Tensor(np.zeros(x_shape)), offsets)
+
+    @pytest.mark.parametrize("offsets", [[0, 7], [0, 1, 4, 12, 13]])
+    def test_cross_entropy(self, offsets):
+        rng = np.random.default_rng(len(offsets))
+        n = offsets[-1]
+        z, tgt = rng.standard_normal((n, 11)) * 3.0, rng.integers(0, 11, n)
+        c = rng.standard_normal(len(offsets) - 1)
+        zt = Tensor(z, requires_grad=True)
+        with Tape() as tape:
+            y = ag.cross_entropy_with_logits(zt, tgt, offsets)
+            backward(ag.tensor_sum(y * Tensor(c)), tape)
+        out, gz = cross_entropy_reference(z, tgt, np.array(offsets), c)
+        assert same_bytes(y.data, out) and same_bytes(zt.grad, gz)
+
+    # (segment boundaries, causal, cached rows, heads): one length (split by
+    # reshape), ragged lengths (gathered), and a cached decode step.
+    @pytest.mark.parametrize("offsets,causal,start,heads", [
+        ([0, 9, 18, 27], False, 0, 4), ([0, 5, 17, 22, 23], True, 0, 4),
+        ([0, 1, 2, 3], True, 6, 2), ([0, 2, 5], True, 3, 1),
+    ])
+    def test_attention(self, offsets, causal, start, heads):
+        rng = np.random.default_rng(offsets[-1] + start)
+        rows, d = offsets[-1], 32
+        keys = rows + start * (len(offsets) - 1)
+        q, c = rng.standard_normal((rows, d)), rng.standard_normal((rows, d))
+        k, v = rng.standard_normal((keys, d)), rng.standard_normal((keys, d))
+        ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        with Tape() as tape:
+            y = ag.attention(*ts, offsets, causal, start, heads)
+            backward(ag.tensor_sum(y * Tensor(c)), tape)
+        ref = attention_reference(q, k, v, np.array(offsets), causal, start, heads, c)
+        for name, a, b in zip(("out", "q.grad", "k.grad", "v.grad"),
+                              (y.data, *(t.grad for t in ts)), ref):
+            assert same_bytes(a, b), name
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, 2])
+    def test_tensor_sum(self, axis):
+        # _fuse's rank sum is axis 1 of (rows, r, d_h).
+        x = np.random.default_rng(4).standard_normal((37, 4, 32)) * 1e3
+        assert same_bytes(np.asarray(ag.tensor_sum(Tensor(x), axis).data), np.asarray(x.sum(axis=axis)))
+
+
+def _ln_grads(x, gain, bias, c):
+    return layer_norm_reference(x, gain, bias, c)[1:]
+
+
+# name: (input shapes then the shape of the constant c, loss of the inputs and
+# c, each input's expected grad from the input arrays and c). The expected
+# values are what the ops compute, term for term.
+OWNERSHIP_CASES = {
+    "a + b": ([(2, 3), (2, 3), (2, 3)], lambda a, b, c: ag.tensor_sum((a + b) * c),
+              lambda a, b, c: (c, c)),
+    "x + x": ([(2, 3), (2, 3)], lambda x, c: ag.tensor_sum((x + x) * c),
+              lambda x, c: (c + c,)),
+    "x - x": ([(2, 3), (2, 3)], lambda x, c: ag.tensor_sum((x - x) * c),
+              lambda x, c: (c + -c,)),
+    "broadcast add": ([(3, 4), (4,), (3, 4)], lambda a, b, c: ag.tensor_sum((a + b) * c),
+                      lambda a, b, c: (c, c.sum(axis=0))),
+    # add hands g to the first reshape's output and a copy to w; the reshapes
+    # then hand x views of g.
+    "reshape chain": ([(3, 4), (4, 3), (12,)],
+                      lambda x, w, c: ag.tensor_sum(
+                          ag.reshape(ag.reshape(x, (4, 3)) + w, (12,)) * c),
+                      lambda x, w, c: (c.reshape(3, 4), c.reshape(4, 3))),
+    # A reduction to shape () gives a numpy scalar; the grad is still an array.
+    "0-d times vector": ([(), (3,), (3,)], lambda s, v, c: ag.tensor_sum(s * v * c),
+                         lambda s, v, c: (np.add.reduce(c * v), c * s)),
+    "layer_norm gain and bias": ([(5, 6), (6,), (6,), (5, 6)],
+                                 lambda x, g, b, c: ag.tensor_sum(ag.layer_norm(x, g, b) * c),
+                                 _ln_grads),
+    # A lone row's bias takes layer_norm's g itself, which must stay intact
+    # until the op has read it, also when the bias is the gain.
+    "layer_norm one row, gain is bias": (
+        [(6,), (6,), (6,)],
+        lambda x, t, c: ag.tensor_sum(ag.layer_norm(x, t, t) * c),
+        lambda x, t, c: (lambda gx, gg, gb: (gx[0], gg + gb))(
+            *_ln_grads(x[None], t, t, c[None]))),
+}
 
 
 class TestTapeContract:
@@ -447,6 +606,25 @@ class TestTapeContract:
             opt.step()
             assert all(p.grad is None for p in model.params.values())
         assert opt.t == 2 and any(c > 0 for c in drawn)  # some latent came from a key
+
+    @pytest.mark.parametrize("case", sorted(OWNERSHIP_CASES))
+    def test_no_two_grads_share_memory(self, case):
+        # Each tensor owns its grad once backward is done, so a later += into
+        # one grad cannot change another; every grad has its value.
+        shapes, build, expected = OWNERSHIP_CASES[case]
+        rng = np.random.default_rng(3)
+        arrays = [rng.standard_normal(s) for s in shapes]
+        ts = [Tensor(a, requires_grad=True) for a in arrays[:-1]]
+        with Tape() as tape:
+            backward(build(*ts, Tensor(arrays[-1])), tape)
+        assert all(out.grad is None for out, _ in tape.nodes)
+        grads = [t.grad for t in ts]
+        assert all(type(g) is np.ndarray for g in grads)
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1:]:
+                assert not np.shares_memory(gi, gj)
+        for got, want in zip(grads, expected(*arrays)):
+            assert same_bytes(np.ascontiguousarray(got), np.ascontiguousarray(want))
 
     def test_zero_grads(self):
         a = Tensor(np.ones(2), requires_grad=True)
@@ -639,7 +817,7 @@ class TestOptimizer:
         opt = Adam(model.params, model.flat, lr=0.1)
         norm = clip_grad_norm(opt, 1e-2)
         sq = 0.0
-        for g in grads.values():  # C-ordered, as _accum stores a first grad
+        for g in grads.values():  # C-ordered, as the staged slices are
             sq += float((g**2).sum())
         ref_norm = np.sqrt(sq)
         assert norm == float(ref_norm) and norm > 1e-2
