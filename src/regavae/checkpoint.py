@@ -18,9 +18,9 @@ training.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
+import sys
 from contextlib import contextmanager
 from typing import get_type_hints
 
@@ -42,7 +42,8 @@ def check_json_fields(raw, types: dict, what: str) -> None:
     """Raise InputError ("<what> ...") unless `raw` is a JSON object whose
     keys are all in `types` (name -> int, float or str) and whose values have
     those types. bool is an int subclass, an int is a valid float, and
-    Python's json reads NaN and Infinity, which JSON itself does not have."""
+    Python's json reads NaN and Infinity, which JSON itself does not have; a
+    float field's value, int or float, must not exceed the largest float in size."""
     if not isinstance(raw, dict):
         raise InputError(f"{what} must be a JSON object")
     unknown = set(raw) - set(types)
@@ -50,7 +51,7 @@ def check_json_fields(raw, types: dict, what: str) -> None:
         raise InputError(f"{what} has unknown keys {sorted(unknown)}")
     for name, value in raw.items():
         if (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[name]])
-                or (isinstance(value, float) and not math.isfinite(value))):
+                or (types[name] is float and not abs(value) <= sys.float_info.max)):
             raise InputError(f"{what} key {name!r} must be {types[name].__name__}, "
                              f"got {value!r}")
 

@@ -68,8 +68,8 @@ def read_jsonl(path) -> list[dict]:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise InputError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+        except ValueError as e:  # also an integer of more digits than int() takes
+            raise InputError(f"{path}:{lineno}: invalid JSON ({getattr(e, 'msg', e)})") from e
         if not isinstance(rec, dict):
             raise InputError(f"{path}:{lineno}: not a JSON object")
         for field_name in ("source", "target"):
@@ -105,11 +105,14 @@ def write_jsonl(records, path) -> None:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+# The synthetic corpus's fixed shape: words per source signature, noise words
+# per source, target length, shared target pool and each cluster's share of it.
+_SIG_WORDS, _NOISE_WORDS, _TARGET_LEN, _TARGET_POOL, _TARGET_VOCAB = 3, 2, 6, 10, 4
+
+
 def make_synthetic_corpus(seed: int = 0, n_clusters: int = 12,
-                          train_per_cluster: int = 10, eval_per_cluster: int = 3,
-                          sig_words: int = 3, noise_words: int = 2,
-                          target_len: int = 6, target_pool: int = 10,
-                          target_vocab: int = 4) -> tuple[list[dict], list[dict]]:
+                          train_per_cluster: int = 10,
+                          eval_per_cluster: int = 3) -> tuple[list[dict], list[dict]]:
     """Clustered corpus: each cluster has a fixed source signature and a small
     target vocabulary drawn from a shared pool; sources add per-sample noise
     words, and each target is sampled token-by-token from the cluster
@@ -119,13 +122,13 @@ def make_synthetic_corpus(seed: int = 0, n_clusters: int = 12,
     uncertainty at every target position."""
     rng = np.random.default_rng(seed)
     noise_pool = [f"n{i:02d}" for i in range(30)]
-    word_pool = [f"t{i:02d}" for i in range(target_pool)]
+    word_pool = [f"t{i:02d}" for i in range(_TARGET_POOL)]
     clusters = []
     seen_vocabs = set()
     for c in range(n_clusters):
-        signature = [f"s{c:02d}x{j}" for j in range(sig_words)]
+        signature = [f"s{c:02d}x{j}" for j in range(_SIG_WORDS)]
         while True:
-            vocab = tuple(sorted(rng.choice(target_pool, size=target_vocab,
+            vocab = tuple(sorted(rng.choice(_TARGET_POOL, size=_TARGET_VOCAB,
                                             replace=False)))
             if vocab not in seen_vocabs:
                 seen_vocabs.add(vocab)
@@ -134,10 +137,10 @@ def make_synthetic_corpus(seed: int = 0, n_clusters: int = 12,
 
     def sample(cluster_id: int) -> dict:
         signature, vocab = clusters[cluster_id]
-        noise = list(rng.choice(noise_pool, size=noise_words, replace=False))
+        noise = list(rng.choice(noise_pool, size=_NOISE_WORDS, replace=False))
         words = list(signature) + noise
         rng.shuffle(words)
-        target = list(rng.choice(vocab, size=target_len, replace=True))
+        target = list(rng.choice(vocab, size=_TARGET_LEN, replace=True))
         return {"source": " ".join(words), "target": " ".join(target)}
 
     train = [sample(c) for c in range(n_clusters) for _ in range(train_per_cluster)]

@@ -163,7 +163,7 @@ def perplexity(model: VaeModel, dataset, posts, db=None, k: int = 0) -> float:
     sources = [p.source_tokens for p in dataset]
     targets = [p.target_tokens for p in dataset]
     z_layers = mixture_mean_latents(model, sources, db, k, posts=posts)
-    _, nll = model.decode(z_layers, targets)
+    nll = model.decode(z_layers, targets)
     kl = sum(gaussian_kl_standard(g).data for g in posts)
     # The tokens decode scored: each target as truncated, plus the end token.
     n_tok = np.array([kept_tokens(model.config, len(t)) + 1 for t in targets])
@@ -206,8 +206,8 @@ class MetricReport:
     self_bleu: float
     dist2: float
     au: int
-    bleu: float | None = None
-    rouge_l: float | None = None
+    bleu: float
+    rouge_l: float
 
     def __post_init__(self):
         if self.ppl < 1.0 - 1e-9:
@@ -215,7 +215,7 @@ class MetricReport:
         for name, lo, hi in (("self_bleu", 0, 100), ("dist2", 0, 1),
                              ("bleu", 0, 100), ("rouge_l", 0, 100)):
             v = getattr(self, name)
-            if v is not None and not lo - 1e-9 <= v <= hi + 1e-9:
+            if not lo - 1e-9 <= v <= hi + 1e-9:
                 raise InputError(f"{name}={v} outside [{lo}, {hi}]")
         if self.au < 0:
             raise InputError(f"negative au: {self.au}")
@@ -223,8 +223,7 @@ class MetricReport:
     def to_text(self) -> str:
         lines = []
         for key, val in asdict(self).items():
-            if val is not None:
-                lines.append(f"{key} {val:.6f}" if isinstance(val, float) else f"{key} {val}")
+            lines.append(f"{key} {val:.6f}" if isinstance(val, float) else f"{key} {val}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

@@ -221,7 +221,7 @@ def regavae_loss(model: VaeModel, x_tokens, y_tokens,
         if not keep[l].all():
             z = z * Tensor(keep[l]) + Tensor(fixed[l])
         z_layers.append(z)
-    _, nll = model.decode(z_layers, y_tokens)
+    nll = model.decode(z_layers, y_tokens)
     kl = sum((gaussian_kl_standard(g) for g in posts[1:]), gaussian_kl_standard(posts[0]))
     kl_term = ag.clamp(kl, kl_floor, _KL_CEIL) if kl_floor > 0.0 else kl
     total = ag.tensor_mean(nll + kl_term * beta)

@@ -367,9 +367,9 @@ class VaeModel:
         h = ag.layer_norm(h, self.params["dec.lnf.g"], self.params["dec.lnf.b"])
         return ag.linear(h, self.params["tok_emb"])
 
-    def decode(self, z_layers: list[Tensor], target_tokens) -> tuple[Tensor, Tensor]:
+    def decode(self, z_layers: list[Tensor], target_tokens) -> Tensor:
         """Teacher-forced causal decode of a pack of B targets under (B, d_z)
-        latents; returns (logits, each target's mean NLL in nats, shape (B,))."""
+        latents; returns each target's mean NLL in nats, shape (B,)."""
         if not is_pack(target_tokens):
             raise ContractError("decode takes a pack of targets; a lone target is a pack of one")
         targets = [self._prepare_ids(t, "decoder target") for t in target_tokens]
@@ -378,9 +378,8 @@ class VaeModel:
         offsets = _offsets(inputs)
         logits = self._decoder_logits(z_layers, [i for s in inputs for i in s],
                                       offsets)
-        nll = ag.cross_entropy_with_logits(logits, [i for t in targets for i in t + [EOS]],
-                                           offsets)
-        return logits, nll
+        return ag.cross_entropy_with_logits(logits, [i for t in targets for i in t + [EOS]],
+                                            offsets)
 
     def elbo_step(self, x_tokens: list[int], y_tokens: list[int], beta: float,
                   rng: np.random.Generator,

@@ -268,6 +268,8 @@ def maybe_refresh(db: RetrievalDatabase, current_step: int, model: VaeModel) -> 
 _DB_MAGIC = b"RGDB"
 _DB_VERSION = 3
 _DB_HEADER = struct.Struct("<IQQIQQ32s")  # after magic and version
+# The largest snapshot step (u64) and refresh interval (u32) the header holds.
+MAX_SNAPSHOT_STEP, MAX_REFRESH_INTERVAL = 2**64 - 1, 2**32 - 1
 _DB_BLOCKS = tuple(map(np.dtype, ("<f8", "<f8", "<i8", "<u4", "<i8", "<u4")))
 
 

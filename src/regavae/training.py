@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
 import numpy as np
@@ -25,8 +25,9 @@ from .metrics import (MetricReport, active_units, corpus_bleu, dist_n,
                       perplexity, rouge_l, self_bleu)
 from .mixture import mixture_mean_latents, regavae_loss
 from .model import ElboBreakdown, ModelConfig, VaeModel
-from .retrieval import (RetrievalDatabase, build_database, corpus_tokens, load_database,
-                        maybe_refresh, save_database, token_digest)
+from .retrieval import (MAX_REFRESH_INTERVAL, MAX_SNAPSHOT_STEP, RetrievalDatabase,
+                        build_database, corpus_tokens, load_database, maybe_refresh,
+                        save_database, token_digest)
 
 
 @dataclass
@@ -72,6 +73,14 @@ class RunConfig:
             for name in names:
                 if getattr(self, name) < low:
                     raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # beta_warmup_frac is a share of stage 1 or of a cycle. An epoch is at
+        # least one step, and a dump records its step and interval in its header.
+        for high, names in ((1, ("beta_warmup_frac",)),
+                            (MAX_SNAPSHOT_STEP, ("stage1_epochs", "stage3_epochs")),
+                            (MAX_REFRESH_INTERVAL, ("refresh_interval",))):
+            for name in names:
+                if getattr(self, name) > high:
+                    raise ConfigError(f"{name} must be <= {high}, got {getattr(self, name)}")
         self.model_config(len(SPECIALS))  # model sizes fail here, not mid-run
 
     @staticmethod
@@ -79,7 +88,7 @@ class RunConfig:
         with open(path, "r", encoding="utf-8") as f:
             try:
                 raw = json.load(f)
-            except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            except ValueError as e:  # also an integer of more digits than int() takes
                 raise InputError(f"{path}: invalid JSON config ({e})") from e
         check_json_fields(raw, get_type_hints(RunConfig), f"{path}: config")
         return RunConfig(**raw)
@@ -112,11 +121,10 @@ def generation_rng(seed: int, i: int) -> np.random.Generator:
 
 @dataclass
 class TrainResult:
-    model: VaeModel
-    step_losses: list[ElboBreakdown] = field(default_factory=list)
-    global_step: int = 0
-    global_epoch: int = 0
-    database: RetrievalDatabase | None = None  # the last snapshot trained against
+    step_losses: list[ElboBreakdown]
+    global_step: int
+    global_epoch: int
+    database: RetrievalDatabase | None  # the last snapshot trained against
 
 
 def beta_at(step: int, warmup_steps: int, cycle_steps: int = 0) -> float:
@@ -144,7 +152,7 @@ def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig,
     database, the loop refreshes it on schedule before every batch, and a
     document never retrieves itself (database row == corpus index)."""
     optimizer = Adam(model.params, model.flat, lr=cfg.learning_rate)
-    result = TrainResult(model, [], start_step, start_epoch)
+    losses = []
     step = start_step
     for ep in range(epochs):
         order = _rng(cfg.seed, 11, start_epoch + ep).permutation(len(pairs))
@@ -163,12 +171,9 @@ def train_loop(model: VaeModel, pairs: list[CorpusPair], cfg: RunConfig,
                 backward(total, tape)
             clip_grad_norm(optimizer, cfg.grad_clip)
             optimizer.step()
-            result.step_losses.append(bd)
+            losses.append(bd)
             step += 1
-    result.global_step = step
-    result.global_epoch = start_epoch + epochs
-    result.database = db
-    return result
+    return TrainResult(losses, step, start_epoch + epochs, db)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -70,6 +71,13 @@ class TestIngest:
         with pytest.raises(InputError) as exc:
             read_jsonl(p)
         assert ":2:" in str(exc.value)
+
+    def test_integer_of_too_many_digits_reports_line(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        p.write_text('{"source": "a", "target": "b"}\n{"source": "a", "target": "b", "n": 1'
+                     + "0" * 5000 + "}\n")
+        with pytest.raises(InputError, match=re.escape(f"{p}:2: invalid JSON (Exceeds")):
+            read_jsonl(p)
 
     def test_missing_field_reports_line(self, tmp_path):
         p = tmp_path / "bad.jsonl"
@@ -690,12 +698,54 @@ class TestPipelinePlumbing:
 # CLI
 # ---------------------------------------------------------------------------
 
+_CONFIG_KEYS = get_type_hints(RunConfig)
+# JSON literals of a wrong type for each field type.
+_WRONG_TYPES = {int: ('"1"', "2.5", "null"), float: ('"x"', "true", "NaN"), str: ("3", "null")}
+# Every bound of every key that has one, as JSON literals. `min_count` has none.
+_OUT_OF_RANGE = [
+    ("L", "0"), ("L", str(2**62)), ("d_h", "0"), ("d_h", "15"), ("heads", "0"), ("heads", "3"),
+    ("d_z", "0"), ("r_rank", "0"), ("max_seq_len", "2"), ("max_seq_len", str(2**62)),
+    ("learning_rate", "0"), ("learning_rate", "-0.001"), ("learning_rate", str(10**400)),
+    ("batch_size", "0"), ("stage1_epochs", "-1"), ("stage1_epochs", str(10**400)),
+    ("stage3_epochs", "-1"), ("stage3_epochs", str(2**64)),
+    ("beta_warmup_frac", "-0.5"), ("beta_warmup_frac", "1.5"), ("beta_warmup_frac", "1e308"),
+    ("beta_cycles", "-1"), ("kl_floor", "-0.5"), ("kl_floor", str(10**400)),
+    ("grad_clip", "-1"), ("grad_clip", str(10**400)), ("seed", "-1"),
+    ("seed", "1" + "0" * 5000),  # more digits than int() takes
+    ("k_neighbors", "-1"), ("refresh_interval", "0"), ("refresh_interval", str(2**32)),
+    ("top_k_sample", "0"), ("max_gen_len", "0"),
+]
+_BAD_CONFIG_VALUES = ([(k, v) for k, t in _CONFIG_KEYS.items() for v in _WRONG_TYPES[t]]
+                      + _OUT_OF_RANGE)
+
+
 class TestCli:
     def _write_cfg(self, tmp_path, **kw):
         cfg = tiny_cfg(tmp_path, **kw)
         p = tmp_path / "cli.json"
         p.write_text(json.dumps(dataclasses.asdict(cfg)))
         return p
+
+    def test_config_table_bounds_every_ranged_key(self):
+        ranged = {k for k, t in _CONFIG_KEYS.items() if t is not str} - {"min_count"}
+        assert {k for k, _ in _OUT_OF_RANGE} == ranged
+
+    @pytest.mark.parametrize("key,literal", _BAD_CONFIG_VALUES,
+                             ids=[f"{k}={v if len(v) < 24 else f'{len(v)}digits'}"
+                                  for k, v in _BAD_CONFIG_VALUES])
+    def test_bad_config_value_exit_one_before_any_write(self, tmp_path, capsys, key, literal):
+        # The value is spliced in as JSON text, so NaN and integers too large
+        # for a float reach the loader as written. Nothing may train or be written.
+        raw = json.loads(self._write_cfg(tmp_path).read_text())
+        del raw[key]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw)[:-1] + f', "{key}": {literal}}}')
+        out = tmp_path / "o"
+        rc = cli_main(["--config", str(p), "--out", str(out), "train-vae"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "config.json").exists() and not (out / "stage1.ckpt").exists()
 
     def test_stage3_rerun_on_its_own_database_names_build_db(self, tmp_path, capsys):
         # Stage 3 overwrites retrieval.db with its last snapshot, so a second

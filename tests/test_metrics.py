@@ -292,23 +292,15 @@ class TestMetricReport:
         back = MetricReport.from_json(r.to_json())
         assert back == r
 
-    def test_optional_fields_omitted_from_text(self):
-        r = MetricReport(ppl=2.0, self_bleu=1.0, dist2=0.5, au=0)
-        text = r.to_text()
-        assert "ppl" in text and "bleu" not in text.replace("self_bleu", "")
-
     def test_text_is_flat_key_value(self):
-        r = MetricReport(ppl=2.0, self_bleu=1.0, dist2=0.5, au=3)
+        r = MetricReport(ppl=2.0, self_bleu=1.0, dist2=0.5, au=3, bleu=4.0, rouge_l=5.0)
         for line in r.to_text().strip().splitlines():
             key, val = line.split(" ", 1)
             float(val)  # parses
 
     def test_range_validation(self):
-        with pytest.raises(InputError):
-            MetricReport(ppl=0.5, self_bleu=1.0, dist2=0.5, au=0)
-        with pytest.raises(InputError):
-            MetricReport(ppl=2.0, self_bleu=150.0, dist2=0.5, au=0)
-        with pytest.raises(InputError):
-            MetricReport(ppl=2.0, self_bleu=1.0, dist2=1.5, au=0)
-        with pytest.raises(InputError):
-            MetricReport(ppl=2.0, self_bleu=1.0, dist2=0.5, au=-1)
+        ok = dict(ppl=2.0, self_bleu=1.0, dist2=0.5, au=0, bleu=4.0, rouge_l=5.0)
+        for name, bad in (("ppl", 0.5), ("self_bleu", 150.0), ("dist2", 1.5), ("au", -1),
+                          ("bleu", 150.0), ("rouge_l", -1.0)):
+            with pytest.raises(InputError):
+                MetricReport(**{**ok, name: bad})

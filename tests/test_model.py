@@ -284,8 +284,9 @@ class TestDecode:
         # ln(vocab_size), well inside +-15%.
         m = VaeModel(tiny_config(), seed=9)
         z = self._latents(m)
-        logits, nll = m.decode(z, [[4, 5, 6]])
+        logits = m._decoder_logits(z, [BOS, 4, 5, 6], np.array([0, 4]))
         assert logits.shape == (4, m.config.vocab_size)  # +1 step for eos
+        nll = m.decode(z, [[4, 5, 6]])
         assert nll.shape == (1,)
         uniform = np.log(m.config.vocab_size)
         assert abs(nll.item() - uniform) / uniform < 0.15
@@ -302,7 +303,8 @@ class TestDecode:
     def test_nll_matches_manual_cross_entropy(self, model):
         z = self._latents(model)
         tokens = [4, 7, 9]
-        logits, nll = model.decode(z, [tokens])
+        nll = model.decode(z, [tokens])
+        logits = model._decoder_logits(z, [BOS] + tokens, np.array([0, 4]))
         targets = tokens + [EOS]
         lg = logits.data
         man = 0.0
