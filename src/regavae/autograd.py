@@ -14,36 +14,6 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, NumericOverflowError
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "backward",
-    "add",
-    "sub",
-    "mul",
-    "matmul",
-    "linear",
-    "softmax",
-    "exp",
-    "log",
-    "tanh",
-    "gelu",
-    "clamp",
-    "reshape",
-    "tensor_sum",
-    "tensor_mean",
-    "segment_mean",
-    "segment_repeat",
-    "layer_norm",
-    "attention",
-    "embedding_lookup",
-    "cross_entropy_with_logits",
-    "Adam",
-    "check_views",
-    "clip_grad_norm",
-    "zero_grads",
-]
-
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
     # The ufunc reduction itself: ndarray.all goes through numpy's Python wrapper.

@@ -57,6 +57,9 @@ def _generate(cfg: RunConfig, args) -> None:
     if args.n_samples < 1:
         raise InputError(f"--n-samples must be >= 1, got {args.n_samples}")
     model, vocab, _ = load_checkpoint(args.checkpoint)
+    if args.n_samples * model.config.d_z * 8 > np.iinfo(np.intp).max:
+        raise InputError(f"--n-samples {args.n_samples} is too large: the samples' "
+                         f"{model.config.d_z}-dimensional latents cannot be indexed")
     tok = Tokenizer(vocab)
     source = tok.encode(args.source)
     db = load_database(args.database, model.config.d_z) if args.database else None

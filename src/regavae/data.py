@@ -89,6 +89,8 @@ def ingest(path, tokenizer: Tokenizer | None = None,
     if tokenizer is None:
         texts = [r["source"] for r in records] + [r["target"] for r in records]
         tokenizer = Tokenizer.build(texts, min_count=min_count)
+        if tokenizer.vocab_size == len(SPECIALS):
+            raise InputError(f"{path}: no word occurs at least min_count={min_count} times")
     pairs = []
     for i, rec in enumerate(records, start=1):
         src = tokenizer.encode(rec["source"])

@@ -2,8 +2,10 @@
 
 Each corpus pair is encoded in packs (source and target concatenated, so keys
 carry continuation information) into one diagonal Gaussian per decoder layer;
-a key, like a query, is their layer average. Queries score against key means
-by cosine similarity with an exact full scan. Entry i is corpus pair i: a row
+a key, like a query, is their layer average. Top-k by cosine similarity is
+exact: a BLAS product with cached unit keys picks candidates within a proven
+rounding margin of each query's k-th score, and only those are rescored, with
+the same bits as a full scan, and selected. Entry i is corpus pair i: a row
 index is an entry's only id. A snapshot is immutable and held as arrays;
 `maybe_refresh` re-encodes every key on a fixed training-step schedule and
 returns a new snapshot of the same rows and tokens.
@@ -11,6 +13,7 @@ returns a new snapshot of the same rows and tokens.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import operator
@@ -25,6 +28,11 @@ from .checkpoint import ByteReader, atomic_write
 from .errors import (ConfigError, ContractError, DegenerateInputError, DimensionError,
                      InputError, RetrievalError)
 from .model import LatentGaussian, VaeModel
+
+# `top_k_batch` is proven exact for query and key norms in this range: their
+# squares and the products of two of them are normal, finite floats.
+_MIN_NORM, _MAX_NORM = 2.0**-500, 2.0**500
+_RANGE = "a component is not finite or the norm is outside [2**-500, 2**500]"
 
 
 @dataclass
@@ -84,7 +92,9 @@ class RetrievalDatabase:
     `RetrievalEntry` records, whose ids must be their rows 0..N-1;
     `from_arrays` takes the arrays themselves and makes them read-only.
     `entries` gives the snapshot back as a read-only sequence of records
-    (`_Records`), indexed by row."""
+    (`_Records`), indexed by row. The unit keys of `top_k_batch`'s prefilter
+    are built at the first query (`_unit_keys`), so a load pays nothing for
+    them."""
 
     def __init__(self, entries: list[RetrievalEntry], snapshot_step: int, refresh_interval: int):
         if [e.id for e in entries] != list(range(len(entries))):
@@ -117,6 +127,20 @@ class RetrievalDatabase:
 
     def __len__(self) -> int:
         return len(self.means)
+
+    @functools.cached_property
+    def _unit_keys(self) -> tuple[np.ndarray, frozenset]:
+        """Read-only (N, d_z) means / norms with zero-norm rows 0, and the set
+        of zero-norm rows. A key with a non-finite component or a nonzero norm
+        outside `top_k_batch`'s proven range raises DegenerateInputError."""
+        zero = self.norms == 0.0
+        bad = np.flatnonzero(~(zero | ((self.norms >= _MIN_NORM) & (self.norms <= _MAX_NORM))))
+        if bad.size:
+            raise DegenerateInputError(f"key {bad[0]} has norm {self.norms[bad[0]]}: {_RANGE}")
+        units = self.means / np.where(zero, 1.0, self.norms)[:, None]
+        units[zero] = 0.0
+        units.flags.writeable = False
+        return units, frozenset(np.flatnonzero(zero).tolist())
 
 
 # Documents per `encode` call when keying a corpus. Bounded, because a pack's
@@ -189,8 +213,46 @@ def top_k_batch(queries: np.ndarray, db: RetrievalDatabase, k: int,
     the hits' rows in the database and their scores, descending; ties break
     toward the lower row. exclude_ids holds one database row (or None) per
     query, which that query does not retrieve; a row outside 0..N-1 excludes
-    nothing."""
-    if len(db) == 0:
+    nothing. A query or key with a non-finite component or a nonzero norm
+    outside [2**-500, 2**500] raises DegenerateInputError.
+
+    A score is s = E / (Q·N): E the `einsum` dot product of query q and key
+    mean m, Q and N their norms as computed. One `einsum` gives each score
+    the same bits at any row of any key subset (a test pins this), so equal
+    keys score equal for the row tie-break; a BLAS product may round equal
+    rows differently by their position. So a BLAS product only prefilters:
+    A = q·U with the unit keys U = fl(m / N) (`_unit_keys`). Each row keeps
+    every key whose A is at least its k-th largest A minus 2δQ, with
+    δ = 8(d+2)u, d = d_z and u = 2**-53; only these candidates are scored
+    and selected.
+
+    Proof that no hit is lost. Let R = q·m / N in exact arithmetic. With
+    γ_d ≤ d·u(1 + O(du)) the error bound of a d-term dot product in any
+    order, to first order in u:
+    - ‖m‖ ≤ N(1 + (d/2+1)u): N = fl(sqrt(fl(Σm²))), the sum within γ_d;
+      likewise ‖q‖ ≤ Q(1 + (d/2+1)u).
+    - |A − R| ≤ (d+1)u·Q: U's components are each within u of m / N
+      (u‖q‖‖m‖/N), and BLAS adds γ_d·Σ|q·U| ≤ d·u‖q‖‖U‖.
+    - |Q·s − R| ≤ (d+2)u·Q: E is within γ_d·‖q‖‖m‖ of q·m, and the
+      product Q·N and the divide each round by at most u, which moves
+      Q·s = (E/N)(1+θ₂)/(1+θ₁) by 2u·|E|/N.
+    So |A − Q·s| ≤ (2d+3)u·Q. Let j be a true hit of row i and t the k-th
+    largest A. Of any k keys with A ≥ t, j is one, or one key l ranks below
+    j (at most k − 1 keys rank above it), so s_l ≤ s_j; then
+    A_j ≥ Q·s_j − (2d+3)uQ ≥ Q·s_l − (2d+3)uQ ≥ A_l − 2(2d+3)uQ ≥
+    t − 2(2d+3)uQ. The computed threshold fl(t − fl(2δQ)) lies within
+    u(|t| + 2δQ) ≤ 2uQ of t − 2δQ, and 2δ = 16(d+2)u exceeds 2(2d+3)u + 2u
+    by 12d+24 units, which covers the O(d²u²) terms for any d < 2**20. The
+    norm range keeps Q², N² and Q·N normal and finite (Q·N ≤ 2**1000), and
+    an underflowed product or unit component moves a sum by at most
+    2**-1075, which is under d·2**-75·Q after the division by N ≥ 2**-500.
+    An excluded key scores −inf in A and s alike, and a k above a row's key
+    count makes its threshold the smallest A, so every key a row can return
+    is a candidate. Candidates are in ascending row order, so one stable
+    sort of −s selects as a full scan would. A larger δ only adds
+    candidates."""
+    n = len(db)
+    if n == 0:
         raise RetrievalError("retrieval database is empty")
     means, norms = db.means, db.norms
     q = np.asarray(queries, dtype=np.float64)
@@ -200,31 +262,44 @@ def top_k_batch(queries: np.ndarray, db: RetrievalDatabase, k: int,
     excl = [None] * len(q) if exclude_ids is None else list(exclude_ids)
     if len(excl) != len(q):
         raise DimensionError(f"{len(excl)} exclusions for {len(q)} queries")
-    keep = np.arange(len(db)) != np.array([-1 if e is None else e for e in excl])[:, None]
-    avail = keep.sum(axis=1)
+    cut = [e if e is not None and 0 <= e < n else -1 for e in excl]  # -1: none
+    avail = [n - (c >= 0) for c in cut]
     qn = np.sqrt(np.einsum("bj,bj->b", q, q))
-    zero = (qn == 0.0) | (keep & (norms == 0.0)).any(axis=1)
-    if np.any(zero & (avail > 0)):
-        raise DegenerateInputError("cosine similarity undefined for zero-norm vectors")
+    units, zero_rows = db._unit_keys
+    for c, a, norm in zip(cut, avail, qn.tolist()):
+        if not (_MIN_NORM <= norm <= _MAX_NORM or norm == 0.0):
+            raise DegenerateInputError(f"query norm {norm}: {_RANGE}")
+        if a and (norm == 0.0 or zero_rows and not zero_rows <= {c}):
+            raise DegenerateInputError("cosine similarity undefined for zero-norm vectors")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if len(q) == 0:
         return []
-    if k > avail.min():
-        warnings.warn(f"k={k} exceeds database size {int(avail.min())}; clamping")
-    # One einsum, not BLAS: a BLAS product may round equal rows differently
-    # by their position, and equal keys must score equal for the row
-    # tie-break. Excluded entries score -inf.
-    scores = np.divide(np.einsum("bj,ij->bi", q, means), qn[:, None] * norms,
-                       out=np.full(keep.shape, -np.inf), where=keep)
-    out = []
-    for row, n in zip(scores, avail):
-        kk = min(k, int(n))
-        kth = np.partition(row, len(row) - kk)[len(row) - kk] if kk else np.inf
-        cand = np.flatnonzero(row >= kth)
-        best = cand[np.argsort(-row[cand], kind="stable")[:kk]]
-        out.append((best, row[best]))
-    return out
+    clamp = k > min(avail)
+    if clamp:
+        warnings.warn(f"k={k} exceeds database size {min(avail)}; clamping")
+        if 0.0 in qn:  # a zero query only where its one key is excluded
+            qn = np.where(qn == 0.0, 1.0, qn)
+    # Per-row Python over the exclusions: at most one a row, and a call
+    # through fancy indexing costs more than a scalar store at these sizes.
+    excluded = [(i, c) for i, c in enumerate(cut) if c >= 0]
+    approx = q @ units.T
+    for i, c in excluded:
+        approx[i, c] = -np.inf
+    kth = np.partition(approx, n - min(k, n), axis=1)[:, n - min(k, n)]
+    # Above each row's k-th largest A less 2δQ.
+    cand = np.logical_or.reduce(approx >= (kth - 16 * (q.shape[1] + 2) * 2.0**-53 * qn)[:, None])
+    if zero_rows:
+        cand[list(zero_rows)] = False  # excluded wherever they are candidates
+    cols = cand.nonzero()[0]
+    s = np.einsum("bj,ij->bi", q, means[cols]) / (qn[:, None] * norms[cols])
+    for i, c in excluded:
+        p = cols.searchsorted(c)
+        if p < cols.size and cols[p] == c:
+            s[i, p] = -np.inf
+    order = np.argsort(-s, axis=1, kind="stable")[:, :k]
+    hits = zip(cols[order], s[np.arange(len(q))[:, None], order])
+    return [(c[:a], v[:a]) for (c, v), a in zip(hits, avail)] if clamp else list(hits)
 
 
 def top_k(query: np.ndarray, db: RetrievalDatabase, k: int,

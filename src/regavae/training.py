@@ -69,7 +69,7 @@ class RunConfig:
                                 "stage3_epochs", "beta_cycles", "beta_warmup_frac",
                                 "grad_clip")),
                            (1, ("batch_size", "top_k_sample", "max_gen_len",
-                                "refresh_interval"))):
+                                "refresh_interval", "min_count"))):
             for name in names:
                 if getattr(self, name) < low:
                     raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -302,6 +302,8 @@ def run_eval(cfg: RunConfig, checkpoint_path, database_path, out_dir) -> MetricR
     sources = [p.source_tokens for p in eval_pairs]
     posts = model.encode(sources)
     ppl = perplexity(model, eval_pairs, posts, db=db, k=k)
+    if not math.isfinite(ppl):  # metrics.json stays strict JSON
+        raise DivergenceError(f"held-out perplexity is {ppl}")
     au = active_units(model, eval_pairs, posts=posts)
     latents = mixture_mean_latents(model, sources, db, k, posts=posts)
     # One generation per pair, all decoded as one pack; pair i draws from its own stream.

@@ -701,7 +701,7 @@ class TestPipelinePlumbing:
 _CONFIG_KEYS = get_type_hints(RunConfig)
 # JSON literals of a wrong type for each field type.
 _WRONG_TYPES = {int: ('"1"', "2.5", "null"), float: ('"x"', "true", "NaN"), str: ("3", "null")}
-# Every bound of every key that has one, as JSON literals. `min_count` has none.
+# Every bound of every key that has one, as JSON literals.
 _OUT_OF_RANGE = [
     ("L", "0"), ("L", str(2**62)), ("d_h", "0"), ("d_h", "15"), ("heads", "0"), ("heads", "3"),
     ("d_z", "0"), ("r_rank", "0"), ("max_seq_len", "2"), ("max_seq_len", str(2**62)),
@@ -713,7 +713,7 @@ _OUT_OF_RANGE = [
     ("grad_clip", "-1"), ("grad_clip", str(10**400)), ("seed", "-1"),
     ("seed", "1" + "0" * 5000),  # more digits than int() takes
     ("k_neighbors", "-1"), ("refresh_interval", "0"), ("refresh_interval", str(2**32)),
-    ("top_k_sample", "0"), ("max_gen_len", "0"),
+    ("top_k_sample", "0"), ("max_gen_len", "0"), ("min_count", "0"), ("min_count", "-1"),
 ]
 _BAD_CONFIG_VALUES = ([(k, v) for k, t in _CONFIG_KEYS.items() for v in _WRONG_TYPES[t]]
                       + _OUT_OF_RANGE)
@@ -727,7 +727,7 @@ class TestCli:
         return p
 
     def test_config_table_bounds_every_ranged_key(self):
-        ranged = {k for k, t in _CONFIG_KEYS.items() if t is not str} - {"min_count"}
+        ranged = {k for k, t in _CONFIG_KEYS.items() if t is not str}
         assert {k for k, _ in _OUT_OF_RANGE} == ranged
 
     @pytest.mark.parametrize("key,literal", _BAD_CONFIG_VALUES,
@@ -1050,6 +1050,68 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "--n-samples" in captured.err
 
+    def test_generate_too_many_samples_exit_one_before_allocating(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        cfgp = self._write_cfg(tmp_path)
+        out = str(tmp_path / "o")
+        cli_main(["--config", str(cfgp), "--out", out, "train-vae"])
+        capsys.readouterr()
+        repeats = []
+        monkeypatch.setattr(np, "repeat", lambda *a, **kw: repeats.append(a))
+        rc = cli_main(["--config", str(cfgp), "--out", out, "generate",
+                       "--checkpoint", os.path.join(out, "stage1.ckpt"),
+                       "--source", "s00x0 s00x1 s00x2", "--n-samples", str(2**62)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and repeats == []
+        err = captured.err
+        assert err.startswith("error: --n-samples") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("ppl", [float("inf"), float("nan")])
+    def test_non_finite_ppl_exit_two_before_metrics(self, tmp_path, capsys, monkeypatch, ppl):
+        from regavae import training
+
+        cfgp = self._write_cfg(tmp_path)
+        out = tmp_path / "o"
+        assert cli_main(["--config", str(cfgp), "--out", str(out), "train-vae"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(training, "perplexity", lambda *a, **kw: ppl)
+        rc = cli_main(["--config", str(cfgp), "--out", str(out), "eval",
+                       "--checkpoint", str(out / "stage1.ckpt")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: held-out perplexity") and err.count("\n") == 1
+        assert not (out / "metrics.json").exists() and not (out / "metrics.txt").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e-155, 1e200])
+    @pytest.mark.parametrize("command", [["eval"], ["generate", "--source", "s00x0 s00x1"]],
+                             ids=["eval", "generate"])
+    def test_degenerate_database_key_exit_one(self, tmp_path, capsys, command, bad):
+        from regavae.retrieval import Ragged
+
+        cfgp = self._write_cfg(tmp_path)  # d_z=4, k_neighbors=2
+        out = tmp_path / "o"
+        assert cli_main(["--config", str(cfgp), "--out", str(out), "train-vae"]) == 0
+        means = np.random.default_rng(0).standard_normal((6, 4))
+        means[3] = bad  # a non-finite key, or one whose norm is out of range
+        tokens = Ragged.pack([[4]] * 6)
+        db = out / "bad.db"
+        save_database(RetrievalDatabase.from_arrays(means, np.zeros((6, 4)), tokens, tokens,
+                                                    0, 500), db)
+        capsys.readouterr()
+        rc = cli_main(["--config", str(cfgp), "--out", str(out), *command,
+                       "--checkpoint", str(out / "stage1.ckpt"), "--database", str(db)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: key 3 has norm") and err.count("\n") == 1
+        assert not (out / "metrics.json").exists()
+
+    def test_min_count_leaving_no_word_exit_one(self, tmp_path, capsys):
+        cfgp = self._write_cfg(tmp_path, min_count=10**6)
+        out = tmp_path / "o"
+        rc = cli_main(["--config", str(cfgp), "--out", str(out), "train-vae"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {tmp_path / 'train.jsonl'}: no word occurs at least")
+        assert not (out / "stage1.ckpt").exists()
+
     def test_seed_override(self, tmp_path):
         cfgp = self._write_cfg(tmp_path)
         o1, o2 = str(tmp_path / "s1"), str(tmp_path / "s2")
@@ -1204,6 +1266,19 @@ class TestStageFaults:
     def test_unknown_workload_is_a_usage_error(self):
         proc = self._run("--workload", "nope", "--cycles", "1")
         assert proc.returncode == 2 and "unknown workload" in proc.stderr
+
+
+class TestTopkScaling:
+    """scripts/topk_scaling.py prints one row of µs/query per key count."""
+
+    def test_prints_the_table(self):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "topk_scaling.py"
+        proc = subprocess.run([sys.executable, str(script)],
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.strip("|").split("|") for line in proc.stdout.splitlines()[2:]]
+        assert [r[0].strip() for r in rows] == ["1e3", "1e4", "1e5"]
+        assert all(float(cell) > 0 for r in rows for cell in r[1:])
 
 
 class TestSrcReach:

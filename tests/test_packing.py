@@ -11,11 +11,12 @@ import pytest
 import regavae.autograd as ag
 from regavae.autograd import Tape, Tensor, backward, zero_grads
 from regavae.data import CorpusPair
-from regavae.errors import ConfigError, ContractError, DimensionError
+from regavae.errors import (ConfigError, ContractError, DegenerateInputError, DimensionError,
+                            RegaVaeError, RetrievalError)
 from regavae.mixture import regavae_loss
 from regavae.model import LatentGaussian, ModelConfig, VaeModel
-from regavae.retrieval import (RetrievalDatabase, RetrievalEntry, build_database, top_k,
-                               top_k_batch)
+from regavae.retrieval import (Ragged, RetrievalDatabase, RetrievalEntry, build_database,
+                               top_k, top_k_batch)
 
 RTOL = 1e-12
 
@@ -138,6 +139,191 @@ class TestBatchedTopK:
             top_k_batch(np.empty((0, 2)), db, 1, [None])
         with pytest.raises(ConfigError):
             top_k_batch(np.empty((0, 2)), db, 0)
+
+
+def top_k_batch_reference(queries, db, k, exclude_ids=None):
+    """`top_k_batch` as a full scan: every key scored into a (B, N) buffer,
+    then a partition and a stable argsort per row."""
+    if len(db) == 0:
+        raise RetrievalError("retrieval database is empty")
+    means, norms = db.means, db.norms
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1:] != means.shape[1:]:
+        raise DimensionError(f"queries of shape {q.shape} against keys of dimension "
+                             f"{means.shape[1]}")
+    excl = [None] * len(q) if exclude_ids is None else list(exclude_ids)
+    if len(excl) != len(q):
+        raise DimensionError(f"{len(excl)} exclusions for {len(q)} queries")
+    keep = np.arange(len(db)) != np.array([-1 if e is None else e for e in excl])[:, None]
+    avail = keep.sum(axis=1)
+    qn = np.sqrt(np.einsum("bj,bj->b", q, q))
+    zero = (qn == 0.0) | (keep & (norms == 0.0)).any(axis=1)
+    if np.any(zero & (avail > 0)):
+        raise DegenerateInputError("cosine similarity undefined for zero-norm vectors")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if len(q) == 0:
+        return []
+    if k > avail.min():
+        warnings.warn(f"k={k} exceeds database size {int(avail.min())}; clamping")
+    scores = np.divide(np.einsum("bj,ij->bi", q, means), qn[:, None] * norms,
+                       out=np.full(keep.shape, -np.inf), where=keep)
+    out = []
+    for row, n in zip(scores, avail):
+        kk = min(k, int(n))
+        kth = np.partition(row, len(row) - kk)[len(row) - kk] if kk else np.inf
+        cand = np.flatnonzero(row >= kth)
+        best = cand[np.argsort(-row[cand], kind="stable")[:kk]]
+        out.append((best, row[best]))
+    return out
+
+
+def _array_db(means):
+    n = len(means)
+    tokens = Ragged.pack([[4]] * n)
+    means = np.array(means, dtype=np.float64)
+    return RetrievalDatabase.from_arrays(means, np.zeros_like(means), tokens, tokens, 0, 500)
+
+
+def _run(fn, *args):
+    """fn's rows, or the type of the package error it raised, and the
+    messages of the warnings it gave; a RuntimeWarning fails the test."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = fn(*args)
+        except RegaVaeError as e:
+            got = type(e)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return got, [str(w.message) for w in caught]
+
+
+def _pair(queries, db, k, excludes=None):
+    """(new, reference) results of one top-k call."""
+    return (_run(top_k_batch, queries, db, k, excludes),
+            _run(top_k_batch_reference, queries, db, k, excludes))
+
+
+def _same_rows(got, want):
+    """Two `_run` results agree: rows, dtypes, score bits and warnings."""
+    (rows, messages), (want_rows, want_messages) = got, want
+    assert messages == want_messages
+    if not isinstance(want_rows, list):
+        assert rows is want_rows
+        return
+    assert isinstance(rows, list) and len(rows) == len(want_rows)
+    for (hits, scores), (want_hits, want_scores) in zip(rows, want_rows):
+        assert hits.dtype == want_hits.dtype and hits.tolist() == want_hits.tolist()
+        assert scores.dtype == want_scores.dtype
+        assert scores.tobytes() == want_scores.tobytes()
+
+
+class TestTopKMatchesFullScan:
+    """The prefiltered top-k against the full scan it replaced: the same rows,
+    the same score bits, the same errors and warnings."""
+
+    @staticmethod
+    def _database(seed, n, d, scale=1.0):
+        rng = np.random.default_rng([seed, n, d])
+        means = rng.standard_normal((n, d)) * rng.uniform(0.2, 3.0, (n, 1))
+        for i in range(3, n, 7):  # exact duplicates, so ties decide hits
+            means[i] = means[int(rng.integers(0, i))]
+        return rng, means * scale
+
+    @staticmethod
+    def _queries(rng, means, b):
+        n, d = means.shape
+        picks = rng.integers(0, n, b)
+        queries = means[picks] + 0.2 * rng.standard_normal((b, d)) * np.abs(means).max()
+        queries[::3] = means[picks[::3]]  # exactly a key
+        queries[1::4] = queries[:1]  # exact-duplicate queries
+        return queries, picks
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 32])
+    @pytest.mark.parametrize("n", [1, 2, 7, 120, 2000])
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+    def test_rows_and_score_bits(self, n, d, scale):
+        rng, means = self._database(0, n, d, scale)
+        db = _array_db(means)
+        for b in (0, 1, 8, 36):
+            queries, picks = self._queries(rng, means, b)
+            in_range = [int(p) if i % 2 else None for i, p in enumerate(picks)]
+            outside = [[-1, -5, n, n + 3][i % 4] for i in range(b)]
+            for excludes in (None, in_range, outside):
+                for k in (1, 5, n - 1, n, n + 4):
+                    if k < 1:
+                        continue
+                    _same_rows(*_pair(queries, db, k, excludes))
+
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_near_ties_of_scaled_copies(self, d):
+        # Scaled copies of four keys have equal cosines in exact arithmetic
+        # and differ by a few ulps as computed, in the prefilter and the exact
+        # scores alike, so the order among them differs between the two.
+        # Without the prefilter's margin this loses hits.
+        rng = np.random.default_rng(d)
+        base = rng.standard_normal((4, d))
+        copies = base[np.arange(400) % 4] * rng.uniform(0.1, 10.0, (400, 1))
+        db = _array_db(np.concatenate([copies, rng.standard_normal((100, d))]))
+        queries = base[rng.integers(0, 4, 36)] + 1e-3 * rng.standard_normal((36, d))
+        for k in (1, 3, 5, 50):
+            _same_rows(*_pair(queries, db, k, [None, 7, 600, None] * 9))
+
+    def test_excluded_zero_norm_keys(self):
+        rng, means = self._database(1, 50, 8)
+        means[[0, 17]] = 0.0
+        means[33] = 1e-200  # its norm's square underflows to 0
+        db = _array_db(means)
+        queries = rng.standard_normal((8, 8))
+        for row in (0, 17, 33):
+            one = _array_db(np.delete(means, [r for r in (0, 17, 33) if r != row], axis=0))
+            zero_row = row - sum(r < row for r in (0, 17, 33))
+            for k in (1, 5, 48, 49, 60):
+                _same_rows(*_pair(queries, one, k, [zero_row] * 8))
+        for k in (1, 60):  # two zero-norm keys: each query keeps one of them
+            got, want = _pair(queries, db, k, [0] * 8)
+            assert got == want == (DegenerateInputError, [])
+
+    def test_errors_in_order(self):
+        db = _array_db([[1.0, 0.0], [0.0, 1.0]])
+        empty = RetrievalDatabase([], 0, 500)
+        for args in ((np.ones((1, 2)), empty, 1), (np.ones((1, 3)), db, 1),
+                     (np.ones((2, 2)), db, 1, [None]), (np.zeros((1, 2)), db, 0),
+                     (np.ones((1, 2)), db, 0), (np.empty((0, 2)), db, 1),
+                     (np.zeros((1, 2)), _array_db([[1.0, 0.0]]), 1, [0])):
+            _same_rows(*_pair(*args))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e-155, 1e200])
+    def test_non_finite_or_out_of_range_raises(self, bad):
+        rng, means = self._database(2, 100, 8)
+        db = _array_db(means)
+        query = rng.standard_normal((1, 8))
+        query[0, 3] = bad
+        if abs(bad) in (1e-155, 1e200):
+            query[0] = bad  # the norm, not one component, is out of range
+        with pytest.raises(DegenerateInputError):
+            top_k_batch(query, db, 5)
+        keys = means.copy()
+        keys[40] = query[0]
+        with pytest.raises(DegenerateInputError):
+            top_k_batch(rng.standard_normal((1, 8)), _array_db(keys), 5)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 32])
+    def test_einsum_over_a_column_subset_keeps_the_bits(self, d):
+        # The rescore relies on this: a key's score does not depend on which
+        # other keys, or how many, are scored with it, nor on the alignment
+        # of the key array (a loaded dump's blocks are read at any offset).
+        rng = np.random.default_rng(d)
+        means = rng.standard_normal((1500, d)) * rng.uniform(0.1, 10.0, (1500, 1))
+        shifted = np.frombuffer(b"\0" * 8 + means.tobytes(), np.float64, offset=8)
+        for keys in (means, shifted.reshape(means.shape)):
+            for b in (1, 2, 8, 36):
+                q = rng.standard_normal((b, d))
+                full = np.einsum("bj,ij->bi", q, keys)
+                for c in (1, 2, 3, 17, 700, 1500):
+                    cols = np.sort(rng.choice(1500, c, replace=False))
+                    sub = np.einsum("bj,ij->bi", q, keys[cols])
+                    assert sub.tobytes() == full[:, cols].tobytes()
 
 
 def _reference_attention(q, k, v, offsets, causal, start, heads):
