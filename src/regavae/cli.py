@@ -76,32 +76,34 @@ def _generate(cfg: RunConfig, args) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)  # re-validates
-        os.makedirs(args.out, exist_ok=True)
-        if args.command == "train-vae":
-            path, _ = run_stage1(cfg, args.out)
-            print(path)
-        elif args.command == "build-db":
-            print(run_stage2(cfg, args.checkpoint, args.out))
-        elif args.command == "train-regavae":
-            path, _ = run_stage3(cfg, args.checkpoint, args.database, args.out)
-            print(path)
-        elif args.command == "generate":
-            _generate(cfg, args)
-        elif args.command == "eval":
-            report = run_eval(cfg, args.checkpoint, args.database, args.out)
-            print(report.to_text(), end="")
-        elif args.command == "pipeline":
-            path, report = run_pipeline(cfg, args.out)
-            print(path)
-            print(report.to_text(), end="")
-        elif args.command == "ablate":
-            reports = run_ablation(cfg, args.out, sweep=args.sweep)
-            print(json.dumps({k: json.loads(v.to_json()) for k, v in reports.items()},
-                             indent=2, sort_keys=True))
-    except (DivergenceError, NumericOverflowError) as e:
+        # An overflow or invalid value ends the command as divergence, not as a warning.
+        with np.errstate(over="raise", invalid="raise"):
+            cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+            if args.seed is not None:
+                cfg = dataclasses.replace(cfg, seed=args.seed)  # re-validates
+            os.makedirs(args.out, exist_ok=True)
+            if args.command == "train-vae":
+                path, _ = run_stage1(cfg, args.out)
+                print(path)
+            elif args.command == "build-db":
+                print(run_stage2(cfg, args.checkpoint, args.out))
+            elif args.command == "train-regavae":
+                path, _ = run_stage3(cfg, args.checkpoint, args.database, args.out)
+                print(path)
+            elif args.command == "generate":
+                _generate(cfg, args)
+            elif args.command == "eval":
+                report = run_eval(cfg, args.checkpoint, args.database, args.out)
+                print(report.to_text(), end="")
+            elif args.command == "pipeline":
+                path, report = run_pipeline(cfg, args.out)
+                print(path)
+                print(report.to_text(), end="")
+            elif args.command == "ablate":
+                reports = run_ablation(cfg, args.out, sweep=args.sweep)
+                print(json.dumps({k: json.loads(v.to_json()) for k, v in reports.items()},
+                                 indent=2, sort_keys=True))
+    except (DivergenceError, NumericOverflowError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (RegaVaeError, OSError) as e:

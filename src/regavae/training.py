@@ -223,16 +223,13 @@ def _train_stage(cfg: RunConfig, out_dir, checkpoint_path, database_path, k: int
                            != token_digest(*corpus_tokens(pairs))):
         raise InputError(f"{database_path}: not a database of the training corpus ({len(db)} "
                          f"entries for {len(pairs)} pairs; row i must hold pair i)")
-    # The dump carries the interval maybe_refresh follows; it must be the config's.
-    if db is not None and db.refresh_interval != cfg.refresh_interval:
-        raise InputError(f"{database_path}: database refresh_interval {db.refresh_interval} "
-                         f"differs from the config's {cfg.refresh_interval}; rerun build-db "
-                         "with this config")
     start = extra.get("global_step", 0)
-    # Stage 3 rewrites its database at its last step: a rerun on it meets this.
-    if db is not None and db.snapshot_step > start:
-        raise InputError(f"{database_path}: database snapshot step {db.snapshot_step} is after "
-                         f"the checkpoint's step {start}; rerun build-db from this checkpoint")
+    # The dump caches the keys this checkpoint gives the corpus. One keyed after
+    # the checkpoint (stage 3 rewrites its dump at its last step) or under another
+    # interval (maybe_refresh follows the dump's) is keyed afresh, as build-db does.
+    if db is not None and (db.snapshot_step > start
+                           or db.refresh_interval != cfg.refresh_interval):
+        db = build_database(pairs, model, cfg.refresh_interval, start)
     result = train_loop(model, pairs, cfg, db, k, epochs, warmup, cycle, start_step=start,
                         start_epoch=extra.get("global_epoch", 0))
     path = os.path.join(out_dir, name)
@@ -341,12 +338,12 @@ def run_ablation(cfg: RunConfig, out_dir, sweep: list[int] | None = None) -> dic
     sweep under a shared seed; writes a side-by-side table."""
     import dataclasses
 
-    variants = {"full": cfg.k_neighbors, "k=0": 0}
+    # Every variant's config is built, and so checked, before any variant trains.
+    variants = {"full": cfg, "k=0": dataclasses.replace(cfg, k_neighbors=0)}
     for k in (sweep or []):
-        variants[f"k={k}"] = k
+        variants[f"k={k}"] = dataclasses.replace(cfg, k_neighbors=k)
     reports: dict[str, MetricReport] = {}
-    for name, k in variants.items():
-        sub = dataclasses.replace(cfg, k_neighbors=k)
+    for name, sub in variants.items():
         sub_dir = os.path.join(out_dir, name.replace("=", ""))
         _, reports[name] = run_pipeline(sub, sub_dir)
     cols = ["ppl", "self_bleu", "dist2", "au", "bleu", "rouge_l"]
