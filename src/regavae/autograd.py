@@ -113,15 +113,19 @@ def backward(loss: Tensor, tape: Tape) -> None:
     Gradients are allocated on first use, so a tensor that does not
     influence the loss keeps `grad is None`. An op's output drops its grad
     once the op has passed it on, so afterwards only leaves (parameters and
-    inputs) hold one. The tape is consumed: a second call raises
-    ContractError.
+    inputs) hold one. Each node's closure is dropped as the walk reaches it,
+    freeing the arrays its op saved; the tape keeps its length. The tape is
+    consumed: a second call raises ContractError.
     """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if tape.consumed:
         raise ContractError("tape already consumed by a previous backward call")
     loss._accum(np.ones_like(loss.data))
-    for out, bwd in reversed(tape.nodes):
+    nodes = tape.nodes
+    for i in range(len(nodes) - 1, -1, -1):
+        out, bwd = nodes[i]
+        nodes[i] = (out, None)
         if out.grad is not None:
             bwd(out.grad)
             out.grad = None

@@ -55,7 +55,8 @@ class Tokenizer:
         return " ".join(self.words[i] for i in ids if i >= len(SPECIALS) or i == UNK)
 
 
-def read_jsonl(path) -> list[dict]:
+def read_jsonl(path) -> list[tuple[int, dict]]:
+    """The file's records, each with its line number (blank lines count)."""
     with open(path, "rb") as f:
         lines = f.read().splitlines()  # at \n, \r\n or \r, as text mode splits
     records = []
@@ -75,7 +76,7 @@ def read_jsonl(path) -> list[dict]:
         for field_name in ("source", "target"):
             if not isinstance(rec.get(field_name), str):
                 raise InputError(f"{path}:{lineno}: missing string field {field_name!r}")
-        records.append(rec)
+        records.append((lineno, rec))
     if not records:
         raise InputError(f"{path}: empty corpus")
     return records
@@ -87,16 +88,16 @@ def ingest(path, tokenizer: Tokenizer | None = None,
     vocabulary is built from this file with the frequency cutoff."""
     records = read_jsonl(path)
     if tokenizer is None:
-        texts = [r["source"] for r in records] + [r["target"] for r in records]
+        texts = [r["source"] for _, r in records] + [r["target"] for _, r in records]
         tokenizer = Tokenizer.build(texts, min_count=min_count)
         if tokenizer.vocab_size == len(SPECIALS):
             raise InputError(f"{path}: no word occurs at least min_count={min_count} times")
     pairs = []
-    for i, rec in enumerate(records, start=1):
+    for lineno, rec in records:
         src = tokenizer.encode(rec["source"])
         tgt = tokenizer.encode(rec["target"])
         if not src or not tgt:
-            raise InputError(f"{path}:{i}: empty source or target after tokenization")
+            raise InputError(f"{path}:{lineno}: empty source or target after tokenization")
         pairs.append(CorpusPair(src, tgt))
     return pairs, tokenizer
 

@@ -3,12 +3,12 @@
 Each corpus pair is encoded in packs (source and target concatenated, so keys
 carry continuation information) into one diagonal Gaussian per decoder layer;
 a key, like a query, is their layer average. Top-k by cosine similarity is
-exact: a BLAS product with cached unit keys picks candidates within a proven
-rounding margin of each query's k-th score, and only those are rescored, with
-the same bits as a full scan, and selected. Entry i is corpus pair i: a row
-index is an entry's only id. A snapshot is immutable and held as arrays;
-`maybe_refresh` re-encodes every key on a fixed training-step schedule and
-returns a new snapshot of the same rows and tokens.
+exact: a float32 BLAS product with cached unit keys picks candidates within a
+proven rounding margin of a lower bound of each query's k-th score, and only
+those are rescored, with the same bits as a full scan, and selected. Entry i
+is corpus pair i: a row index is an entry's only id. A snapshot is immutable
+and held as arrays; `maybe_refresh` re-encodes every key on a fixed
+training-step schedule and returns a new snapshot of the same rows and tokens.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import operator
 import struct
 import warnings
@@ -130,15 +131,18 @@ class RetrievalDatabase:
 
     @functools.cached_property
     def _unit_keys(self) -> tuple[np.ndarray, frozenset]:
-        """Read-only (N, d_z) means / norms with zero-norm rows 0, and the set
-        of zero-norm rows. A key with a non-finite component or a nonzero norm
-        outside `top_k_batch`'s proven range raises DegenerateInputError."""
+        """Read-only (d_z, N) float32 means / norms, transposed so that a
+        query's product streams one row per component, with zero-norm keys
+        0, and the set of zero-norm rows. A key with a non-finite component
+        or a nonzero norm outside `top_k_batch`'s proven range raises
+        DegenerateInputError."""
         zero = self.norms == 0.0
         bad = np.flatnonzero(~(zero | ((self.norms >= _MIN_NORM) & (self.norms <= _MAX_NORM))))
         if bad.size:
             raise DegenerateInputError(f"key {bad[0]} has norm {self.norms[bad[0]]}: {_RANGE}")
         units = self.means / np.where(zero, 1.0, self.norms)[:, None]
         units[zero] = 0.0
+        units = np.ascontiguousarray(units.T, dtype=np.float32)
         units.flags.writeable = False
         return units, frozenset(np.flatnonzero(zero).tolist())
 
@@ -152,7 +156,9 @@ _PACK = 16
 def layer_average(posts: list[LatentGaussian]) -> tuple[np.ndarray, np.ndarray]:
     """(B, d_z) means and log-vars of per-layer posteriors averaged over the
     layers: the keys of B documents, and by their means B queries."""
-    avg = np.mean([(g.mean_array, g.log_var_array) for g in posts], axis=0)
+    # np.mean's own steps, without its wrapper: the same bits.
+    avg = np.add.reduce(np.array([(g.mean_array, g.log_var_array) for g in posts]), axis=0)
+    avg /= len(posts)
     return tuple(avg.reshape(2, -1, avg.shape[-1]))
 
 
@@ -220,37 +226,47 @@ def top_k_batch(queries: np.ndarray, db: RetrievalDatabase, k: int,
     mean m, Q and N their norms as computed. One `einsum` gives each score
     the same bits at any row of any key subset (a test pins this), so equal
     keys score equal for the row tie-break; a BLAS product may round equal
-    rows differently by their position. So a BLAS product only prefilters:
-    A = q·U with the unit keys U = fl(m / N) (`_unit_keys`). Each row keeps
-    every key whose A is at least its k-th largest A minus 2δQ, with
-    δ = 8(d+2)u, d = d_z and u = 2**-53; only these candidates are scored
-    and selected.
+    rows differently by their position. So a BLAS product only prefilters,
+    in float32: A = fl32(q / Q)·U with the float32 unit keys
+    U = fl32(m / N) (`_unit_keys`). The keys 0..G·S-1 form G groups of S
+    keys, key i in group i mod G, with S = max(1, isqrt(N // k)) and
+    G = N // S. A row's threshold t is the k-th largest of its group maxima
+    of A, and the row keeps every key whose A is at least t − 2δ, with
+    2δ = 32(d+2)u, d = d_z and u = 2**-24; only these candidates are scored
+    and selected. For k ≤ N, S² ≤ N/k gives G ≥ kS ≥ k; for k > N, S = 1
+    and t is the row's smallest A.
 
-    Proof that no hit is lost. Let R = q·m / N in exact arithmetic. With
-    γ_d ≤ d·u(1 + O(du)) the error bound of a d-term dot product in any
-    order, to first order in u:
-    - ‖m‖ ≤ N(1 + (d/2+1)u): N = fl(sqrt(fl(Σm²))), the sum within γ_d;
-      likewise ‖q‖ ≤ Q(1 + (d/2+1)u).
-    - |A − R| ≤ (d+1)u·Q: U's components are each within u of m / N
-      (u‖q‖‖m‖/N), and BLAS adds γ_d·Σ|q·U| ≤ d·u‖q‖‖U‖.
-    - |Q·s − R| ≤ (d+2)u·Q: E is within γ_d·‖q‖‖m‖ of q·m, and the
-      product Q·N and the divide each round by at most u, which moves
-      Q·s = (E/N)(1+θ₂)/(1+θ₁) by 2u·|E|/N.
-    So |A − Q·s| ≤ (2d+3)u·Q. Let j be a true hit of row i and t the k-th
-    largest A. Of any k keys with A ≥ t, j is one, or one key l ranks below
-    j (at most k − 1 keys rank above it), so s_l ≤ s_j; then
-    A_j ≥ Q·s_j − (2d+3)uQ ≥ Q·s_l − (2d+3)uQ ≥ A_l − 2(2d+3)uQ ≥
-    t − 2(2d+3)uQ. The computed threshold fl(t − fl(2δQ)) lies within
-    u(|t| + 2δQ) ≤ 2uQ of t − 2δQ, and 2δ = 16(d+2)u exceeds 2(2d+3)u + 2u
-    by 12d+24 units, which covers the O(d²u²) terms for any d < 2**20. The
-    norm range keeps Q², N² and Q·N normal and finite (Q·N ≤ 2**1000), and
-    an underflowed product or unit component moves a sum by at most
-    2**-1075, which is under d·2**-75·Q after the division by N ≥ 2**-500.
-    An excluded key scores −inf in A and s alike, and a k above a row's key
-    count makes its threshold the smallest A, so every key a row can return
-    is a candidate. Candidates are in ascending row order, so one stable
-    sort of −s selects as a full scan would. A larger δ only adds
-    candidates."""
+    Proof that no hit is lost. Let r = (q/Q)·(m/N) in exact arithmetic,
+    v = 2**-53, and γ_d(w) = dw/(1 − dw) the error bound of a d-term dot
+    product rounded at unit w in any order. For d < 2**20, dw ≤ 2**-4:
+    - |s − r| ≤ (d+2)v(1 + O(dv)): N = fl(sqrt(fl(Σm²))) with the sum within
+      γ_d(v), so ‖m‖ ≤ N(1 + (d/2+1)v), likewise ‖q‖ ≤ Q(1 + (d/2+1)v); E
+      is within γ_d(v)‖q‖‖m‖ of q·m, and the product Q·N and the divide
+      each round by at most v.
+    - A component of fl32(q/Q) or of U is rounded twice, through float64,
+      so it lies within (u+v)(1+u) of its exact value relatively, or within
+      ω = 2**-126 absolutely where it underflows, gradually or flushed. So
+      the two float32 vectors' exact dot product is within
+      2(u+v)(1+u)(1 + 2u) + 3√d·ω of r, and each has a norm below 1 + 2u.
+    - BLAS adds at most γ_d(u)(1 + 2u)² ≤ 1.07du(1 + 5u), and an
+      underflowed product or partial sum at most 2dω more.
+    So |A − s| ≤ e < 1.1(d+2)u + (d+2)v < 2(d+2)u, and |A| < 2. Let j be a
+    true hit of row i and k ≤ N. The maxima of the k groups that give the
+    k largest group maxima are k distinct keys with A ≥ t. Of those keys,
+    j is one, or one key l ranks below j (at most k − 1 keys rank above
+    it), so s_l ≤ s_j; then A_j ≥ s_j − e ≥ s_l − e ≥ A_l − 2e ≥ t − 2e.
+    The threshold is the float32 t − 2δ (2δ is exact in float32) rounded
+    to nearest and then stepped one float32 toward −∞, so it is at most
+    t − 2δ < t − 2e ≤ A_j, and j is a candidate. The threshold is float32,
+    so comparing it with A reads A as stored. The norm range keeps Q², N²
+    and Q·N normal and finite (Q·N ≤ 2**1000), and an underflowed product
+    in E moves it by at most 2**-1075, under 2**-75 of s's scale after the
+    division by Q·N ≥ 2**-1000.
+    An excluded key scores −inf in A and s alike; where k exceeds a row's
+    key count, t is −inf (a finite t has k keys above it, none excluded)
+    or the row's smallest A, so every key a row can return is a candidate.
+    Candidates are in ascending row order, so one stable sort of −s selects
+    as a full scan would. A larger δ only adds candidates."""
     n = len(db)
     if n == 0:
         raise RetrievalError("retrieval database is empty")
@@ -283,12 +299,17 @@ def top_k_batch(queries: np.ndarray, db: RetrievalDatabase, k: int,
     # Per-row Python over the exclusions: at most one a row, and a call
     # through fancy indexing costs more than a scalar store at these sizes.
     excluded = [(i, c) for i, c in enumerate(cut) if c >= 0]
-    approx = q @ units.T
+    approx = (q / qn[:, None]).astype(np.float32) @ units
     for i, c in excluded:
         approx[i, c] = -np.inf
-    kth = np.partition(approx, n - min(k, n), axis=1)[:, n - min(k, n)]
-    # Above each row's k-th largest A less 2δQ.
-    cand = np.logical_or.reduce(approx >= (kth - 16 * (q.shape[1] + 2) * 2.0**-53 * qn)[:, None])
+    size = max(1, math.isqrt(n // k))
+    groups = n // size
+    tops = np.maximum.reduce(approx[:, :groups * size].reshape(len(q), size, groups), axis=1)
+    kk = min(k, groups)
+    tops.partition(groups - kk, axis=1)
+    kth = tops[:, groups - kk]
+    floor = np.nextafter(kth - 32 * (q.shape[1] + 2) * 2.0**-24, -np.inf)  # float32
+    cand = np.logical_or.reduce(approx >= floor[:, None])
     if zero_rows:
         cand[list(zero_rows)] = False  # excluded wherever they are candidates
     cols = cand.nonzero()[0]
@@ -297,7 +318,7 @@ def top_k_batch(queries: np.ndarray, db: RetrievalDatabase, k: int,
         p = cols.searchsorted(c)
         if p < cols.size and cols[p] == c:
             s[i, p] = -np.inf
-    order = np.argsort(-s, axis=1, kind="stable")[:, :k]
+    order = (-s).argsort(axis=1, kind="stable")[:, :k]
     hits = zip(cols[order], s[np.arange(len(q))[:, None], order])
     return [(c[:a], v[:a]) for (c, v), a in zip(hits, avail)] if clamp else list(hits)
 

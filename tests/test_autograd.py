@@ -2,6 +2,7 @@
 finite differences, plus tape-contract and numeric-guard behavior."""
 
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -577,6 +578,22 @@ class TestTapeContract:
         assert len(tape.nodes) == 3
         np.testing.assert_array_equal(a.grad, [2.0, 2.0])
         assert b.grad is None and unused.grad is None
+
+    def test_backward_drops_every_closure_and_keeps_the_count(self):
+        # The closures, and the arrays their ops saved, are freed by the
+        # walk, including a node off the loss path, whose closure never runs;
+        # the node count stays, as profiling reads it after backward.
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.ones(2), requires_grad=True)
+        with Tape() as tape:
+            ag.exp(b)
+            loss = ag.tensor_sum(ag.tanh(a * a))
+        outs = [out for out, _ in tape.nodes]
+        closures = [weakref.ref(bwd) for _, bwd in tape.nodes]
+        backward(loss, tape)
+        assert len(tape.nodes) == 4 and all(o is out for o, (out, _) in zip(outs, tape.nodes))
+        assert all(bwd is None for _, bwd in tape.nodes)
+        assert all(ref() is None for ref in closures)
 
     def test_backward_releases_intermediate_grads(self, monkeypatch):
         # A packed stage-1 step (k=0) and a stage-3 step (k=5): once backward

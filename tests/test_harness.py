@@ -111,6 +111,14 @@ class TestIngest:
         pairs, tok = ingest(p)
         assert len(pairs) == 2
 
+    def test_empty_after_tokenization_reports_file_line(self, tmp_path):
+        # Blank lines count: the second record sits on line 4, not 2.
+        p = tmp_path / "bad.jsonl"
+        p.write_text('\n{"source": "a", "target": "b"}\n\n{"source": "  ", "target": "b"}\n')
+        with pytest.raises(InputError, match=re.escape(
+                f"{p}:4: empty source or target after tokenization")):
+            ingest(p)
+
     def test_shared_tokenizer_reused(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_jsonl([{"source": "a b", "target": "c"}], p)
@@ -1336,6 +1344,25 @@ class TestTopkScaling:
         rows = [line.strip("|").split("|") for line in proc.stdout.splitlines()[2:]]
         assert [r[0].strip() for r in rows] == ["1e3", "1e4", "1e5"]
         assert all(float(cell) > 0 for r in rows for cell in r[1:])
+
+    def test_a_changed_score_bit_exits_one(self, monkeypatch, capsys):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "topk_scaling.py"
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")  # restored after the script's import sets them
+        spec = importlib.util.spec_from_file_location("topk_scaling", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        exact = module.top_k_batch
+
+        def one_ulp_off(*args):
+            hits = exact(*args)
+            hits[0][1][0] = np.nextafter(hits[0][1][0], np.inf)
+            return hits
+
+        monkeypatch.setattr(module, "top_k_batch", one_ulp_off)
+        with pytest.raises(SystemExit, match="^150 timed calls differ from the full scan$"):
+            module.main()
+        assert "1000 keys, 1 queries: top-k differs from the full scan" in capsys.readouterr().err
 
 
 class TestSrcReach:

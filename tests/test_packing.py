@@ -3,6 +3,7 @@ document (NLL, KL and every parameter grad), batched top-k against
 single-query top-k, the fused attention op's grads by finite differences,
 and the tape length of a training step."""
 
+import math
 import warnings
 
 import numpy as np
@@ -324,6 +325,84 @@ class TestTopKMatchesFullScan:
                     cols = np.sort(rng.choice(1500, c, replace=False))
                     sub = np.einsum("bj,ij->bi", q, keys[cols])
                     assert sub.tobytes() == full[:, cols].tobytes()
+
+    # The float32 prefilter's hard cases. Each runs under the floating-point
+    # settings `cli.main` runs commands with, so an overflow or an invalid
+    # operation in the prefilter fails the test instead of warning.
+    @staticmethod
+    def _strict_same_rows(queries, db, ks, excludes):
+        with np.errstate(over="raise", invalid="raise"):
+            for k in ks:
+                _same_rows(*_pair(queries, db, k, excludes))
+
+    @pytest.mark.parametrize("d", [2, 8, 32, 64])
+    def test_float32_near_ties_and_duplicates(self, d):
+        # Copies of three keys perturbed at 1e-9 to 1e-6 relative differ in
+        # cosine by far less than float32's resolution up to a few times it,
+        # so the prefilter's order among them is mostly rounding; exact
+        # duplicates tie outright, and the row decides. The queries sit well
+        # off the copies, where a cosine moves with the perturbation to first
+        # order. At d = 8, 32 and 64 a threshold without the margin loses hits.
+        for seed in range(4):
+            rng = np.random.default_rng([3, d, seed])
+            base = rng.standard_normal((3, d))
+            eps = np.array([1e-9, 1e-8, 1e-7, 1e-6])[np.arange(900) % 4, None]
+            copies = base[np.arange(900) % 3] * (1 + eps * rng.standard_normal((900, d)))
+            copies[::5] = base[np.arange(0, 900, 5) % 3]
+            means = np.concatenate([rng.standard_normal((400, d)), copies])
+            queries = base[rng.integers(0, 3, 24)] + rng.standard_normal((24, d))
+            self._strict_same_rows(queries, _array_db(means), (1, 5, 40, 250),
+                                   [None, 400, 403, 999, None, 401] * 4)
+
+    @pytest.mark.parametrize("key_scale", [2.0**-500, 1.0, 2.0**500])
+    @pytest.mark.parametrize("query_scale", [2.0**-500, 2.0**500])
+    def test_components_below_float32_normal_range(self, key_scale, query_scale):
+        # Components of 1e-42 of their vector's norm are float32 subnormals,
+        # and of 1e-50 round to 0. Keys that share their leading components
+        # and differ only in those tie in float32 and nearly tie in float64.
+        # Norms lie just inside [2**-500, 2**500].
+        rng = np.random.default_rng(4)
+        tiny = [1.0, 1.0, 1.0, 1e-42, 1e-50, 1e-42, 1e-45, 1e-60]
+        means = rng.standard_normal((400, 8)) * tiny
+        means[200:] = means[:10].repeat(20, axis=0)
+        means[200:, 3:] = rng.standard_normal((200, 5)) * tiny[3:]
+        queries = np.concatenate([means[rng.integers(0, 400, 6)],
+                                  rng.standard_normal((6, 8)) * tiny])
+        for a, scale in ((means, key_scale), (queries, query_scale)):
+            a /= np.linalg.norm(a, axis=1, keepdims=True)
+            a *= rng.uniform(1.01, 1.99, (len(a), 1)) * scale / (2.0 if scale > 1 else 1.0)
+        self._strict_same_rows(queries, _array_db(means), (1, 5, 25, 60),
+                               [None, 200, 215, None, 0, 399] * 2)
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    @pytest.mark.parametrize("one_group", [False, True])
+    def test_hits_clustered(self, k, one_group):
+        # Key i is in group i mod G. Hits packed into one group leave every
+        # other group's maximum, and so the threshold, far below the k-th
+        # largest score; packed into consecutive rows, each is its own
+        # group's maximum.
+        n, d = 6000, 8
+        groups = n // math.isqrt(n // k)
+        rng = np.random.default_rng([5, k])
+        means = rng.standard_normal((n, d))
+        target = rng.standard_normal(d)
+        rows = (7 + groups * np.arange(n // groups)) if one_group else np.arange(3000, 3040)
+        means[rows] = target + 0.05 * rng.standard_normal((len(rows), d))
+        means[rows[::6]] = target * rng.uniform(0.5, 2.0, (len(rows[::6]), 1))
+        queries = target + 0.02 * rng.standard_normal((8, d))
+        queries[0] = target
+        excludes = [None, int(rows[0]), int(rows[1]), None, int(rows[6]), -1, None, 9999]
+        self._strict_same_rows(queries, _array_db(means), (k,), excludes)
+
+    def test_k_at_and_above_the_key_count(self):
+        # At k > N the groups are single keys and the threshold is a row's
+        # smallest score, or -inf where its excluded key is one of them.
+        for n in (1, 2, 3, 9, 33):
+            rng, means = self._database(6, n, 8)
+            db = _array_db(means)
+            queries, picks = self._queries(rng, means, 6)
+            for excludes in (None, [int(p) for p in picks]):
+                self._strict_same_rows(queries, db, range(max(1, n - 2), n + 3), excludes)
 
 
 def _reference_attention(q, k, v, offsets, causal, start, heads):
