@@ -9,7 +9,8 @@ checks the header and a vocabulary that begins with `data.SPECIALS`, then
 compares the config's parameter count (`ModelConfig.n_params`, in closed
 form) against the bytes left, and only then reads the block straight into
 the buffer the model is built around: a load holds the block once, and a
-header that claims a huge model costs one comparison. Round-trips are
+header that claims a huge model costs one comparison. A block that holds
+NaN or inf is refused. Round-trips are
 bit-exact, and saves replace the file atomically. Versions 1 and 2, which
 stored a name and shape per parameter, are rejected with a message to rerun
 training.
@@ -147,4 +148,7 @@ def load_checkpoint(path) -> tuple[VaeModel, list[str], dict]:
             raise InputError(f"{path}: checkpoint vocabulary is not a list of "
                              f"vocab_size={config.vocab_size} words that begins with {SPECIALS}")
         (flat,) = r.take_blocks([(config.n_params, _F8)])
+    # A save writes only finite values: a command that makes NaN or inf stops first.
+    if not np.logical_and.reduce(np.isfinite(flat), axis=None):
+        raise InputError(f"{path}: checkpoint holds a non-finite parameter value")
     return VaeModel(config, flat=flat), vocab, extra

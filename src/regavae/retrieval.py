@@ -28,12 +28,12 @@ import numpy as np
 from .checkpoint import ByteReader, atomic_write
 from .errors import (ConfigError, ContractError, DegenerateInputError, DimensionError,
                      InputError, RetrievalError)
-from .model import LatentGaussian, VaeModel
+from .model import LOG_VAR_MAX, LOG_VAR_MIN, LatentGaussian, VaeModel
 
 # `top_k_batch` is proven exact for query and key norms in this range: their
 # squares and the products of two of them are normal, finite floats.
 _MIN_NORM, _MAX_NORM = 2.0**-500, 2.0**500
-_RANGE = "a component is not finite or the norm is outside [2**-500, 2**500]"
+_RANGE = "not in [2**-500, 2**500], where top-k is proven exact"
 
 
 @dataclass
@@ -93,9 +93,9 @@ class RetrievalDatabase:
     `RetrievalEntry` records, whose ids must be their rows 0..N-1;
     `from_arrays` takes the arrays themselves and makes them read-only.
     `entries` gives the snapshot back as a read-only sequence of records
-    (`_Records`), indexed by row. The unit keys of `top_k_batch`'s prefilter
-    are built at the first query (`_unit_keys`), so a load pays nothing for
-    them."""
+    (`_Records`), indexed by row. The keys are checked, and the unit keys of
+    `top_k_batch`'s prefilter built, at the first query (`_unit_keys`), so a
+    load pays nothing for either."""
 
     def __init__(self, entries: list[RetrievalEntry], snapshot_step: int, refresh_interval: int):
         if [e.id for e in entries] != list(range(len(entries))):
@@ -130,21 +130,22 @@ class RetrievalDatabase:
         return len(self.means)
 
     @functools.cached_property
-    def _unit_keys(self) -> tuple[np.ndarray, frozenset]:
+    def _unit_keys(self) -> np.ndarray:
         """Read-only (d_z, N) float32 means / norms, transposed so that a
-        query's product streams one row per component, with zero-norm keys
-        0, and the set of zero-norm rows. A key with a non-finite component
-        or a nonzero norm outside `top_k_batch`'s proven range raises
-        DegenerateInputError."""
-        zero = self.norms == 0.0
-        bad = np.flatnonzero(~(zero | ((self.norms >= _MIN_NORM) & (self.norms <= _MAX_NORM))))
+        query's product streams one row per component. Before they are built,
+        the first key whose norm is outside `top_k_batch`'s proven range, or
+        whose log-variance no posterior head emits, raises DegenerateInputError."""
+        bad = np.flatnonzero(~((self.norms >= _MIN_NORM) & (self.norms <= _MAX_NORM)))
         if bad.size:
             raise DegenerateInputError(f"key {bad[0]} has norm {self.norms[bad[0]]}: {_RANGE}")
-        units = self.means / np.where(zero, 1.0, self.norms)[:, None]
-        units[zero] = 0.0
-        units = np.ascontiguousarray(units.T, dtype=np.float32)
+        ok = (self.log_vars >= LOG_VAR_MIN) & (self.log_vars <= LOG_VAR_MAX)
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
+            raise DegenerateInputError(f"key {i} has log-variance {self.log_vars[i, j]}: not in "
+                                       f"[{LOG_VAR_MIN}, {LOG_VAR_MAX}], the posterior heads' range")
+        units = np.ascontiguousarray((self.means / self.norms[:, None]).T, dtype=np.float32)
         units.flags.writeable = False
-        return units, frozenset(np.flatnonzero(zero).tolist())
+        return units
 
 
 # Documents per `encode` call when keying a corpus. Bounded, because a pack's
@@ -219,8 +220,9 @@ def top_k_batch(queries: np.ndarray, db: RetrievalDatabase, k: int,
     the hits' rows in the database and their scores, descending; ties break
     toward the lower row. exclude_ids holds one database row (or None) per
     query, which that query does not retrieve; a row outside 0..N-1 excludes
-    nothing. A query or key with a non-finite component or a nonzero norm
-    outside [2**-500, 2**500] raises DegenerateInputError.
+    nothing. A query, or any key even where excluded, whose norm is not in
+    [2**-500, 2**500] raises DegenerateInputError, as does a key log-variance
+    outside the posterior heads' clamp.
 
     A score is s = E / (Q·N): E the `einsum` dot product of query q and key
     mean m, Q and N their norms as computed. One `einsum` gives each score
@@ -281,12 +283,10 @@ def top_k_batch(queries: np.ndarray, db: RetrievalDatabase, k: int,
     cut = [e if e is not None and 0 <= e < n else -1 for e in excl]  # -1: none
     avail = [n - (c >= 0) for c in cut]
     qn = np.sqrt(np.einsum("bj,bj->b", q, q))
-    units, zero_rows = db._unit_keys
-    for c, a, norm in zip(cut, avail, qn.tolist()):
-        if not (_MIN_NORM <= norm <= _MAX_NORM or norm == 0.0):
+    units = db._unit_keys
+    for norm in qn.tolist():
+        if not _MIN_NORM <= norm <= _MAX_NORM:
             raise DegenerateInputError(f"query norm {norm}: {_RANGE}")
-        if a and (norm == 0.0 or zero_rows and not zero_rows <= {c}):
-            raise DegenerateInputError("cosine similarity undefined for zero-norm vectors")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if len(q) == 0:
@@ -294,8 +294,6 @@ def top_k_batch(queries: np.ndarray, db: RetrievalDatabase, k: int,
     clamp = k > min(avail)
     if clamp:
         warnings.warn(f"k={k} exceeds database size {min(avail)}; clamping")
-        if 0.0 in qn:  # a zero query only where its one key is excluded
-            qn = np.where(qn == 0.0, 1.0, qn)
     # Per-row Python over the exclusions: at most one a row, and a call
     # through fancy indexing costs more than a scalar store at these sizes.
     excluded = [(i, c) for i, c in enumerate(cut) if c >= 0]
@@ -310,8 +308,6 @@ def top_k_batch(queries: np.ndarray, db: RetrievalDatabase, k: int,
     kth = tops[:, groups - kk]
     floor = np.nextafter(kth - 32 * (q.shape[1] + 2) * 2.0**-24, -np.inf)  # float32
     cand = np.logical_or.reduce(approx >= floor[:, None])
-    if zero_rows:
-        cand[list(zero_rows)] = False  # excluded wherever they are candidates
     cols = cand.nonzero()[0]
     s = np.einsum("bj,ij->bi", q, means[cols]) / (qn[:, None] * norms[cols])
     for i, c in excluded:
@@ -327,10 +323,7 @@ def top_k(query: np.ndarray, db: RetrievalDatabase, k: int,
           exclude_id: int | None = None) -> list[tuple[RetrievalEntry, float]]:
     """Exact top-k by cosine similarity, descending; ties break toward the
     lower row. A batch of one for `top_k_batch`, whose hits it returns as `entries`."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1:
-        raise DimensionError(f"query must be a vector, got shape {q.shape}")
-    best, scores = top_k_batch(q[None], db, k, [exclude_id])[0]
+    best, scores = top_k_batch([query], db, k, [exclude_id])[0]
     return [(db.entries[i], s) for i, s in zip(best, scores.tolist())]
 
 

@@ -1146,27 +1146,60 @@ class TestCli:
         assert rc == 2 and err.startswith("error: held-out perplexity") and err.count("\n") == 1
         assert not (out / "metrics.json").exists() and not (out / "metrics.txt").exists()
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e-155, 1e200])
-    @pytest.mark.parametrize("command", [["eval"], ["generate", "--source", "s00x0 s00x1"]],
-                             ids=["eval", "generate"])
-    def test_degenerate_database_key_exit_one(self, tmp_path, capsys, command, bad):
-        from regavae.retrieval import Ragged
-
+    @pytest.mark.parametrize("block,bad", [
+        *(pytest.param("means", v, id=str(v)) for v in (np.nan, np.inf, 1e-155, 1e200, 0.0)),
+        *(pytest.param("log_vars", v, id=f"log_var-{v}") for v in (np.nan, np.inf, 1e300, 10.5))])
+    @pytest.mark.parametrize("command", [["eval"], ["generate", "--source", "s00x0 s00x1"],
+                                         ["train-regavae"]],
+                             ids=["eval", "generate", "train-regavae"])
+    def test_degenerate_database_key_exit_one(self, tmp_path, capsys, command, block, bad):
         cfgp = self._write_cfg(tmp_path)  # d_z=4, k_neighbors=2
         out = tmp_path / "o"
         assert cli_main(["--config", str(cfgp), "--out", str(out), "train-vae"]) == 0
-        means = np.random.default_rng(0).standard_normal((6, 4))
-        means[3] = bad  # a non-finite key, or one whose norm is out of range
-        tokens = Ragged.pack([[4]] * 6)
-        db = out / "bad.db"
-        save_database(RetrievalDatabase.from_arrays(means, np.zeros((6, 4)), tokens, tokens,
-                                                    0, 500), db)
+        assert cli_main(["--config", str(cfgp), "--out", str(out), "build-db",
+                         "--checkpoint", str(out / "stage1.ckpt")]) == 0
+        db = load_database(out / "retrieval.db")
+        arrays = {"means": db.means.copy(), "log_vars": db.log_vars.copy()}
+        # A non-finite key, one whose norm is zero or out of range, or a
+        # log-variance outside the posterior heads' clamp [-10, 10].
+        arrays[block][3] = bad
+        bad_db = tmp_path / "bad.db"
+        save_database(RetrievalDatabase.from_arrays(
+            arrays["means"], arrays["log_vars"], db.sources, db.targets, db.snapshot_step,
+            db.refresh_interval), bad_db)
+        dump = (out / "retrieval.db").read_bytes()
         capsys.readouterr()
         rc = cli_main(["--config", str(cfgp), "--out", str(out), *command,
-                       "--checkpoint", str(out / "stage1.ckpt"), "--database", str(db)])
+                       "--checkpoint", str(out / "stage1.ckpt"), "--database", str(bad_db)])
         err = capsys.readouterr().err
-        assert rc == 1 and err.startswith("error: key 3 has norm") and err.count("\n") == 1
-        assert not (out / "metrics.json").exists()
+        what = "norm" if block == "means" else "log-variance"
+        assert rc == 1 and err.startswith(f"error: key 3 has {what}") and err.count("\n") == 1
+        assert not (out / "metrics.json").exists() and not (out / "stage3.ckpt").exists()
+        assert (out / "retrieval.db").read_bytes() == dump
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_checkpoint_parameter_exit_one(self, tmp_path, capsys, bad):
+        cfgp = self._write_cfg(tmp_path)
+        out = tmp_path / "o"
+        assert cli_main(["--config", str(cfgp), "--out", str(out), "train-vae"]) == 0
+        assert cli_main(["--config", str(cfgp), "--out", str(out), "build-db",
+                         "--checkpoint", str(out / "stage1.ckpt")]) == 0
+        model, vocab, extra = load_checkpoint(out / "stage1.ckpt")
+        model.params["tok_emb"].data[0, 0] = bad  # the <pad> row, which no encoder reads
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, model, vocab, extra)
+        db = str(out / "retrieval.db")
+        for command in (["build-db"], ["train-regavae", "--database", db],
+                        ["eval", "--database", db],
+                        ["generate", "--database", db, "--source", "s00x0 s00x1"]):
+            run = tmp_path / command[0]
+            capsys.readouterr()
+            rc = cli_main(["--config", str(cfgp), "--out", str(run), command[0],
+                           "--checkpoint", str(ckpt), *command[1:]])
+            captured = capsys.readouterr()
+            assert rc == 1 and captured.out == ""
+            assert captured.err == f"error: {ckpt}: checkpoint holds a non-finite parameter value\n"
+            assert set(os.listdir(run)) <= {"config.json"}
 
     def test_min_count_leaving_no_word_exit_one(self, tmp_path, capsys):
         cfgp = self._write_cfg(tmp_path, min_count=10**6)

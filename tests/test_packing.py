@@ -271,28 +271,31 @@ class TestTopKMatchesFullScan:
             _same_rows(*_pair(queries, db, k, [None, 7, 600, None] * 9))
 
     def test_excluded_zero_norm_keys(self):
+        # A zero-norm key raises whatever the queries exclude, itself included;
+        # so does a 1e-200 key, whose norm's square underflows to 0.
         rng, means = self._database(1, 50, 8)
-        means[[0, 17]] = 0.0
-        means[33] = 1e-200  # its norm's square underflows to 0
-        db = _array_db(means)
         queries = rng.standard_normal((8, 8))
-        for row in (0, 17, 33):
-            one = _array_db(np.delete(means, [r for r in (0, 17, 33) if r != row], axis=0))
-            zero_row = row - sum(r < row for r in (0, 17, 33))
-            for k in (1, 5, 48, 49, 60):
-                _same_rows(*_pair(queries, one, k, [zero_row] * 8))
-        for k in (1, 60):  # two zero-norm keys: each query keeps one of them
-            got, want = _pair(queries, db, k, [0] * 8)
-            assert got == want == (DegenerateInputError, [])
+        for rows, value in (([0], 0.0), ([17], 0.0), ([33], 1e-200), ([0, 17], 0.0)):
+            keys = means.copy()
+            keys[rows] = value
+            db = _array_db(keys)
+            first, last = rows[0], rows[-1]
+            for excludes in (None, [first] * 8, [first, None, 3, last, 60, first, -1, last]):
+                for k in (1, 5, 48, 49, 60):
+                    assert _run(top_k_batch, queries, db, k, excludes) == (
+                        DegenerateInputError, [])
 
     def test_errors_in_order(self):
         db = _array_db([[1.0, 0.0], [0.0, 1.0]])
         empty = RetrievalDatabase([], 0, 500)
         for args in ((np.ones((1, 2)), empty, 1), (np.ones((1, 3)), db, 1),
                      (np.ones((2, 2)), db, 1, [None]), (np.zeros((1, 2)), db, 0),
-                     (np.ones((1, 2)), db, 0), (np.empty((0, 2)), db, 1),
-                     (np.zeros((1, 2)), _array_db([[1.0, 0.0]]), 1, [0])):
+                     (np.ones((1, 2)), db, 0), (np.empty((0, 2)), db, 1)):
             _same_rows(*_pair(*args))
+        # A zero query raises, with no clamp warning, even where it excludes
+        # its only key (the full scan returns an empty row there).
+        assert _run(top_k_batch, np.zeros((1, 2)), _array_db([[1.0, 0.0]]), 1, [0]) == (
+            DegenerateInputError, [])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e-155, 1e200])
     def test_non_finite_or_out_of_range_raises(self, bad):

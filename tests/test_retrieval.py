@@ -135,12 +135,11 @@ class TestTopK:
         with pytest.raises(DegenerateInputError):
             top_k([0.0, 0.0], db, 1)
 
-    def test_zero_norm_key_raises_unless_excluded(self):
+    def test_zero_norm_key_raises_even_when_excluded(self):
         db = make_db([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(DegenerateInputError):
-            top_k([1.0, 1.0], db, 1)
-        got = top_k([1.0, 1.0], db, 2, exclude_id=1)
-        assert [e.id for e, _ in got] == [0, 2]
+        for exclude in (None, 0, 1):
+            with pytest.raises(DegenerateInputError, match="key 1 has norm 0.0"):
+                top_k([1.0, 1.0], db, 2, exclude_id=exclude)
 
     @pytest.mark.parametrize("exclude", [None, -1, 3])
     def test_exclude_outside_rows_excludes_nothing(self, exclude):
