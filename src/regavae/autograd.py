@@ -204,6 +204,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """`linear`'s forward on arrays, its finite check included."""
+    out = x @ w.T
+    if b is not None:
+        out += b
+    # One check covers both: a non-finite product stays non-finite after the add.
+    _check_finite(out, "linear")
+    return out
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map x @ w.T (+ b) of the rows of 2-D x, as one tape node; w is
     (out, in). A lone vector is a (1, in) row stack."""
@@ -214,12 +224,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (w.shape[0],):
         raise DimensionError(f"linear bias must have shape ({w.shape[0]},), got {b.shape}")
     wd = w.data
-    out_data = x.data @ wd.T
-    if b is not None:
-        out_data += b.data
-    # One check covers both: a non-finite product stays non-finite after the add.
-    _check_finite(out_data, "linear")
-    out = Tensor(out_data)
+    out = Tensor(_linear(x.data, wd, None if b is None else b.data))
 
     def bwd(g):
         if b is not None and b.requires_grad:
@@ -285,13 +290,8 @@ def tanh(x: Tensor) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU, 0.5*x*(1 + tanh(c*(x + 0.044715*x*x*x))).
-
-    Forward and backward are in-place ufunc chains that evaluate each
-    element's expression in the order written in the comments, so they give
-    the bits of those numpy expressions with fewer temporaries."""
-    xd = x.data
+def _gelu(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`gelu`'s forward on arrays: the output and the tanh term its backward reads."""
     # t = tanh(c * (xd + 0.044715 * (xd * xd * xd)))
     t = np.multiply(xd, xd)
     t *= xd
@@ -302,6 +302,17 @@ def gelu(x: Tensor) -> Tensor:
     # out = (0.5 * xd) * (1.0 + t)
     out = np.multiply(xd, 0.5)
     out *= np.add(t, 1.0)
+    return out, t
+
+
+def gelu(x: Tensor) -> Tensor:
+    """tanh-approximation GELU, 0.5*x*(1 + tanh(c*(x + 0.044715*x*x*x))).
+
+    Forward and backward are in-place ufunc chains that evaluate each
+    element's expression in the order written in the comments, so they give
+    the bits of those numpy expressions with fewer temporaries."""
+    xd = x.data
+    out, t = _gelu(xd)
 
     def bwd(g):
         # dinner = c * (1.0 + 3 * 0.044715 * xd**2)
@@ -434,16 +445,13 @@ def segment_repeat(x: Tensor, offsets) -> Tensor:
 # Neural-net primitives
 # ---------------------------------------------------------------------------
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis (variance plus 1e-5), then scale and shift.
-
-    The row means are numpy's own `mean`/`var` steps (an add.reduce, then a
-    true_divide by the row length) without their Python wrappers, and
-    x - mean is computed once for the variance and the output."""
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`layer_norm`'s forward on arrays, its finite check included: the output,
+    and xhat and inv (1 / sigma), which its backward reads."""
     n = x.shape[-1]
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
     mu /= n
-    xhat = np.subtract(x.data, mu)
+    xhat = np.subtract(x, mu)
     sq = np.multiply(xhat, xhat)
     var = np.add.reduce(sq, axis=-1, keepdims=True)
     var /= n
@@ -452,9 +460,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     np.sqrt(var, out=var)
     inv = np.divide(1.0, var, out=var)
     xhat *= inv
-    out = np.multiply(xhat, gain.data, out=sq)
-    out += bias.data
+    out = np.multiply(xhat, gain, out=sq)
+    out += bias
     _check_finite(out, "layer_norm")
+    return out, xhat, inv
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis (variance plus 1e-5), then scale and shift.
+
+    The row means are numpy's own `mean`/`var` steps (an add.reduce, then a
+    true_divide by the row length) without their Python wrappers, and
+    x - mean is computed once for the variance and the output."""
+    n = x.shape[-1]
+    out, xhat, inv = _layer_norm(x.data, gain.data, bias.data)
 
     def bwd(g):
         # Each input takes its grad once this op no longer writes or reads
@@ -481,51 +500,65 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _record(Tensor(out), (x, gain, bias), bwd)
 
 
+def _attention_group(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+                     causal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`attention`'s forward for S segments of one length, on arrays, its
+    finite check included: q (S, n, d) are the last n of the m positions of
+    keys and values k, v (S, m, d). Returns the (S, n, d) output and the
+    (S, heads, n, m) softmax probabilities, which the backward reads."""
+    n, d = q.shape[1:]
+    m, dk = k.shape[1], d // heads
+
+    def split(x):  # -> (S, heads, rows, dk)
+        return x.reshape(x.shape[0], x.shape[1], heads, dk).transpose(0, 2, 1, 3)
+
+    s = (split(q) @ split(k).transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dk))
+    if causal and n > 1:
+        s[..., np.triu(np.ones((n, m), dtype=bool), k=m - n + 1)] = -np.inf
+    s = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = s / s.sum(axis=-1, keepdims=True)
+    out = (p @ split(v)).transpose(0, 2, 1, 3).reshape(-1, n, d)
+    _check_finite(out, "attention")
+    return out, p
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, offsets, causal: bool = False,
-              start: int = 0, heads: int = 1) -> Tensor:
+              heads: int = 1) -> Tensor:
     """Multi-head scaled dot-product attention within packed segments, as
     one tape node.
 
-    Rows offsets[i]:offsets[i+1] of q (B+1 boundaries) are segment i, at
-    positions start, start+1, ... of that segment. Segment i's keys and
-    values are `start` earlier (cached) rows followed by one row per query
-    row, so k and v have offsets[-1] + B * start rows, segment by segment.
-    Head h is columns h*dk:(h+1)*dk. No row sees another segment; with
+    Rows offsets[i]:offsets[i+1] of q, k and v (B+1 boundaries) are segment
+    i. Head h is columns h*dk:(h+1)*dk. No row sees another segment; with
     `causal`, a row sees only the keys at or before its own position.
 
-    Segments of one length share one batched product, so a pack costs a
-    loop over its distinct lengths, with no padding. Only the softmax
-    probabilities are kept for the backward, which is written out by hand."""
-    if q.ndim != 2 or k.shape != v.shape or k.ndim != 2 or q.shape[1] != k.shape[1]:
-        raise DimensionError(f"attention needs 2-D q, k, v of one width, got "
+    Segments of one length share one batched product (`_attention_group`),
+    so a pack costs a loop over its distinct lengths, with no padding. Only
+    the softmax probabilities are kept for the backward, which is written
+    out by hand."""
+    if q.ndim != 2 or not q.shape == k.shape == v.shape:
+        raise DimensionError(f"attention needs 2-D q, k, v of one shape, got "
                              f"{q.shape}, {k.shape}, {v.shape}")
     rows, d = q.shape
-    if heads < 1 or d % heads or start < 0:
-        raise DimensionError(f"attention cannot split width {d} into {heads} heads "
-                             f"after {start} cached rows")
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention cannot split width {d} into {heads} heads")
     starts, lengths = _segments(offsets, rows)
-    if k.shape[0] != rows + start * lengths.size:
-        raise DimensionError(f"attention over {lengths.size} segments of {start} cached "
-                             f"and {rows} new rows got {k.shape[0]} keys")
     dk = d // heads
     scale = 1.0 / np.sqrt(dk)
-    # (query rows, key rows, length) per distinct segment length. Segments of
-    # one length are blocks of consecutive rows, so when there is only one
-    # length a reshape splits them (rows None); otherwise each length's
-    # segments are gathered by (segments, rows) index arrays.
+    # (rows, length) per distinct segment length. Segments of one length are
+    # blocks of consecutive rows, so when there is only one length a reshape
+    # splits them (rows None); otherwise each length's segments are gathered
+    # by a (segments, rows) index array.
     if lengths.min() == lengths.max():
-        groups = [(None, None, int(lengths[0]))]
+        groups = [(None, int(lengths[0]))]
     else:
-        key_starts = starts + start * np.arange(lengths.size)
-        groups = []
-        for n in np.unique(lengths):
-            segs = lengths == n
-            groups.append((starts[segs, None] + np.arange(n),
-                           key_starts[segs, None] + np.arange(n + start), int(n)))
+        groups = [(starts[lengths == n, None] + np.arange(n), int(n))
+                  for n in np.unique(lengths)]
+
+    def blocks(x, idx, n):  # -> (segments, n, d)
+        return x.reshape(-1, n, d) if idx is None else x[idx]
 
     def split(x, idx, n):  # -> (segments, heads, n, dk)
-        blocks = x.reshape(-1, n, d) if idx is None else x[idx]
-        return blocks.reshape(-1, n, heads, dk).transpose(0, 2, 1, 3)
+        return blocks(x, idx, n).reshape(-1, n, heads, dk).transpose(0, 2, 1, 3)
 
     def merge(x, idx, out):  # inverse of split, written into out's rows
         x = x.transpose(0, 2, 1, 3).reshape(-1, d)
@@ -536,30 +569,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets, causal: bool = False,
 
     out_data = np.empty_like(q.data)
     probs = []
-    for qi, ki, n in groups:
-        s = (split(q.data, qi, n) @ split(k.data, ki, n + start).transpose(0, 1, 3, 2)) * scale
-        if causal and n > 1:
-            s[..., np.triu(np.ones((n, n + start), dtype=bool), k=start + 1)] = -np.inf
-        s = np.exp(s - s.max(axis=-1, keepdims=True))
-        p = s / s.sum(axis=-1, keepdims=True)
+    for idx, n in groups:
+        o, p = _attention_group(*(blocks(x.data, idx, n) for x in (q, k, v)), heads, causal)
         probs.append(p)
-        merge(p @ split(v.data, ki, n + start), qi, out_data)
+        out_data[slice(None) if idx is None else idx.reshape(-1)] = o.reshape(-1, d)
     out = Tensor(out_data)
-    _check_finite(out.data, "attention")
 
     def bwd(g):
         gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
-        for (qi, ki, n), p in zip(groups, probs):
-            m = n + start
-            go = split(g, qi, n)
-            merge(p.transpose(0, 1, 3, 2) @ go, ki, gv)
-            dp = go @ split(v.data, ki, m).transpose(0, 1, 3, 2)
+        for (idx, n), p in zip(groups, probs):
+            go = split(g, idx, n)
+            merge(p.transpose(0, 1, 3, 2) @ go, idx, gv)
+            dp = go @ split(v.data, idx, n).transpose(0, 1, 3, 2)
             # ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale, in dp
             dp -= (dp * p).sum(axis=-1, keepdims=True)
             dp *= p
             dp *= scale
-            merge(dp @ split(k.data, ki, m), qi, gq)
-            merge(dp.transpose(0, 1, 3, 2) @ split(q.data, qi, n), ki, gk)
+            merge(dp @ split(k.data, idx, n), idx, gq)
+            merge(dp.transpose(0, 1, 3, 2) @ split(q.data, idx, n), idx, gk)
         for t, gt in ((q, gq), (k, gk), (v, gv)):
             if t.requires_grad:
                 t._accum(gt)

@@ -16,9 +16,11 @@ and `inject_latent` take packs and (B, d_z) latents only; `encode` also
 takes a lone document, returning (d_z,) vectors, as `generate` takes.
 
 Generation decodes a pack too: `generate_pack` samples B rows under (B, d_z)
-latents with one cached decoder step per position over the rows still alive,
-each row from its own generator, and a row that draws EOS leaves the pack
-with its cached keys, values and gate. `generate` is its pack of one.
+latents with one tape-free `_decode_step` per position over the rows still
+alive, each row from its own generator. The step runs on plain arrays through
+the autograd ops' own forward kernels and finite checks, so it has the op
+path's bits and errors; a row that draws EOS leaves the pack with its latent
+gate, keys and values. `generate` is its pack of one.
 """
 
 from __future__ import annotations
@@ -209,17 +211,6 @@ def _offsets(seqs) -> np.ndarray:
     return np.concatenate([[0], np.cumsum([len(x) for x in seqs])])
 
 
-@dataclass
-class _LayerCache:
-    """One decoder layer's state during incremental decoding of B rows: their
-    (B, r*d_h) latent gates and the attention keys/values of every position so
-    far, as (B, positions, d_h) arrays (no tape runs)."""
-
-    gate: Tensor
-    keys: np.ndarray
-    values: np.ndarray
-
-
 class VaeModel:
     """Encoder/decoder VAE over token sequences. Each parameter is a C-ordered view of
     one float64 buffer, `flat`, in `parameter_layout` order: drawn from `seed` or passed in."""
@@ -239,32 +230,22 @@ class VaeModel:
 
     # -- transformer pieces --------------------------------------------------
 
-    def _embed(self, ids, offsets: np.ndarray, start: int = 0) -> Tensor:
+    def _embed(self, ids, offsets: np.ndarray) -> Tensor:
         """Token plus position embeddings; the rows of each segment of
-        `offsets` sit at positions start, start+1, ..."""
-        pos = np.arange(len(ids)) - np.repeat(offsets[:-1], np.diff(offsets)) + start
+        `offsets` sit at positions 0, 1, ..."""
+        pos = np.arange(len(ids)) - np.repeat(offsets[:-1], np.diff(offsets))
         return ag.embedding_lookup(self.params["tok_emb"], ids) + ag.embedding_lookup(
             self.params["pos_emb"], pos
         )
 
-    def _attention(self, h: Tensor, prefix: str, causal: bool, offsets: np.ndarray,
-                   cache: _LayerCache | None = None, start: int = 0) -> Tensor:
+    def _attention(self, h: Tensor, prefix: str, causal: bool, offsets: np.ndarray) -> Tensor:
         """Multi-head self-attention within each segment of the rows of `h`
-        (`offsets`), whose rows sit at positions start, start+1, ... With a
-        cache (one row of it per segment, all segments of one length), the
-        keys and values of the positions before `start` come from it, and
-        this call's are appended along its position axis."""
+        (`offsets`)."""
         p = self.params
         q = ag.linear(h, p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.wq_b"])
         k = ag.linear(h, p[f"{prefix}.attn.wk"])
         v = ag.linear(h, p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wv_b"])
-        if cache is not None:
-            b, d = cache.keys.shape[0], self.config.d_h
-            cache.keys = np.concatenate([cache.keys, k.data.reshape(b, -1, d)], axis=1)
-            cache.values = np.concatenate([cache.values, v.data.reshape(b, -1, d)], axis=1)
-            # Segment by segment, as attention takes cached keys.
-            k, v = Tensor(cache.keys.reshape(-1, d)), Tensor(cache.values.reshape(-1, d))
-        o = ag.attention(q, k, v, offsets, causal, start, self.config.n_heads)
+        o = ag.attention(q, k, v, offsets, causal, self.config.n_heads)
         return ag.linear(o, p[f"{prefix}.attn.wo"], p[f"{prefix}.attn.wo_b"])
 
     def _ff(self, h: Tensor, prefix: str) -> Tensor:
@@ -272,12 +253,11 @@ class VaeModel:
         u = ag.gelu(ag.linear(h, p[f"{prefix}.ff.w1"], p[f"{prefix}.ff.b1"]))
         return ag.linear(u, p[f"{prefix}.ff.w2"], p[f"{prefix}.ff.b2"])
 
-    def _block(self, h: Tensor, prefix: str, causal: bool, offsets: np.ndarray,
-               cache: _LayerCache | None = None, start: int = 0) -> Tensor:
+    def _block(self, h: Tensor, prefix: str, causal: bool, offsets: np.ndarray) -> Tensor:
         p = self.params
         h = h + self._attention(
             ag.layer_norm(h, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"]), prefix, causal,
-            offsets, cache, start
+            offsets
         )
         h = h + self._ff(ag.layer_norm(h, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"]), prefix)
         return h
@@ -325,13 +305,11 @@ class VaeModel:
         c = self.config
         if not 0 <= layer < c.n_layers:
             raise ContractError(f"layer {layer} out of range for {c.n_layers} layers")
-        gate = ag.linear(z, self.params[f"inj.{layer}.w_z"])  # every W_z,j z, side by side
-        return self._fuse(v, ag.segment_repeat(gate, offsets), layer)
-
-    def _fuse(self, v: Tensor, gate: Tensor, layer: int) -> Tensor:
-        """The sum over ranks j of columns j*d_h:(j+1)*d_h of (W_v v) * gate."""
+        # Every W_z,j z side by side, once for each row of its segment.
+        gate = ag.segment_repeat(ag.linear(z, self.params[f"inj.{layer}.w_z"]), offsets)
+        # The sum over ranks j of columns j*d_h:(j+1)*d_h of (W_v v) * gate.
         prod = ag.linear(v, self.params[f"inj.{layer}.w_v"]) * gate
-        return ag.tensor_sum(ag.reshape(prod, (v.shape[0], -1, self.config.d_h)), axis=1)
+        return ag.tensor_sum(ag.reshape(prod, (v.shape[0], -1, c.d_h)), axis=1)
 
     def _check_latents(self, z_layers: list[Tensor], batch: int | None = None) -> None:
         c = self.config
@@ -342,28 +320,20 @@ class VaeModel:
             if z.shape != want:
                 raise ContractError(f"latent {l} has shape {z.shape}, expected {want}")
 
-    def _decoder_logits(self, z_layers: list[Tensor], inputs: list[int], offsets: np.ndarray,
-                        cache: list[_LayerCache] | None = None, start: int = 0) -> Tensor:
+    def _decoder_logits(self, z_layers: list[Tensor], inputs: list[int],
+                        offsets: np.ndarray) -> Tensor:
         """Causal decoder forward: embed, fuse each layer's latent, causal
         block, final layer norm, logits tied to the token embedding.
 
         `inputs` are the rows of the segments that `offsets` cuts them into,
-        each at positions start, start+1, ...; the (B, d_z) latent of each
-        layer gives segment i its row i. Without a cache they start at 0.
-        With one (one `_LayerCache` per layer, row i for segment i), the
-        earlier positions' keys and values and each layer's latent gate
-        come from it, z_layers is not read, and only the new rows are
-        computed."""
+        each at positions 0, 1, ...; the (B, d_z) latent of each layer gives
+        segment i its row i."""
         c = self.config
-        h = self._embed(inputs, offsets, start)
+        h = self._embed(inputs, offsets)
         for l in range(c.n_layers):
-            layer_cache = None if cache is None else cache[l]
             # Residual fusion keeps the token signal intact when z is noisy.
-            if layer_cache is None:
-                h = h + self.inject_latent(h, z_layers[l], l, offsets)
-            else:
-                h = h + self._fuse(h, layer_cache.gate, l)
-            h = self._block(h, f"dec.{l}", True, offsets, layer_cache, start)
+            h = h + self.inject_latent(h, z_layers[l], l, offsets)
+            h = self._block(h, f"dec.{l}", True, offsets)
         h = ag.layer_norm(h, self.params["dec.lnf.g"], self.params["dec.lnf.b"])
         return ag.linear(h, self.params["tok_emb"])
 
@@ -405,11 +375,12 @@ class VaeModel:
         """Autoregressive decoding of B rows under (B, d_z) latents, each
         until it draws EOS or has max_len tokens (at most max_seq_len).
 
-        A step decodes only the newest token of every row still alive, as
-        one pack, attending over its cached keys/values; top-k sampling
-        draws row i's token from rngs[i]. A row that draws EOS leaves the
-        pack, with its cache and gate rows, and its generator is not drawn
-        again. Returns each row's tokens, in latent row order."""
+        A `_decode_step` decodes only the newest token of every row still
+        alive, attending over the keys and values of its earlier positions;
+        top-k sampling draws row i's token from rngs[i]. A row that draws
+        EOS leaves the pack, with its gate, key and value rows, and its
+        generator is not drawn again. Returns each row's tokens, in latent
+        row order."""
         c = self.config
         if strategy not in ("greedy", "top_k"):
             raise ContractError(f"unknown decoding strategy {strategy!r}")
@@ -423,30 +394,65 @@ class VaeModel:
         self._check_latents(z_layers, batch)
         if rngs is not None and len(rngs) != batch:
             raise ContractError(f"{len(rngs)} rngs for {batch} latent rows")
-        # z is fixed for the whole call, so each layer's gate is computed once.
-        cache = [_LayerCache(ag.linear(z, self.params[f"inj.{l}.w_z"]),
-                             np.empty((batch, 0, c.d_h)), np.empty((batch, 0, c.d_h)))
-                 for l, z in enumerate(z_layers)]
+        # Per layer: its parameter arrays by name after `dec.{l}.` or `inj.{l}.`, the
+        # rows' latent gates, computed once, and the (B, positions, d_h) keys and values.
+        layers = []
+        for l, z in enumerate(z_layers):
+            layer = {name.split(".", 2)[2]: t.data for name, t in self.params.items()
+                     if name.startswith((f"dec.{l}.", f"inj.{l}."))}
+            layer["gate"] = ag._linear(z.data, layer["w_z"])
+            layer["keys"] = layer["values"] = np.empty((batch, 0, c.d_h))
+            layers.append(layer)
         outs: list[list[int]] = [[] for _ in range(batch)]
         alive = list(range(batch))  # the rows still decoding, in pack order
         for pos in range(min(max_len, c.max_seq_len)):  # pos: the newest input's, bos at 0
             if not alive:
                 break
             last = [outs[i][-1] if outs[i] else BOS for i in alive]
-            logits = self._decoder_logits(None, last, np.arange(len(alive) + 1), cache, pos).data
+            logits = self._decode_step(layers, last, pos)
             stay = []
             for j, i in enumerate(alive):
                 nxt = _next_token(logits[j], strategy, None if rngs is None else rngs[i], top_k)
                 if nxt != EOS:
                     outs[i].append(nxt)
                     stay.append(j)
-            if len(stay) < len(alive):  # rows that drew EOS leave with their cache rows
-                for lc in cache:
-                    lc.gate = Tensor(lc.gate.data[stay])
-                    lc.keys, lc.values = lc.keys[stay], lc.values[stay]
+            if len(stay) < len(alive):  # rows that drew EOS leave with their layer rows
+                for layer in layers:
+                    for name in ("gate", "keys", "values"):
+                        layer[name] = layer[name][stay]
                 alive = [alive[j] for j in stay]
         return outs
 
+    def _decode_step(self, layers: list[dict], last: list[int], pos: int) -> np.ndarray:
+        """The (B, vocab) logits after one new token per row, `last`, at
+        position `pos`; each layer's keys and values gain that position. This
+        is `_decoder_logits` for one new row per document, on arrays: the same
+        kernels in the same order, with every op's finite check (`add`, `mul`
+        here, the rest in the kernels), so it has that forward's bits and errors."""
+        p, heads, d = self.params, self.config.n_heads, self.config.d_h
+        h = p["tok_emb"].data[last] + p["pos_emb"].data[pos]
+        ag._check_finite(h, "add")
+        for w in layers:
+            prod = ag._linear(h, w["w_v"])
+            prod *= w["gate"]
+            ag._check_finite(prod, "mul")
+            h = h + np.add.reduce(prod.reshape(len(h), -1, d), axis=1)
+            ag._check_finite(h, "add")
+            x = ag._layer_norm(h, w["ln1.g"], w["ln1.b"])[0]
+            q = ag._linear(x, w["attn.wq"], w["attn.wq_b"])
+            k = ag._linear(x, w["attn.wk"])
+            v = ag._linear(x, w["attn.wv"], w["attn.wv_b"])
+            w["keys"] = np.concatenate([w["keys"], k[:, None]], axis=1)
+            w["values"] = np.concatenate([w["values"], v[:, None]], axis=1)
+            o = ag._attention_group(q[:, None], w["keys"], w["values"], heads, True)[0]
+            h = h + ag._linear(o.reshape(len(h), d), w["attn.wo"], w["attn.wo_b"])
+            ag._check_finite(h, "add")
+            x = ag._layer_norm(h, w["ln2.g"], w["ln2.b"])[0]
+            u = ag._gelu(ag._linear(x, w["ff.w1"], w["ff.b1"]))[0]
+            h = h + ag._linear(u, w["ff.w2"], w["ff.b2"])
+            ag._check_finite(h, "add")
+        h = ag._layer_norm(h, p["dec.lnf.g"].data, p["dec.lnf.b"].data)[0]
+        return ag._linear(h, p["tok_emb"].data)
 
 def _next_token(logits: np.ndarray, strategy: str, rng: np.random.Generator | None,
                 top_k: int) -> int:

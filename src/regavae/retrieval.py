@@ -95,7 +95,8 @@ class RetrievalDatabase:
     `entries` gives the snapshot back as a read-only sequence of records
     (`_Records`), indexed by row. The keys are checked, and the unit keys of
     `top_k_batch`'s prefilter built, at the first query (`_unit_keys`), so a
-    load pays nothing for either."""
+    load pays nothing for either. `path` is the dump it was loaded from, or
+    None; a bad key's error names it."""
 
     def __init__(self, entries: list[RetrievalEntry], snapshot_step: int, refresh_interval: int):
         if [e.id for e in entries] != list(range(len(entries))):
@@ -125,6 +126,7 @@ class RetrievalDatabase:
             a.flags.writeable = False
         self.snapshot_step, self.refresh_interval = snapshot_step, refresh_interval
         self.entries = _Records(self)
+        self.path = None
 
     def __len__(self) -> int:
         return len(self.means)
@@ -135,14 +137,17 @@ class RetrievalDatabase:
         query's product streams one row per component. Before they are built,
         the first key whose norm is outside `top_k_batch`'s proven range, or
         whose log-variance no posterior head emits, raises DegenerateInputError."""
+        where = "" if self.path is None else f"{self.path}: "
         bad = np.flatnonzero(~((self.norms >= _MIN_NORM) & (self.norms <= _MAX_NORM)))
         if bad.size:
-            raise DegenerateInputError(f"key {bad[0]} has norm {self.norms[bad[0]]}: {_RANGE}")
+            raise DegenerateInputError(f"{where}key {bad[0]} has norm {self.norms[bad[0]]}: "
+                                       f"{_RANGE}")
         ok = (self.log_vars >= LOG_VAR_MIN) & (self.log_vars <= LOG_VAR_MAX)
         if not ok.all():
             i, j = np.argwhere(~ok)[0]
-            raise DegenerateInputError(f"key {i} has log-variance {self.log_vars[i, j]}: not in "
-                                       f"[{LOG_VAR_MIN}, {LOG_VAR_MAX}], the posterior heads' range")
+            raise DegenerateInputError(f"{where}key {i} has log-variance {self.log_vars[i, j]}: "
+                                       f"not in [{LOG_VAR_MIN}, {LOG_VAR_MAX}], the posterior "
+                                       f"heads' range")
         units = np.ascontiguousarray((self.means / self.norms[:, None]).T, dtype=np.float32)
         units.flags.writeable = False
         return units
@@ -396,5 +401,7 @@ def load_database(path, d_z: int | None = None) -> RetrievalDatabase:
     sources, targets = Ragged(src_off, src_tok), Ragged(tgt_off, tgt_tok)
     if token_digest(sources, targets) != digest:
         raise InputError(f"{path}: database dump tokens do not match its digest")
-    return RetrievalDatabase.from_arrays(means.reshape(n, dim), log_vars.reshape(n, dim),
-                                         sources, targets, snapshot_step, refresh_interval)
+    db = RetrievalDatabase.from_arrays(means.reshape(n, dim), log_vars.reshape(n, dim),
+                                       sources, targets, snapshot_step, refresh_interval)
+    db.path = path
+    return db

@@ -2,8 +2,10 @@
 
 import os
 
+import numpy as np
 import pytest
 
+from regavae import autograd as ag
 from regavae.mixture import regavae_loss
 from regavae.model import VaeModel
 
@@ -27,6 +29,27 @@ def sampled_latents(monkeypatch):
             regavae_loss(model, *args, **kw)
         assert len(seen) == 1
         return seen[0]
+
+    return run
+
+
+@pytest.fixture
+def attention_groups():
+    """attention_groups(q, k, v, offsets, causal, start, heads) is attention
+    within the segments of `offsets` by its kernel, `_attention_group`, run
+    once per segment length, as the op groups them. Segment i's keys and
+    values are `start` cached rows followed by one row per query row, so k
+    and v have offsets[-1] + B * start rows, segment by segment."""
+    def run(q, k, v, offsets, causal, start, heads):
+        offsets = np.asarray(offsets)
+        lengths, out = np.diff(offsets), np.empty_like(q)
+        for n in np.unique(lengths):
+            segs = np.flatnonzero(lengths == n)
+            rows = offsets[segs, None] + np.arange(n)
+            keys = rows[:, :1] + start * segs[:, None] + np.arange(n + start)
+            got, _ = ag._attention_group(q[rows], k[keys], v[keys], heads, causal)
+            out[rows.reshape(-1)] = got.reshape(-1, q.shape[1])
+        return out
 
     return run
 

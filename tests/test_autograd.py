@@ -472,22 +472,27 @@ class TestSameBitsKernels:
         assert same_bytes(y.data, out) and same_bytes(zt.grad, gz)
 
     # (segment boundaries, causal, cached rows, heads): one length (split by
-    # reshape), ragged lengths (gathered), and a cached decode step.
+    # reshape), ragged lengths (gathered), and a decode step's one row per
+    # segment after cached rows. The op takes no cached rows; its kernel
+    # takes them for `VaeModel._decode_step`.
     @pytest.mark.parametrize("offsets,causal,start,heads", [
         ([0, 9, 18, 27], False, 0, 4), ([0, 5, 17, 22, 23], True, 0, 4),
         ([0, 1, 2, 3], True, 6, 2), ([0, 2, 5], True, 3, 1),
     ])
-    def test_attention(self, offsets, causal, start, heads):
+    def test_attention(self, offsets, causal, start, heads, attention_groups):
         rng = np.random.default_rng(offsets[-1] + start)
         rows, d = offsets[-1], 32
         keys = rows + start * (len(offsets) - 1)
         q, c = rng.standard_normal((rows, d)), rng.standard_normal((rows, d))
         k, v = rng.standard_normal((keys, d)), rng.standard_normal((keys, d))
+        ref = attention_reference(q, k, v, np.array(offsets), causal, start, heads, c)
+        assert same_bytes(attention_groups(q, k, v, offsets, causal, start, heads), ref[0])
+        if start:  # cached rows are the decode step's; only the kernel takes them
+            return
         ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
         with Tape() as tape:
-            y = ag.attention(*ts, offsets, causal, start, heads)
+            y = ag.attention(*ts, offsets, causal, heads)
             backward(ag.tensor_sum(y * Tensor(c)), tape)
-        ref = attention_reference(q, k, v, np.array(offsets), causal, start, heads, c)
         for name, a, b in zip(("out", "q.grad", "k.grad", "v.grad"),
                               (y.data, *(t.grad for t in ts)), ref):
             assert same_bytes(a, b), name

@@ -1173,7 +1173,8 @@ class TestCli:
                        "--checkpoint", str(out / "stage1.ckpt"), "--database", str(bad_db)])
         err = capsys.readouterr().err
         what = "norm" if block == "means" else "log-variance"
-        assert rc == 1 and err.startswith(f"error: key 3 has {what}") and err.count("\n") == 1
+        assert rc == 1 and err.startswith(f"error: {bad_db}: key 3 has {what}")
+        assert err.count("\n") == 1
         assert not (out / "metrics.json").exists() and not (out / "stage3.ckpt").exists()
         assert (out / "retrieval.db").read_bytes() == dump
 

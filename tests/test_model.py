@@ -2,22 +2,22 @@
 and init behavior, reparameterization statistics of `regavae_loss`'s
 latents, latent-injection loop oracle, decode NLL oracles, ELBO gradient
 check, overfit smoke test, attention head layout against a per-head
-reference, generation contracts, cached generation against a full
-re-decode of every prefix, and packed generation against each row decoded
-alone."""
+reference, generation contracts, the decode step against a full re-decode
+of every prefix, and packed generation against each row decoded alone."""
 
 import os
 
 import numpy as np
 import pytest
 
+from regavae import autograd as ag
 from regavae.autograd import Adam, Tape, Tensor, backward, clip_grad_norm, zero_grads
 from regavae.checkpoint import load_checkpoint, save_checkpoint
 from regavae.data import BOS, EOS, SPECIALS
-from regavae.errors import ConfigError, ContractError, InputError
+from regavae.errors import ConfigError, ContractError, InputError, NumericOverflowError
 from regavae.mixture import regavae_loss
-from regavae.model import (LatentGaussian, ModelConfig, VaeModel, _LayerCache,
-                           gaussian_kl_standard, parameter_layout)
+from regavae.model import (LatentGaussian, ModelConfig, VaeModel, gaussian_kl_standard,
+                           parameter_layout)
 from regavae.training import RunConfig
 
 
@@ -426,15 +426,20 @@ class TestAttentionHeadLayout:
         np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
 
     def test_cached_one_row(self, model4):
+        # The attention of a `_decode_step`: one new row over the keys and
+        # values of four earlier positions and its own.
         rng = np.random.default_rng(8)
         prefix, new = rng.standard_normal((4, 16)), rng.standard_normal((1, 16))
-        cache = _LayerCache(None, np.empty((1, 0, 16)), np.empty((1, 0, 16)))
-        model4._attention(Tensor(prefix), "dec.0", True, np.array([0, 4]), cache, 0)
-        past = (cache.keys[0].copy(), cache.values[0].copy())
-        got = model4._attention(Tensor(new), "dec.0", True, np.array([0, 1]), cache, 4).data
-        ref = _reference_attention(model4, new, "dec.0", causal=True, past=past)
+        p = {name: t.data for name, t in model4.params.items()}
+        rows = np.vstack([prefix, new])
+        keys = ag._linear(rows, p["dec.0.attn.wk"])[None]
+        values = ag._linear(rows, p["dec.0.attn.wv"], p["dec.0.attn.wv_b"])[None]
+        q = ag._linear(new, p["dec.0.attn.wq"], p["dec.0.attn.wq_b"])[:, None]
+        o, _ = ag._attention_group(q, keys, values, model4.config.n_heads, True)
+        got = ag._linear(o.reshape(1, 16), p["dec.0.attn.wo"], p["dec.0.attn.wo_b"])
+        ref = _reference_attention(model4, new, "dec.0", causal=True,
+                                   past=(keys[0, :4], values[0, :4]))
         np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
-        assert cache.keys.shape == cache.values.shape == (1, 5, 16)
 
 
 class TestGenerate:
@@ -519,7 +524,7 @@ def any_model(request):
 
 
 class TestCachedGenerate:
-    """Incremental decoding against the full re-decode of every prefix."""
+    """The decode step against the full re-decode of every prefix."""
 
     ATOL = 1e-12
 
@@ -528,31 +533,58 @@ class TestCachedGenerate:
         return [[Tensor(rng.standard_normal(model.config.d_z))
                  for _ in range(model.config.n_layers)] for _ in range(n)]
 
-    def test_step_logits_match_full_redecode(self, any_model, monkeypatch):
-        c = any_model.config
-        real = any_model._decoder_logits
-        rows, widths = [], []
+    def _spy_steps(self, model, monkeypatch):
+        """Record each `_decode_step`'s (token count, logits)."""
+        real, steps = model._decode_step, []
 
-        def spy(z_layers, inputs, *args):
-            logits = real(z_layers, inputs, *args)
-            widths.append(len(inputs))
-            rows.append(logits.data[-1].copy())
+        def spy(layers, last, pos):
+            logits = real(layers, last, pos)
+            steps.append((len(last), logits.copy()))
             return logits
 
-        monkeypatch.setattr(any_model, "_decoder_logits", spy)
+        monkeypatch.setattr(model, "_decode_step", spy)
+        return steps
+
+    def test_step_logits_match_full_redecode(self, any_model, monkeypatch):
+        recorded = self._spy_steps(any_model, monkeypatch)
         runs = []
         for z in self._latent_sets(any_model):
-            first = len(rows)
+            first = len(recorded)
             out = any_model.generate(z, 12)
-            runs.append((z, out, rows[first:]))
+            runs.append((z, out, [logits[-1] for _, logits in recorded[first:]]))
         monkeypatch.undo()
-        assert set(widths) == {1}  # one new token per step
+        assert {width for width, _ in recorded} == {1}  # one new token per step
         for z, out, steps in runs:
             assert len(steps) in (len(out), len(out) + 1)  # +1: the step that drew EOS
             for t, got in enumerate(steps):
                 ref = any_model._decoder_logits(_rows(z), [BOS] + out[:t],
                                                 np.array([0, t + 1])).data[-1]
                 np.testing.assert_allclose(got, ref, rtol=0, atol=self.ATOL)
+
+    def test_first_step_is_the_decoder_forward_bit_for_bit(self, any_model, monkeypatch):
+        # At position 0 the step and the op path compute arrays of the same
+        # shapes with the same kernels.
+        recorded = self._spy_steps(any_model, monkeypatch)
+        for z in self._latent_sets(any_model):
+            del recorded[:]
+            any_model.generate(z, 1)
+            ref = any_model._decoder_logits(_rows(z), [BOS], np.array([0, 1])).data
+            assert recorded[0][1].tobytes() == ref.tobytes()
+
+    def test_overflow_raises_as_decode_does(self, any_model):
+        # A weight so large that its product overflows ends both paths with
+        # the same error, naming the same op.
+        model = VaeModel(any_model.config, flat=any_model.flat.copy())
+        w = model.params["dec.1.ff.w1"].data
+        w /= np.abs(w).max()
+        w *= 1e308  # finite weights, products beyond the float range
+        z = self._latent_sets(model, n=1)[0]
+        with np.errstate(all="ignore"):  # the finite checks, not the FPU, report it
+            with pytest.raises(NumericOverflowError) as decoded:
+                model.decode(_rows(z), [[4, 5]])
+            with pytest.raises(NumericOverflowError) as generated:
+                model.generate_pack(_rows(z), 4)
+        assert str(generated.value) == str(decoded.value) == "linear produced non-finite values"
 
     def test_greedy_matches_reference(self, any_model):
         for z in self._latent_sets(any_model):
@@ -599,32 +631,32 @@ class TestGeneratePack:
                 for _ in range(model.config.n_layers)]
 
     def _run(self, model, z, rngs, monkeypatch, **kw):
-        """generate_pack's output, and per step its inputs, the layer-0 cache
-        shape it met and its logits."""
-        real, steps = model._decoder_logits, []
+        """generate_pack's output, and per step its input tokens, the shape of
+        the layer-0 keys it met and its logits."""
+        real, steps = model._decode_step, []
 
-        def spy(z_layers, inputs, offsets, cache, start):
-            shape = cache[0].keys.shape
-            logits = real(z_layers, inputs, offsets, cache, start)
-            steps.append((list(inputs), shape, logits.data.copy()))
+        def spy(layers, last, pos):
+            shape = layers[0]["keys"].shape
+            logits = real(layers, last, pos)
+            steps.append((list(last), shape, logits.copy()))
             return logits
 
         with monkeypatch.context() as m:
-            m.setattr(model, "_decoder_logits", spy)
+            m.setattr(model, "_decode_step", spy)
             out = model.generate_pack(z, self.MAX_LEN, "top_k", rngs, top_k=5, **kw)
         return out, steps
 
     def _lone(self, model, z, i, monkeypatch):
         """Row i decoded alone: its tokens and the logits of each step."""
-        real, rows = model._decoder_logits, []
+        real, rows = model._decode_step, []
 
         def spy(*args):
             logits = real(*args)
-            rows.append(logits.data[0].copy())
+            rows.append(logits[0].copy())
             return logits
 
         with monkeypatch.context() as m:
-            m.setattr(model, "_decoder_logits", spy)
+            m.setattr(model, "_decode_step", spy)
             out = model.generate([Tensor(l.data[i]) for l in z], self.MAX_LEN, "top_k",
                                  np.random.default_rng(i), top_k=5)
         return out, rows
@@ -679,7 +711,7 @@ class TestGeneratePack:
         def never(*args):
             raise AssertionError("decoded")
 
-        monkeypatch.setattr(model, "_decoder_logits", never)
+        monkeypatch.setattr(model, "_decode_step", never)
         bad = [
             (z, dict(strategy="top_k", rngs=rngs[:2])),  # an rng count other than B
             (z, dict(strategy="top_k")),  # top_k without rngs

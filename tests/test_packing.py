@@ -431,22 +431,24 @@ class TestFusedAttention:
     @pytest.mark.parametrize("offsets", [OFFSETS, np.array([0, 3, 6, 9])])
     @pytest.mark.parametrize("causal", [False, True])
     @pytest.mark.parametrize("start", [0, 2])
-    def test_forward_and_finite_difference_grads(self, offsets, causal, start):
+    def test_forward_and_finite_difference_grads(self, offsets, causal, start,
+                                                  attention_groups):
         rng = np.random.default_rng(17 + start)
         rows, heads = offsets[-1], 2
         keys = rows + 3 * start
         q0, k0, v0 = (rng.standard_normal((n, 6)) for n in (rows, keys, keys))
         weight = rng.standard_normal((rows, 6))
+        ref = _reference_attention(q0, k0, v0, offsets, causal, start, heads)
+        np.testing.assert_allclose(attention_groups(q0, k0, v0, offsets, causal, start, heads),
+                                   ref, rtol=0, atol=1e-12)
+        if start:  # cached rows are the decode step's; only its kernel takes them
+            return
 
         def loss(q, k, v):
-            return ag.tensor_sum(ag.attention(q, k, v, offsets, causal, start, heads)
-                                 * Tensor(weight))
+            return ag.tensor_sum(ag.attention(q, k, v, offsets, causal, heads) * Tensor(weight))
 
-        got = ag.attention(Tensor(q0), Tensor(k0), Tensor(v0), offsets, causal, start,
-                           heads).data
-        np.testing.assert_allclose(
-            got, _reference_attention(q0, k0, v0, offsets, causal, start, heads),
-            rtol=0, atol=1e-12)
+        got = ag.attention(Tensor(q0), Tensor(k0), Tensor(v0), offsets, causal, heads).data
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
         ts = [Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0)]
         with Tape() as tape:
             backward(loss(*ts), tape)
@@ -470,6 +472,6 @@ class TestFusedAttention:
         with pytest.raises(DimensionError):
             ag.attention(q, q, q, [0, 3, 3, 10], heads=2)  # an empty segment
         with pytest.raises(DimensionError):
-            ag.attention(q, q, q, self.OFFSETS, start=1, heads=2)  # no cached keys
+            ag.attention(q, q, Tensor(np.zeros((13, 4))), self.OFFSETS, heads=2)  # k and v differ
         with pytest.raises(DimensionError):
             ag.attention(q, q, q, self.OFFSETS, heads=3)
